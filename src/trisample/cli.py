@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -87,8 +88,6 @@ def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:
     if isinstance(obj, dict):
         for k in sorted(obj):
             _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], rows)
-    elif isinstance(obj, (list, tuple)):
-        rows.append((prefix, json.dumps(obj)))
     else:
         rows.append((prefix, json.dumps(obj)))
 
@@ -210,6 +209,7 @@ def cmd_stream(args) -> dict:
     finally:
         if spooled is not None:
             spooled.close()
+            os.unlink(spooled.name)
     elapsed = (time.perf_counter() - t0) * 1000.0
     est = run.estimate
     result = {
@@ -287,11 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", choices=SAMPLER_KINDS, required=True)
     p.add_argument("--samples", type=_positive_int, required=True, help="trial count s")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force sequential bit-exact trials (this implementation always is)",
-    )
     add_format(p)
     p.set_defaults(handler=cmd_estimate)
 

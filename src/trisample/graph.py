@@ -9,13 +9,14 @@ are isolated vertices.
 
 from __future__ import annotations
 
-import io
 import logging
 import os
 import re
 from bisect import bisect_left
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -47,31 +48,30 @@ class Graph:
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
         """Build a graph from unique undirected edges.
 
-        Rejects self-loops and duplicate undirected edges; use
+        ``edges`` may be any iterable of id pairs or an ``(m, 2)`` integer
+        array.  Rejects self-loops and duplicate undirected edges; use
         :func:`load_edge_list` for tolerant ingestion of raw files.
         """
-        pairs = [(int(u), int(v)) for u, v in edges]
-        for u, v in pairs:
+        und = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if und.size == 0:
+            und = und.reshape(0, 2)
+        elif und.ndim != 2 or und.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        bad = (und[:, 0] == und[:, 1]) | (und < 0).any(axis=1)
+        if bad.any():
+            u, v = und[bad.argmax()].tolist()
             if u == v:
                 raise ValueError(f"self-loop ({u},{u}) not allowed")
-            if u < 0 or v < 0:
-                raise ValueError("vertex ids must be nonnegative")
-        keys = {(min(u, v), max(u, v)) for u, v in pairs}
-        if len(keys) != len(pairs):
+            raise ValueError("vertex ids must be nonnegative")
+        m = len(und)
+        both, repeated = _sort_rows(np.concatenate([und, und[:, ::-1]]))
+        if repeated.any():
             raise ValueError("duplicate undirected edges not allowed")
-        max_id = max((max(u, v) for u, v in pairs), default=-1)
+        max_id = int(both[-1, 0]) if m else -1
         if n is None:
             n = max_id + 1
         elif max_id >= n:
             raise ValueError(f"vertex id {max_id} out of declared range n={n}")
-        m = len(pairs)
-        if m == 0:
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            return cls(n=n, m=0, indptr=indptr, indices=np.zeros(0, dtype=np.int64))
-        und = np.array(pairs, dtype=np.int64)
-        both = np.concatenate([und, und[:, ::-1]])
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
         indices = np.ascontiguousarray(both[:, 1])
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(both[:, 0], minlength=n), out=indptr[1:])
@@ -127,6 +127,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _sort_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of an ``(m, 2)`` array in lexicographic order, plus a mask of
+    the rows that equal the row before them."""
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    repeated = np.zeros(len(pairs), dtype=bool)
+    repeated[1:] = (pairs[1:] == pairs[:-1]).all(axis=1)
+    return pairs, repeated
+
+
 def has_edge(g: Graph, i: int, j: int) -> bool:
     """True iff {i, j} is an edge, by binary search in the neighbor list."""
     g._check_id(i)
@@ -136,35 +145,36 @@ def has_edge(g: Graph, i: int, j: int) -> bool:
     return k < len(nb) and nb[k] == j
 
 
-def _iter_lines(source) -> Iterator[str]:
+def _edge_records(source) -> Iterator:
+    """The edge-list line grammar, shared by every reader of the format.
+
+    ``source`` is a path, an open text file, or an iterable of lines.
+    Yields the count of the ``# n=<count>`` header first (``None`` when
+    there is none), then each edge record as ``(u, v)`` in input order.
+    Blank lines and lines starting with ``#`` or ``%`` are skipped.  The
+    header may appear once, before the first edge; a misplaced or
+    repeated header, like a malformed record, is a :class:`ParseError`
+    naming its line.
+    """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        yield from source
-    else:
-        yield from source
-
-
-def _parse_records(source):
-    """Yield per-line records; returns (records, declared_n).
-
-    A record is (lineno, u, v).  Comment lines start with '#' or '%';
-    the header comment ``# n=<count>`` fixes the vertex universe.
-    """
-    records: list[tuple[int, int, int]] = []
+            yield from _edge_records(fh)
+        return
     declared_n: int | None = None
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line:
+    edges_seen = False
+    for lineno, raw in enumerate(source, start=1):
+        tokens = raw.split()
+        if not tokens:
             continue
-        header = _HEADER_RE.match(line)
-        if header:
-            declared_n = int(header.group(1))
+        if tokens[0][0] in "#%":
+            header = _HEADER_RE.match(raw.strip())
+            if header:
+                if edges_seen:
+                    raise ParseError(f"line {lineno}: '# n=' header after the first edge")
+                if declared_n is not None:
+                    raise ParseError(f"line {lineno}: repeated '# n=' header")
+                declared_n = int(header.group(1))
             continue
-        if line.startswith("#") or line.startswith("%"):
-            continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected two vertex ids, got {len(tokens)} tokens")
         try:
@@ -173,8 +183,12 @@ def _parse_records(source):
             raise ParseError(f"line {lineno}: non-integer vertex id in {tokens!r}") from None
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: vertex ids must be nonnegative")
-        records.append((lineno, u, v))
-    return records, declared_n
+        if not edges_seen:
+            edges_seen = True
+            yield declared_n
+        yield u, v
+    if not edges_seen:
+        yield declared_n
 
 
 def load_edge_list(source) -> Graph:
@@ -184,36 +198,23 @@ def load_edge_list(source) -> Graph:
     Self-loops and duplicate undirected edges are dropped (counts logged
     as warnings); a source with no edge records at all is an error.
     """
-    records, declared_n = _parse_records(source)
-    if not records:
+    records = _edge_records(source)
+    declared_n = next(records)
+    pairs = np.fromiter(chain.from_iterable(records), dtype=np.int64).reshape(-1, 2)
+    if not len(pairs):
         raise ParseError("empty input: no edge records")
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    self_loops = 0
-    duplicates = 0
-    max_id = -1
-    for lineno, u, v in records:
-        if u > max_id:
-            max_id = u
-        if v > max_id:
-            max_id = v
-        if u == v:
-            self_loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        edges.append(key)
-    if self_loops:
-        log.warning("dropped %d self-loop(s)", self_loops)
-    if duplicates:
-        log.warning("dropped %d duplicate edge(s)", duplicates)
+    max_id = int(pairs.max())
+    pairs.sort(axis=1)
+    loops = pairs[:, 0] == pairs[:, 1]
+    pairs, repeated = _sort_rows(pairs[~loops])
+    if loops.any():
+        log.warning("dropped %d self-loop(s)", loops.sum())
+    if repeated.any():
+        log.warning("dropped %d duplicate edge(s)", repeated.sum())
     n = declared_n if declared_n is not None else max_id + 1
     if max_id >= n:
         raise ParseError(f"vertex id {max_id} exceeds declared universe n={n}")
-    return Graph.from_edges(edges, n=n)
+    return Graph.from_edges(pairs[~repeated], n=n)
 
 
 def write_edge_list(g: Graph, sink) -> None:
@@ -282,40 +283,13 @@ class FileEdgeStream(EdgeStreamSource):
     def __init__(self, path) -> None:
         super().__init__()
         self.path = path
-        self._declared_n = self._scan_header()
-
-    def _scan_header(self) -> int | None:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                header = _HEADER_RE.match(line)
-                if header:
-                    return int(header.group(1))
-                if line.startswith("#") or line.startswith("%"):
-                    continue
-                return None
-        return None
+        with closing(_edge_records(path)) as records:
+            self._declared_n = next(records)
 
     def _iter_edges(self) -> Iterator[tuple[int, int]]:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#") or line.startswith("%"):
-                    continue
-                tokens = line.split()
-                if len(tokens) != 2:
-                    raise ParseError(
-                        f"line {lineno}: expected two vertex ids, got {len(tokens)} tokens"
-                    )
-                try:
-                    u, v = int(tokens[0]), int(tokens[1])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: non-integer vertex id in {tokens!r}") from None
-                if u < 0 or v < 0:
-                    raise ParseError(f"line {lineno}: vertex ids must be nonnegative")
-                yield u, v
+        records = _edge_records(self.path)
+        next(records)  # the header, already read
+        yield from records
 
     @property
     def declared_n(self) -> int | None:

@@ -9,7 +9,9 @@ what makes their results comparable bit for bit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,32 +33,33 @@ def seed_streams(seed: int) -> SampleStreams:
     )
 
 
+def _bisect_draw(cumulative, rng: np.random.Generator) -> int:
+    """Index ``k`` drawn with probability ``w_k / total`` from running sums.
+
+    ``cumulative`` holds the running sums of nonnegative integer weights
+    ``w``, so ``total = cumulative[-1]``.  Exactly one integer variate in
+    ``[0, total)`` is consumed, and a zero weight repeats the running sum
+    before it, so it is never picked and leaves every other pick alone.
+    """
+    return bisect_right(cumulative, int(rng.integers(cumulative[-1])))
+
+
 def weighted_choice(values, weights, rng: np.random.Generator):
     """Pick ``values[k]`` with probability ``weights[k] / total``.
 
-    Weights are nonnegative integers.  Exactly one integer variate in
-    ``[0, total)`` is consumed, and the pick depends only on the
-    (value, weight) pairs with positive weight, so callers that present
-    the same positive weights -- with or without interleaved zeros --
-    make identical picks from identical generator states.
+    Weights are nonnegative integers, as a sequence or an integer array.
+    Exactly one integer variate in ``[0, total)`` is consumed, and the
+    pick depends only on the (value, weight) pairs with positive weight,
+    so callers that present the same positive weights -- with or without
+    interleaved zeros -- make identical picks from identical generator
+    states.
 
     Returns ``(value, weight, total)`` for the selected entry.
     """
     if isinstance(weights, np.ndarray):
-        cum = np.cumsum(weights, dtype=np.int64)
-        total = int(cum[-1]) if cum.size else 0
-        if total <= 0:
-            raise ValueError("weighted_choice requires positive total weight")
-        u = int(rng.integers(total))
-        k = int(np.searchsorted(cum, u, side="right"))
-        return values[k], int(weights[k]), total
-    total = sum(weights)
-    if total <= 0:
+        weights = weights.tolist()
+    cumulative = list(accumulate(weights))
+    if not cumulative or cumulative[-1] <= 0:
         raise ValueError("weighted_choice requires positive total weight")
-    u = int(rng.integers(total))
-    acc = 0
-    for k, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return values[k], w, total
-    raise AssertionError("unreachable: u < total by construction")
+    k = _bisect_draw(cumulative, rng)
+    return values[k], weights[k], cumulative[-1]

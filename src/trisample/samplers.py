@@ -21,14 +21,15 @@ contributes a zero-valued trial and consumes no second-stage variate.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .exact import TriangleProfile, _intersection_size
 from .graph import Graph
-from .rng import SampleStreams, weighted_choice
+from .rng import SampleStreams, _bisect_draw, weighted_choice
 
 OPTIMAL = "optimal"
 QOPT_UNIFORM = "qopt-uniform"
@@ -121,15 +122,6 @@ class SamplerSpec:
         return [_intersection_size(nb_i, adj[j]) for j in nb_i]
 
 
-def _cumulative(weights: list[int]) -> list[int]:
-    cum = []
-    acc = 0
-    for w in weights:
-        acc += w
-        cum.append(acc)
-    return cum
-
-
 def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) -> SamplerSpec:
     """Precompute the tables a strategy needs and return its spec.
 
@@ -153,7 +145,7 @@ def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) ->
         weights = g.degree_list
     else:
         return SamplerSpec(kind=kind, graph=g, profile=oracle)
-    cum = _cumulative(weights)
+    cum = list(accumulate(weights))
     return SamplerSpec(
         kind=kind, graph=g, profile=oracle, _p_weights=weights, _p_cum=cum, _p_total=cum[-1]
     )
@@ -163,8 +155,7 @@ def draw_vertex(spec: SamplerSpec, rng: np.random.Generator) -> int:
     """First-stage draw: i distributed per the strategy's p."""
     if spec._p_cum is None:
         return int(rng.integers(spec.graph.n))
-    u = int(rng.integers(spec._p_total))
-    return bisect_right(spec._p_cum, u)
+    return _bisect_draw(spec._p_cum, rng)
 
 
 def draw_given_i(spec: SamplerSpec, i: int, rng: np.random.Generator) -> TrialDraw:
@@ -177,7 +168,7 @@ def draw_given_i(spec: SamplerSpec, i: int, rng: np.random.Generator) -> TrialDr
             weights = [spec.profile.edge_count(i, j) for j in nb]
         else:
             weights = spec._edge_local_counts(i)
-        if sum(weights) == 0:
+        if not any(weights):
             return TrialDraw(i=i, j=None, p_i=p_i, q_j_given_i=0.0, degenerate=True)
         j, w, total = weighted_choice(nb, weights, rng)
         return TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=w / total)
@@ -194,14 +185,3 @@ def draw(spec: SamplerSpec, streams: SampleStreams) -> TrialDraw:
     i = draw_vertex(spec, streams.vertices)
     return draw_given_i(spec, i, streams.pairs)
 
-
-def support_is_covered(spec: SamplerSpec, profile: TriangleProfile) -> bool:
-    """Check that every pair with a positive local count is reachable."""
-    for (i, j), c in profile.per_edge.items():
-        if c == 0:
-            continue
-        if spec.p(i) * spec.q(i, j) <= 0.0:
-            return False
-        if spec.p(j) * spec.q(j, i) <= 0.0:
-            return False
-    return True

@@ -1,7 +1,9 @@
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -180,6 +182,19 @@ def test_stream_from_stdin_with_n():
     report = json.loads(proc.stdout)
     assert report["result"]["estimate"] == 1.0  # every K3 vertex gives n*z/3 = 1
     assert report["result"]["passes_used"] == 2
+
+
+@pytest.mark.parametrize(
+    "text, code", [("0 1\n0 2\n1 2\n", 0), ("0 1\n1 x\n", 1)], ids=["ok", "parse-error"]
+)
+def test_piped_stream_removes_its_spool_file(monkeypatch, capsys, tmp_path, text, code):
+    spool_dir = tmp_path / "tmp"
+    spool_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["stream", "-", "--n", "3", "--samples", "4", "--seed", "1"]) == code
+    capsys.readouterr()
+    assert list(spool_dir.iterdir()) == []
 
 
 def test_bench_error_shrinks_with_s(capsys, paw_file):

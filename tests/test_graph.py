@@ -9,8 +9,10 @@ from trisample import (
     MemoryEdgeStream,
     FileEdgeStream,
     ParseError,
+    estimate,
     has_edge,
     load_edge_list,
+    stream_estimate,
     write_edge_list,
 )
 
@@ -77,6 +79,17 @@ def test_from_edges_rejects_bad_edges():
         Graph.from_edges([(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="out of declared range"):
         Graph.from_edges([(0, 3)], n=2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph.from_edges([(0, 1), (2, -1), (3, 3)])
+    with pytest.raises(ValueError, match=r"self-loop \(3,3\)"):
+        Graph.from_edges([(0, 1), (3, 3), (2, -1)])
+
+
+def test_from_edges_accepts_pairs_or_an_array(paw):
+    edges = list(paw.edges())
+    assert Graph.from_edges(np.array(edges), n=paw.n) == paw
+    assert Graph.from_edges(iter(edges)) == paw
+    assert Graph.from_edges(np.zeros((0, 2), dtype=np.int64), n=2).m == 0
 
 
 def test_has_edge(paw, k3):
@@ -148,3 +161,38 @@ def test_file_stream_without_header(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("0 1\n1 2\n")
     assert FileEdgeStream(path).declared_n is None
+
+
+# Every text below goes through both readers.  Accepted texts (error line
+# None) have no self-loops or duplicates, so both readers must see the same
+# graph; rejected ones must fail on the same line in both.
+READER_PARITY_CASES = {
+    "header-first": ("# n=6\n0 1\n1 2\n0 2\n2 3\n", None),
+    "header-after-comments": ("# a triangle\n% plus three isolated vertices\n\n# n=6\n0 1\n1 2\n0 2\n", None),
+    "no-header": ("0 1\n1 2\n0 2\n2 3\n", None),
+    "percent-comments": ("% n=7\n% comment\n0 1\n% between edges\n1 2\n0 2\n3 4\n", None),
+    "late-header": ("0 1\n1 2\n0 2\n2 3\n# n=10\n", 5),
+    "two-headers": ("# n=5\n# n=10\n0 1\n", 2),
+    "malformed-line": ("0 1\n1 x\n", 2),
+    "three-tokens": ("# n=4\n0 1\n\n1 2 3\n", 4),
+    "negative-id": ("0 1\n1 -2\n", 2),
+}
+
+
+@pytest.mark.parametrize("text, error_line", READER_PARITY_CASES.values(), ids=READER_PARITY_CASES)
+def test_file_and_stream_readers_agree(tmp_path, text, error_line):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    if error_line is not None:
+        with pytest.raises(ParseError, match=f"^line {error_line}:"):
+            load_edge_list(path)
+        with pytest.raises(ParseError, match=f"^line {error_line}:"):
+            stream_estimate(FileEdgeStream(path), 8, seed=3)
+        return
+    g = load_edge_list(path)
+    stream_edges = sorted((min(u, v), max(u, v)) for u, v in FileEdgeStream(path))
+    assert stream_edges == list(g.edges())
+    for seed in range(5):
+        run = stream_estimate(FileEdgeStream(path), 8, seed=seed)
+        assert run.state.n == g.n
+        assert run.estimate == estimate(g, "qopt-uniform", 8, seed=seed)
