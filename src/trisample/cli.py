@@ -133,6 +133,7 @@ def cmd_estimate(args) -> dict:
         "sampler": est.kind,
         "seed": est.seed,
         "empirical_variance": est.empirical_variance,
+        "degenerate_trials": est.degenerate_trials,
         "elapsed_ms": elapsed,
     }
     return _report("estimate", _digest(args.file, g), result, elapsed, seed=args.seed)
@@ -218,6 +219,7 @@ def cmd_stream(args) -> dict:
         "sampler": est.kind,
         "seed": est.seed,
         "empirical_variance": est.empirical_variance,
+        "degenerate_trials": est.degenerate_trials,
         "n": run.state.n,
         "passes_used": run.passes_used,
         "peak_state_bytes": run.state.state_bytes,

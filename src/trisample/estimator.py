@@ -7,6 +7,12 @@ A trial drawn as (i, j) with probabilities (p_i, q_{j|i}) is worth
 where T_{ij} is the number of triangles through {i, j}.  The estimate is
 the mean of ``s`` independent trials; it is unbiased for the triangle
 count under every built-in strategy.
+
+:func:`run_trials` draws, values and folds trials in chunks of array
+operations.  It consumes the seed's substreams exactly as a loop of
+single draws does and folds the values in trial order, so its result
+equals, bit for bit, the mean of ``trial_value(g, draw(spec, streams))``
+over ``s`` calls.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ import numpy as np
 from .exact import TriangleProfile, count_exact, local_edge_count
 from .graph import Graph
 from .rng import seed_streams
-from .samplers import OPTIMAL, SamplerSpec, TrialDraw, build_sampler, draw
+from .samplers import OPTIMAL, SamplerSpec, TrialDraw, build_sampler, draw_vertices, second_stage
+
+_CHUNK = 4096  # trials drawn and folded at once; bounds the per-chunk arrays
 
 
 def beta_value(local_count: int, p_i: float, q_j_given_i: float) -> float:
@@ -46,6 +54,8 @@ class Moments:
 
     The first moment uses Kahan-compensated summation so that long runs
     (s > 1e5) do not drift; memory stays O(1) regardless of trial count.
+    Values are added one at a time in order, so the sums do not depend
+    on how a run is split into batches.
     """
 
     __slots__ = ("count", "sum_sq", "_sum", "_comp")
@@ -56,13 +66,17 @@ class Moments:
         self._sum = 0.0
         self._comp = 0.0
 
-    def add(self, x: float) -> None:
-        self.count += 1
-        y = x - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
-        self.sum_sq += x * x
+    def fold(self, values: list[float]) -> None:
+        """Add ``values`` in order."""
+        total, comp, sum_sq = self._sum, self._comp, self.sum_sq
+        for x in values:
+            y = x - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            sum_sq += x * x
+        self._sum, self._comp, self.sum_sq = total, comp, sum_sq
+        self.count += len(values)
 
     @property
     def total(self) -> float:
@@ -88,11 +102,16 @@ class Estimate:
     empirical_variance: float
     kind: str
     seed: int
+    degenerate_trials: int  # trials whose first-stage vertex admits no second stage
     trial_values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def finalize_estimate(
-    moments: Moments, kind: str, seed: int, trial_values: np.ndarray | None = None
+    moments: Moments,
+    kind: str,
+    seed: int,
+    degenerate_trials: int,
+    trial_values: np.ndarray | None = None,
 ) -> Estimate:
     """Package accumulated moments; shared by in-memory and stream paths."""
     s = moments.count
@@ -104,6 +123,7 @@ def finalize_estimate(
         empirical_variance=moments.empirical_variance(),
         kind=kind,
         seed=seed,
+        degenerate_trials=degenerate_trials,
         trial_values=trial_values,
     )
 
@@ -132,14 +152,20 @@ def estimate(
 
 
 def run_trials(spec: SamplerSpec, s: int, seed: int, keep_trials: bool = False) -> Estimate:
-    """Trial loop for a prebuilt sampler; sequential and bit-reproducible."""
-    g = spec.graph
+    """Trials of a prebuilt sampler, in chunks; bit-reproducible from the seed."""
     streams = seed_streams(seed)
+    pairs = second_stage(spec)
     moments = Moments()
+    degenerate = 0
     retained = np.empty(s, dtype=np.float64) if keep_trials else None
-    for t in range(s):
-        b = trial_value(g, draw(spec, streams))
-        moments.add(b)
+    for start in range(0, s, _CHUNK):
+        vertices = draw_vertices(spec, streams.vertices, min(_CHUNK, s - start))
+        live, local, q = pairs(vertices, streams.pairs)
+        # beta_value's arithmetic, elementwise; degenerate trials are worth 0
+        values = np.zeros(len(vertices))
+        values[live] = local / (6.0 * spec.p_of(vertices[live]) * q)
+        moments.fold(values.tolist())
+        degenerate += len(vertices) - len(local)
         if retained is not None:
-            retained[t] = b
-    return finalize_estimate(moments, spec.kind, seed, retained)
+            retained[start : start + len(values)] = values
+    return finalize_estimate(moments, spec.kind, seed, degenerate, retained)

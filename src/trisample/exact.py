@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -75,6 +76,69 @@ def local_edge_count(g: Graph, i: int, j: int) -> int:
     if k >= len(nb_i) or nb_i[k] != j:
         return 0
     return _intersection_size(nb_i, adj[j])
+
+
+# Adjacency entries gathered into one temporary array by the array counts
+# below; bounds their working memory whatever the degrees.
+_GATHER = 1 << 18
+
+
+def _gathered_runs(g: Graph, rows: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The neighbour runs of ``rows`` back to back, at most ``_GATHER`` entries at a time.
+
+    Every row must have at least one neighbour.  Yields ``(r0, r1, cuts,
+    entries)`` per window: ``rows[r0:r1]`` are the rows whose runs meet
+    the window, and row ``r0 + k`` has ``entries[cuts[k]:cuts[k + 1]]`` in it.
+    """
+    bounds = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.add.accumulate(g.degrees[rows], out=bounds[1:])
+    shift = g.indptr[rows] - bounds[:-1]  # CSR position minus gathered position
+    total = int(bounds[-1])
+    for lo in range(0, total, _GATHER):
+        hi = min(lo + _GATHER, total)
+        r0 = int(bounds.searchsorted(lo, side="right")) - 1
+        r1 = int(bounds.searchsorted(hi))
+        cuts = np.minimum(np.maximum(bounds[r0 : r1 + 1], lo), hi) - lo
+        positions = shift[r0:r1].repeat(cuts[1:] - cuts[:-1]) + np.arange(lo, hi)
+        yield r0, r1, cuts, g.indices[positions]
+
+
+def neighbour_local_counts(g: Graph, i: int, mask: np.ndarray | None = None) -> np.ndarray:
+    """T_ij = |N(i) ∩ N(j)| for every neighbour j of ``i``, in neighbour order.
+
+    Marks N(i) in ``mask`` (a length-n boolean array, all False, which is
+    left all False again), looks every entry of the neighbours' runs up in
+    it and sums the hits per run.  Costs O(n) for a fresh mask plus O(sum
+    of the neighbours' degrees); callers counting many vertices pass one
+    reusable mask.
+    """
+    if mask is None:
+        mask = np.zeros(g.n, dtype=bool)
+    nb = g.neighbors(i)
+    counts = np.zeros(len(nb), dtype=np.int64)
+    mask[nb] = True
+    for r0, r1, cuts, entries in _gathered_runs(g, nb):
+        counts[r0:r1] += np.add.reduceat(mask[entries], cuts[:-1], dtype=np.int64)
+    mask[nb] = False
+    return counts
+
+
+def common_neighbour_counts(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|N(a_t) ∩ N(b_t)| for each pair of the equal-length vertex arrays.
+
+    No vertex may be isolated (edges qualify).  Scans the run of the
+    lower-degree vertex of each pair and looks every entry ``k`` up as
+    the key ``other * n + k`` in :attr:`Graph.edge_keys`.
+    """
+    swap = g.degrees[a] > g.degrees[b]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    keys = g.edge_keys
+    counts = np.zeros(len(a), dtype=np.int64)
+    for r0, r1, cuts, entries in _gathered_runs(g, a):
+        probe = (b[r0:r1] * g.n).repeat(cuts[1:] - cuts[:-1]) + entries
+        at = np.minimum(keys.searchsorted(probe), len(keys) - 1)
+        counts[r0:r1] += np.add.reduceat(keys[at] == probe, cuts[:-1], dtype=np.int64)
+    return counts
 
 
 def _brute_force_total(g: Graph) -> int:

@@ -23,7 +23,8 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-_HEADER_RE = re.compile(r"^[#%]\s*n\s*=\s*(\d+)\s*$")
+_HEADER_RE = re.compile(r"^[#%]\s*n\s*=\s*(\d+)\s*$", re.ASCII)
+_MAX_ID = 2**63 - 1  # ids index int64 arrays
 
 
 class ParseError(ValueError):
@@ -98,9 +99,14 @@ class Graph:
         return [idx[ptr[i] : ptr[i + 1]] for i in range(self.n)]
 
     @cached_property
-    def degree_list(self) -> list[int]:
-        """Degrees as plain ints (for hot loops)."""
-        return np.diff(self.indptr).tolist()
+    def edge_keys(self) -> np.ndarray:
+        """``i * n + j`` for every neighbour ``j`` of every ``i``: ascending, in CSR order.
+
+        A membership table for ordered pairs; ``n * n`` fits an int64 for
+        every graph whose ``indptr`` fits in memory.
+        """
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        return rows * self.n + self.indices
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, as (i, j) with i < j, lexicographic."""
@@ -151,6 +157,8 @@ def _edge_records(source) -> Iterator:
     ``source`` is a path, an open text file, or an iterable of lines.
     Yields the count of the ``# n=<count>`` header first (``None`` when
     there is none), then each edge record as ``(u, v)`` in input order.
+    A record is two vertex ids, each a string of ASCII decimal digits
+    whose value is at most ``2**63 - 1``.
     Blank lines and lines starting with ``#`` or ``%`` are skipped.  The
     header may appear once, before the first edge; a misplaced or
     repeated header, like a malformed record, is a :class:`ParseError`
@@ -160,35 +168,58 @@ def _edge_records(source) -> Iterator:
         with open(source, "r", encoding="utf-8") as fh:
             yield from _edge_records(fh)
         return
+    lines = enumerate(source, start=1)
     declared_n: int | None = None
-    edges_seen = False
-    for lineno, raw in enumerate(source, start=1):
+    first = None
+    for lineno, raw in lines:  # comments and the header, up to the first edge
         tokens = raw.split()
         if not tokens:
             continue
         if tokens[0][0] in "#%":
             header = _HEADER_RE.match(raw.strip())
             if header:
-                if edges_seen:
-                    raise ParseError(f"line {lineno}: '# n=' header after the first edge")
                 if declared_n is not None:
                     raise ParseError(f"line {lineno}: repeated '# n=' header")
                 declared_n = int(header.group(1))
             continue
-        if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: expected two vertex ids, got {len(tokens)} tokens")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex id in {tokens!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: vertex ids must be nonnegative")
-        if not edges_seen:
-            edges_seen = True
-            yield declared_n
-        yield u, v
-    if not edges_seen:
-        yield declared_n
+        first = _vertex_ids(tokens, lineno)
+        break
+    yield declared_n
+    if first is None:
+        return
+    yield first
+    for lineno, raw in lines:
+        tokens = raw.split()
+        if len(tokens) == 2:
+            a, b = tokens
+            # ASCII digit strings shorter than 19 digits always fit an int64
+            if a.isdigit() and b.isdigit() and len(a) < 19 and len(b) < 19 and raw.isascii():
+                yield int(a), int(b)
+                continue
+        if not tokens:
+            continue
+        if tokens[0][0] in "#%":
+            if _HEADER_RE.match(raw.strip()):
+                raise ParseError(f"line {lineno}: '# n=' header after the first edge")
+            continue
+        yield _vertex_ids(tokens, lineno)
+
+
+def _vertex_ids(tokens: list[str], lineno: int) -> tuple[int, int]:
+    """The ids of an edge record's tokens: two strings of ASCII decimal
+    digits, each of value at most ``2**63 - 1``; otherwise a ParseError."""
+    if len(tokens) != 2:
+        raise ParseError(f"line {lineno}: expected two vertex ids, got {len(tokens)} tokens")
+    for t in tokens:
+        digits = t.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"line {lineno}: non-integer vertex id in {tokens!r}")
+    if any(t.startswith("-") for t in tokens):
+        raise ParseError(f"line {lineno}: vertex ids must be nonnegative")
+    for t in tokens:
+        if len(t.lstrip("0")) > 19 or int(t) > _MAX_ID:
+            raise ParseError(f"line {lineno}: vertex id {t} does not fit in 64 bits")
+    return int(tokens[0]), int(tokens[1])
 
 
 def load_edge_list(source) -> Graph:

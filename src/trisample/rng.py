@@ -33,17 +33,6 @@ def seed_streams(seed: int) -> SampleStreams:
     )
 
 
-def _bisect_draw(cumulative, rng: np.random.Generator) -> int:
-    """Index ``k`` drawn with probability ``w_k / total`` from running sums.
-
-    ``cumulative`` holds the running sums of nonnegative integer weights
-    ``w``, so ``total = cumulative[-1]``.  Exactly one integer variate in
-    ``[0, total)`` is consumed, and a zero weight repeats the running sum
-    before it, so it is never picked and leaves every other pick alone.
-    """
-    return bisect_right(cumulative, int(rng.integers(cumulative[-1])))
-
-
 def weighted_choice(values, weights, rng: np.random.Generator):
     """Pick ``values[k]`` with probability ``weights[k] / total``.
 
@@ -61,5 +50,7 @@ def weighted_choice(values, weights, rng: np.random.Generator):
     cumulative = list(accumulate(weights))
     if not cumulative or cumulative[-1] <= 0:
         raise ValueError("weighted_choice requires positive total weight")
-    k = _bisect_draw(cumulative, rng)
+    # A zero weight repeats the running sum before it, so bisecting never
+    # picks it and it leaves every other pick alone.
+    k = bisect_right(cumulative, int(rng.integers(cumulative[-1])))
     return values[k], weights[k], cumulative[-1]

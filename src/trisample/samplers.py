@@ -11,25 +11,35 @@ second vertex ``j`` with conditional probability ``q_{j|i}``:
 
 where T, T_i, T_{ij} are the total, per-vertex, and per-edge triangle
 counts.  "optimal" needs the exact profile up front and has zero
-estimator variance; the qopt kinds compute the second-stage weights on
-the fly per draw; the edge kinds never touch triangle counts at all.
+estimator variance; the qopt kinds compute the second-stage weights T_ij
+of a first-stage vertex when it is first drawn; the edge kinds draw a
+uniform neighbour and need no triangle counts to draw.
 
 A draw whose first-stage vertex admits no valid second stage (no local
 triangles for qopt, degree zero for edge-uniform) is *degenerate*: it
 contributes a zero-valued trial and consumes no second-stage variate.
+
+``draw`` makes one trial's draw; ``draw_vertices`` and ``second_stage``
+make a whole batch of them and consume each substream exactly as that
+many calls of ``draw`` would.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
-from .exact import TriangleProfile, _intersection_size
+from .exact import (
+    TriangleProfile,
+    _intersection_size,
+    common_neighbour_counts,
+    neighbour_local_counts,
+)
 from .graph import Graph
-from .rng import SampleStreams, _bisect_draw, weighted_choice
+from .rng import SampleStreams, weighted_choice
 
 OPTIMAL = "optimal"
 QOPT_UNIFORM = "qopt-uniform"
@@ -69,8 +79,8 @@ class SamplerSpec:
     kind: str
     graph: Graph
     profile: TriangleProfile | None = None
-    _p_weights: list[int] | None = None  # first-stage integer weights
-    _p_cum: list[int] | None = None  # their running sums
+    _p_weights: np.ndarray | None = None  # first-stage integer weights (int64)
+    _p_cum: np.ndarray | None = None  # their running sums
     _p_total: int = 0
 
     def p(self, i: int) -> float:
@@ -79,7 +89,13 @@ class SamplerSpec:
         g._check_id(i)
         if self._p_weights is None:
             return 1.0 / g.n
-        return self._p_weights[i] / self._p_total
+        return self._p_weights.item(i) / self._p_total
+
+    def p_of(self, vertices: np.ndarray):
+        """First-stage probabilities of an array of vertices, each equal to ``p``'s."""
+        if self._p_weights is None:
+            return 1.0 / self.graph.n
+        return self._p_weights[vertices] / self._p_total
 
     def q(self, i: int, j: int) -> float:
         """Conditional probability of ``j`` given ``i``; 0 off support.
@@ -95,14 +111,11 @@ class SamplerSpec:
                 delta_i = int(self.profile.per_vertex[i])
                 delta_ij = self.profile.edge_count(i, j)
             else:
-                weights = self._edge_local_counts(i)
-                delta_i = sum(weights) // 2
-                nb = g.adjacency_lists[i]
-                delta_ij = 0
-                for k, v in enumerate(nb):
-                    if v == j:
-                        delta_ij = weights[k]
-                        break
+                weights = neighbour_local_counts(g, i)
+                delta_i = int(weights.sum()) // 2
+                nb = g.neighbors(i)
+                k = int(np.searchsorted(nb, j))
+                delta_ij = int(weights[k]) if k < len(nb) and nb[k] == j else 0
             if delta_i == 0:
                 return 0.0
             return delta_ij / (2 * delta_i)
@@ -114,12 +127,6 @@ class SamplerSpec:
         if k < deg and nb[k] == j:
             return 1.0 / deg
         return 0.0
-
-    def _edge_local_counts(self, i: int) -> list[int]:
-        """Per-neighbor local triangle counts of ``i``, computed on the fly."""
-        adj = self.graph.adjacency_lists
-        nb_i = adj[i]
-        return [_intersection_size(nb_i, adj[j]) for j in nb_i]
 
 
 def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) -> SamplerSpec:
@@ -138,24 +145,34 @@ def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) ->
                 "optimal sampling is undefined on a triangle-free graph: "
                 "all first-stage probabilities T_i/(3T) would be 0/0"
             )
-        weights = [int(x) for x in oracle.per_vertex]
+        weights = np.asarray(oracle.per_vertex, dtype=np.int64)
     elif kind in _DEGREE_P_KINDS:
         if g.m == 0:
             raise ValueError(f"{kind} sampling is undefined on an edgeless graph (2m = 0)")
-        weights = g.degree_list
+        weights = g.degrees
     else:
         return SamplerSpec(kind=kind, graph=g, profile=oracle)
-    cum = list(accumulate(weights))
+    cum = np.cumsum(weights)
     return SamplerSpec(
-        kind=kind, graph=g, profile=oracle, _p_weights=weights, _p_cum=cum, _p_total=cum[-1]
+        kind=kind, graph=g, profile=oracle, _p_weights=weights, _p_cum=cum, _p_total=int(cum[-1])
     )
+
+
+def draw_vertices(spec: SamplerSpec, rng: np.random.Generator, size: int | None = None):
+    """First-stage draws: ``size`` vertices (one when None) distributed per p.
+
+    Each vertex costs one integer variate, uniform on [0, n) or on
+    [0, total weight) and then located in the running sums, so a batch
+    consumes ``rng`` exactly as that many single draws do.
+    """
+    if spec._p_cum is None:
+        return rng.integers(spec.graph.n, size=size)
+    return spec._p_cum.searchsorted(rng.integers(spec._p_total, size=size), side="right")
 
 
 def draw_vertex(spec: SamplerSpec, rng: np.random.Generator) -> int:
     """First-stage draw: i distributed per the strategy's p."""
-    if spec._p_cum is None:
-        return int(rng.integers(spec.graph.n))
-    return _bisect_draw(spec._p_cum, rng)
+    return int(draw_vertices(spec, rng))
 
 
 def draw_given_i(spec: SamplerSpec, i: int, rng: np.random.Generator) -> TrialDraw:
@@ -163,11 +180,12 @@ def draw_given_i(spec: SamplerSpec, i: int, rng: np.random.Generator) -> TrialDr
     g = spec.graph
     p_i = spec.p(i)
     if spec.kind in _Q_OPTIMAL_KINDS:
-        nb = g.adjacency_lists[i]
+        adj = g.adjacency_lists
+        nb = adj[i]
         if spec.kind == OPTIMAL:
             weights = [spec.profile.edge_count(i, j) for j in nb]
         else:
-            weights = spec._edge_local_counts(i)
+            weights = [_intersection_size(nb, adj[j]) for j in nb]
         if not any(weights):
             return TrialDraw(i=i, j=None, p_i=p_i, q_j_given_i=0.0, degenerate=True)
         j, w, total = weighted_choice(nb, weights, rng)
@@ -185,3 +203,60 @@ def draw(spec: SamplerSpec, streams: SampleStreams) -> TrialDraw:
     i = draw_vertex(spec, streams.vertices)
     return draw_given_i(spec, i, streams.pairs)
 
+
+# (first-stage vertices, pairs substream) -> (live, local counts, q); see second_stage
+PairDraws = Callable[[np.ndarray, np.random.Generator], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def second_stage(spec: SamplerSpec) -> PairDraws:
+    """Batched second-stage draws for one run of trials.
+
+    The returned function takes a batch of first-stage vertices and the
+    pairs substream.  It returns the mask of the live (non-degenerate)
+    trials and, for the live trials in order, the local count T_ij of the
+    drawn pair and its conditional probability q_{j|i}.  It draws one
+    integer variate per live trial, in trial order, as :func:`draw_given_i`
+    does, so batches consume the substream exactly as single draws do.
+
+    The qopt family computes the T_ij of a vertex's neighbours once per
+    run, when the vertex is first drawn (at most 2m counts in all).  Its
+    draw picks j in proportion to T_ij, so the picked weight is the local
+    count.  The edge family draws a uniform neighbour and counts its
+    common neighbours.
+    """
+    g = spec.graph
+    if spec.kind not in _Q_OPTIMAL_KINDS:
+
+        def edge_pairs(vertices, rng):
+            deg = g.degrees[vertices]
+            live = deg > 0
+            i, deg = vertices[live], deg[live]
+            j = g.indices[g.indptr[i] + rng.integers(0, deg)]
+            return live, common_neighbour_counts(g, i, j), 1.0 / deg
+
+        return edge_pairs
+
+    mask = np.zeros(g.n, dtype=bool)
+    cache: dict[int, np.ndarray] = {}  # vertex -> T_ij of its neighbours
+
+    def qopt_pairs(vertices, rng):
+        distinct, which = np.unique(vertices, return_inverse=True)
+        for v in distinct.tolist():
+            if v not in cache:
+                cache[v] = neighbour_local_counts(g, v, mask)
+        # The distinct vertices' counts back to back: the k-th one's end at
+        # ends[k], and running[p] sums the counts before position p.
+        counts = np.concatenate([cache[v] for v in distinct.tolist()])
+        running = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=running[1:])
+        deg = g.degrees[distinct]
+        ends = np.cumsum(deg)
+        base = running[ends - deg]
+        totals = (running[ends] - base)[which]  # 2 T_i of each trial's vertex
+        live = totals > 0
+        totals = totals[live]
+        pick = base[which[live]] + rng.integers(0, totals)
+        local = counts[np.searchsorted(running, pick, side="right") - 1]
+        return live, local, local / totals
+
+    return qopt_pairs

@@ -174,7 +174,7 @@ def finalize_stream_estimate(
         raise RuntimeError(f"finalize requires completed pass 2, state is {state.pass_phase!r}")
     n = state.n
     p_i = 1.0 / n
-    moments = Moments()
+    values = []
     state.final_draws.clear()
     for t, i in enumerate(state.sampled):
         z = int(state.vertex_count[t])
@@ -188,9 +188,12 @@ def finalize_stream_estimate(
             d = TrialDraw(i=i, j=int(j), p_i=p_i, q_j_given_i=w / total)
             b = beta_value(w, d.p_i, d.q_j_given_i)
         state.final_draws.append(d)
-        moments.add(b)
+        values.append(b)
+    moments = Moments()
+    moments.fold(values)
     state.pass_phase = PHASE_DONE
-    return finalize_estimate(moments, QOPT_UNIFORM, seed)
+    degenerate = int(np.count_nonzero(state.vertex_count == 0))
+    return finalize_estimate(moments, QOPT_UNIFORM, seed, degenerate)
 
 
 def stream_estimate(
@@ -215,7 +218,7 @@ def stream_estimate(
     elif n < 1:
         raise ValueError("vertex count must be positive")
     streams = seed_streams(seed)
-    sampled = [int(streams.vertices.integers(n)) for _ in range(s)]
+    sampled = streams.vertices.integers(n, size=s).tolist()
     state = pass1_neighborhoods(source, sampled, n, strict=strict)
     pass2_local_counts(source, state)
     est = finalize_stream_estimate(state, streams.pairs, seed)

@@ -73,11 +73,29 @@ def test_exact_empty_file_fails(capsys, tmp_path):
     assert "empty input" in err
 
 
+def test_exact_rejects_an_id_beyond_int64(capsys, tmp_path):
+    path = tmp_path / "huge.edges"
+    path.write_text("99999999999999999999 0\n")
+    code, out, err = run_cli(capsys, "exact", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 1: ")
+
+
 def test_estimate_optimal_k4(capsys, k4_file):
     report = run_json(capsys, "estimate", k4_file, "--sampler", "optimal", "--samples", "3", "--seed", "7")
     result = report["result"]
-    assert set(result) == {"estimate", "s", "sampler", "seed", "empirical_variance", "elapsed_ms"}
+    assert set(result) == {
+        "estimate",
+        "s",
+        "sampler",
+        "seed",
+        "empirical_variance",
+        "degenerate_trials",
+        "elapsed_ms",
+    }
     assert result["estimate"] == 4.0
+    assert result["degenerate_trials"] == 0
     assert result["s"] == 3
     assert result["seed"] == 7
 
@@ -158,6 +176,7 @@ def test_stream_matches_in_memory_estimate(capsys, paw_file):
     stream = run_json(capsys, "stream", paw_file, "--samples", "16", "--seed", "5")
     mem = run_json(capsys, "estimate", paw_file, "--sampler", "qopt-uniform", "--samples", "16", "--seed", "5")
     assert stream["result"]["estimate"] == mem["result"]["estimate"]
+    assert stream["result"]["degenerate_trials"] == mem["result"]["degenerate_trials"]
 
 
 def test_stream_from_stdin_requires_n():

@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 
+import trisample.estimator
+import trisample.exact
 from trisample import (
     SAMPLER_KINDS,
+    Graph,
     TrialDraw,
     build_sampler,
     count_exact,
     draw,
     estimate,
+    run_trials,
     seed_streams,
     trial_value,
     variance_closed_form,
 )
 
-from conftest import gnp_graph
+from conftest import PAW_EDGES, gnp_graph
 
 
 def test_trial_value_optimal_is_always_truth(k4):
@@ -140,3 +144,72 @@ def test_single_trial_variance_matches_analytics(paw):
         sample_var = float(np.var(est.trial_values, ddof=1))
         analytical = variance_closed_form(paw, prof, kind, 1)
         assert sample_var == pytest.approx(analytical, rel=0.05)
+
+
+def _per_trial_reference(spec, s, seed):
+    """The one-trial-at-a-time loop that the batched engine replaced.
+
+    Kahan-sums ``trial_value(g, draw(spec, streams))`` over ``s`` draws and
+    returns the fields of the Estimate it gave, plus the trial values.
+    """
+    streams = seed_streams(seed)
+    total = comp = sum_sq = 0.0
+    values, degenerate = [], 0
+    for _ in range(s):
+        d = draw(spec, streams)
+        x = trial_value(spec.graph, d)
+        degenerate += d.degenerate
+        y = x - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        sum_sq += x * x
+        values.append(x)
+    variance = max(sum_sq - total * (total / s), 0.0) / (s - 1) / s if s > 1 else 0.0
+    return total / s, total, sum_sq, variance, degenerate, values
+
+
+def _parity_graphs():
+    rng = np.random.default_rng(71)
+    star = [(0, k) for k in range(1, 13)] + [(1, 2)]  # one triangle, many T_i = 0 leaves
+    yield "paw", Graph.from_edges(PAW_EDGES)
+    yield "star", Graph.from_edges(star, n=16)  # plus three isolated vertices
+    yield "triangle-free", Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], n=7)
+    for t in range(3):
+        g = gnp_graph(int(rng.integers(8, 30)), 0.3, rng)
+        yield f"gnp{t}", Graph.from_edges(list(g.edges()), n=g.n + 2)
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_run_trials_matches_the_per_trial_loop(monkeypatch, kind):
+    chunk = 37
+    # Small chunks and gather windows put many boundaries inside each run.
+    monkeypatch.setattr(trisample.estimator, "_CHUNK", chunk)
+    monkeypatch.setattr(trisample.exact, "_GATHER", 5)
+    checked = 0
+    for name, g in _parity_graphs():
+        prof = count_exact(g)
+        if kind == "optimal" and prof.total == 0:
+            continue
+        spec = build_sampler(g, kind, prof if kind == "optimal" else None)
+        for s in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 20):
+            seed = 1000 * s + checked
+            est = run_trials(spec, s, seed, keep_trials=True)
+            value, sum_beta, sum_sq, variance, degenerate, values = _per_trial_reference(spec, s, seed)
+            assert est.value == value, (name, s)
+            assert est.sum_beta == sum_beta, (name, s)
+            assert est.sum_beta_sq == sum_sq, (name, s)
+            assert est.empirical_variance == variance, (name, s)
+            assert est.degenerate_trials == degenerate, (name, s)
+            assert est.trial_values.tolist() == values, (name, s)
+            checked += 1
+    assert checked >= 25
+
+
+def test_run_trials_matches_the_per_trial_loop_across_a_full_chunk(paw):
+    s = trisample.estimator._CHUNK + 1
+    for kind in ("qopt-degree", "edge-uniform"):
+        est = run_trials(build_sampler(paw, kind), s, 4, keep_trials=True)
+        value, _, sum_sq, _, degenerate, values = _per_trial_reference(build_sampler(paw, kind), s, 4)
+        assert (est.value, est.sum_beta_sq, est.degenerate_trials) == (value, sum_sq, degenerate)
+        assert est.trial_values.tolist() == values

@@ -65,6 +65,39 @@ def test_malformed_line_reports_lineno():
         load_edge_list(["0 -1"])
 
 
+@pytest.mark.parametrize(
+    "lines, error_line, message",
+    [
+        (["1_0 +2"], 1, "non-integer"),  # int() would read 10 and 2
+        (["0 1", "\u0663 0"], 2, "non-integer"),  # Arabic-Indic three
+        (["0 1", "99999999999999999999 0"], 2, "does not fit in 64 bits"),
+        (["9223372036854775808 0"], 1, "does not fit in 64 bits"),  # 2**63
+        (["-1 0"], 1, "nonnegative"),
+    ],
+    ids=["underscore-and-plus", "non-ascii-digit", "twenty-digits", "two-to-the-63", "negative"],
+)
+def test_vertex_ids_are_ascii_digits_that_fit_int64(tmp_path, lines, error_line, message):
+    path = tmp_path / "g.edges"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^line {error_line}: .*{message}"):
+        load_edge_list(lines)
+    with pytest.raises(ParseError, match=f"^line {error_line}: .*{message}"):
+        list(FileEdgeStream(path))
+
+
+def test_header_count_is_ascii_digits():
+    # Any other "# n=" line is an ordinary comment.
+    assert load_edge_list(["# n=\u0665", "0 1"]).n == 2
+    assert load_edge_list(["# n=5", "0 1"]).n == 5
+
+
+def test_long_vertex_ids_that_fit_int64_are_read():
+    from trisample.graph import _edge_records
+
+    lines = ["9223372036854775807 0", "0000000000000000000000001 2"]
+    assert list(_edge_records(lines)) == [None, (2**63 - 1, 0), (1, 2)]
+
+
 def test_empty_input_is_an_error():
     with pytest.raises(ParseError, match="empty input"):
         load_edge_list([])

@@ -142,6 +142,14 @@ def test_stream_equals_in_memory_bit_for_bit(paw):
         assert run.estimate == mem
 
 
+def test_stream_and_in_memory_count_the_same_degenerate_trials(paw):
+    # Vertex 3 of the paw is in no triangle: its trials are degenerate.
+    run = stream_estimate(MemoryEdgeStream(PAW_EDGES), 40, seed=8, n=4)
+    mem = estimate(paw, "qopt-uniform", 40, seed=8)
+    assert run.estimate.degenerate_trials == mem.degenerate_trials
+    assert mem.degenerate_trials == sum(i == 3 for i in run.state.sampled) > 0
+
+
 def test_stream_equals_in_memory_on_random_graphs():
     rng = np.random.default_rng(83)
     for _ in range(10):
