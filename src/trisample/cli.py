@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.handler(args)
-    except (ParseError, StreamFormatError, ValueError, OSError, RuntimeError) as exc:
+    except (ParseError, StreamFormatError, ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     emit(report, args.format)

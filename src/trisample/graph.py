@@ -2,9 +2,11 @@
 
 The graph is immutable after construction: vertex ids are dense
 ``0..n-1``, adjacency is stored CSR-style (``indptr``/``indices``) with
-each neighbor run sorted strictly ascending.  Ids present nowhere in the
-edge list but below the maximum id (or below an explicit header count)
-are isolated vertices.
+each neighbor run sorted strictly ascending.  These two arrays are the
+graph's only representation; every reader, from single-edge lookups to
+the exact oracle, goes through them.  Ids present nowhere in the edge
+list but below the maximum id (or below an explicit header count) are
+isolated vertices.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import logging
 import os
 import re
-from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -92,13 +93,6 @@ class Graph:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     @cached_property
-    def adjacency_lists(self) -> list[list[int]]:
-        """Per-vertex sorted neighbor lists as plain ints (for hot loops)."""
-        idx = self.indices.tolist()
-        ptr = self.indptr.tolist()
-        return [idx[ptr[i] : ptr[i + 1]] for i in range(self.n)]
-
-    @cached_property
     def edge_keys(self) -> np.ndarray:
         """``i * n + j`` for every neighbour ``j`` of every ``i``: ascending, in CSR order.
 
@@ -144,11 +138,10 @@ def _sort_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def has_edge(g: Graph, i: int, j: int) -> bool:
     """True iff {i, j} is an edge, by binary search in the neighbor list."""
-    g._check_id(i)
+    nb = g.neighbors(i)
     g._check_id(j)
-    nb = g.adjacency_lists[i]
-    k = bisect_left(nb, j)
-    return k < len(nb) and nb[k] == j
+    k = int(nb.searchsorted(j))
+    return k < len(nb) and int(nb[k]) == j
 
 
 def _edge_records(source) -> Iterator:

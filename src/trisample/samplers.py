@@ -26,7 +26,6 @@ many calls of ``draw`` would.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -119,13 +118,10 @@ class SamplerSpec:
             if delta_i == 0:
                 return 0.0
             return delta_ij / (2 * delta_i)
-        nb = g.adjacency_lists[i]
-        deg = len(nb)
-        if deg == 0:
-            return 0.0
-        k = bisect_left(nb, j)
-        if k < deg and nb[k] == j:
-            return 1.0 / deg
+        nb = g.neighbors(i)
+        k = int(nb.searchsorted(j))
+        if k < len(nb) and nb[k] == j:
+            return 1.0 / len(nb)
         return 0.0
 
 
@@ -179,18 +175,16 @@ def draw_given_i(spec: SamplerSpec, i: int, rng: np.random.Generator) -> TrialDr
     """Second-stage draw for a fixed first-stage vertex ``i``."""
     g = spec.graph
     p_i = spec.p(i)
+    nb = g.neighbors(i).tolist()
     if spec.kind in _Q_OPTIMAL_KINDS:
-        adj = g.adjacency_lists
-        nb = adj[i]
         if spec.kind == OPTIMAL:
             weights = [spec.profile.edge_count(i, j) for j in nb]
         else:
-            weights = [_intersection_size(nb, adj[j]) for j in nb]
+            weights = [_intersection_size(nb, g.neighbors(j).tolist()) for j in nb]
         if not any(weights):
             return TrialDraw(i=i, j=None, p_i=p_i, q_j_given_i=0.0, degenerate=True)
         j, w, total = weighted_choice(nb, weights, rng)
         return TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=w / total)
-    nb = g.adjacency_lists[i]
     deg = len(nb)
     if deg == 0:
         return TrialDraw(i=i, j=None, p_i=p_i, q_j_given_i=0.0, degenerate=True)

@@ -82,6 +82,19 @@ def test_exact_rejects_an_id_beyond_int64(capsys, tmp_path):
     assert err.startswith("error: line 1: ")
 
 
+def test_exact_reports_an_allocation_failure(capsys, monkeypatch, paw_file):
+    # A parsed id can still size arrays beyond memory; stand in for that
+    # failure rather than allocating for real.
+    def fail(_source):
+        raise MemoryError("Unable to allocate 29.8 GiB for an array with shape (4000000001,)")
+
+    monkeypatch.setattr("trisample.cli.load_edge_list", fail)
+    code, out, err = run_cli(capsys, "exact", paw_file)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Unable to allocate")
+
+
 def test_estimate_optimal_k4(capsys, k4_file):
     report = run_json(capsys, "estimate", k4_file, "--sampler", "optimal", "--samples", "3", "--seed", "7")
     result = report["result"]

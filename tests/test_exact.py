@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trisample import count_exact, local_edge_count
+from trisample import count_exact, exact, local_edge_count
 
 from conftest import (
     PAW_EDGES,
@@ -79,3 +79,36 @@ def test_per_edge_matches_independent_counts():
         prof = count_exact(g)
         assert list(prof.per_vertex) == expected_vertex
         assert prof.per_edge == expected_edge
+
+
+def test_blocks_and_gather_windows_split_the_edges(monkeypatch):
+    monkeypatch.setattr(exact, "_EDGE_BLOCK", 3)
+    monkeypatch.setattr(exact, "_GATHER", 5)
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        n = int(rng.integers(4, 25))
+        size = n + int(rng.integers(1, 6))  # isolated vertices among the ids
+        ids = rng.permutation(size)[:n].tolist()
+        edges = [(ids[u], ids[v]) for u, v in gnp_edges(n, 0.4, rng)]
+        expected_vertex, expected_edge = brute_force_local_counts(size, edges)
+        prof = count_exact(Graph.from_edges(edges, n=size))
+        assert list(prof.per_vertex) == expected_vertex
+        assert prof.per_edge == expected_edge
+        assert list(prof.per_edge) == sorted(expected_edge)
+
+
+def test_per_vertex_matches_networkx_with_a_hub():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(59)
+    n = 600
+    edges = set(gnp_edges(n, 0.02, rng))
+    edges |= {(0, int(j)) for j in rng.choice(np.arange(1, n), size=n // 4, replace=False)}
+    g = Graph.from_edges(sorted(edges), n=n)
+    assert g.degree(0) >= n // 4
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(edges)
+    expected = nx.triangles(reference)
+    prof = count_exact(g)
+    assert prof.per_vertex.tolist() == [expected[v] for v in range(n)]
+    assert 3 * prof.total == sum(expected.values())

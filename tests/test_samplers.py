@@ -14,6 +14,7 @@ from trisample import (
     seed_streams,
     variance_from_probabilities,
 )
+from trisample.samplers import draw_vertices
 
 from conftest import gnp_graph
 
@@ -145,10 +146,12 @@ def test_degenerate_draws_skip_second_stage(paw):
 
 
 def _frequency_check(spec, g, draws, seed):
+    # The batched first stage draws the same vertices as `draws` calls of
+    # `draw` would, so the pairs are those of the single-trial reference.
     streams = seed_streams(seed)
     pair_counts = Counter()
-    for _ in range(draws):
-        d = draw(spec, streams)
+    for i in draw_vertices(spec, streams.vertices, draws).tolist():
+        d = draw_given_i(spec, i, streams.pairs)
         pair_counts[(d.i, d.j)] += 1
     for i in range(g.n):
         p_i = spec.p(i)
