@@ -225,7 +225,7 @@ def cmd_stream(args) -> dict:
         "peak_state_bytes": run.state.state_bytes,
         "elapsed_ms": elapsed,
     }
-    digest = {"path": args.file, "n": run.state.n, "m": None}
+    digest = {"path": args.file, "n": run.state.n, "m": run.state.m}
     return _report("stream", digest, result, elapsed, seed=args.seed)
 
 

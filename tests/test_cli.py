@@ -185,6 +185,12 @@ def test_stream_passes(capsys, paw_file, k3_file):
     assert report["result"]["estimate"] == 1.0
 
 
+def test_stream_reports_the_edge_count(capsys, paw_file):
+    report = run_json(capsys, "stream", paw_file, "--samples", "4", "--seed", "2")
+    assert report["input"]["m"] == 4
+    assert report["input"]["n"] == 4
+
+
 def test_stream_matches_in_memory_estimate(capsys, paw_file):
     stream = run_json(capsys, "stream", paw_file, "--samples", "16", "--seed", "5")
     mem = run_json(capsys, "estimate", paw_file, "--sampler", "qopt-uniform", "--samples", "16", "--seed", "5")

@@ -1,7 +1,11 @@
+import itertools
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
 from trisample import (
+    EdgeStreamSource,
     MemoryEdgeStream,
     StreamFormatError,
     count_exact,
@@ -10,9 +14,11 @@ from trisample import (
     pass1_neighborhoods,
     pass2_local_counts,
     pass_count_n,
+    StreamState,
     stream_estimate,
+    streaming,
 )
-from trisample.streaming import PHASE_DONE, PHASE_PASS2
+from trisample.streaming import PHASE_DONE, PHASE_PASS2, _check_endpoints
 
 from conftest import PAW_EDGES, PATH3_EDGES, gnp_edges
 from trisample import Graph
@@ -201,3 +207,183 @@ def test_stream_estimate_validates_inputs():
         stream_estimate(MemoryEdgeStream(PAW_EDGES), 0, n=4)
     with pytest.raises(ValueError, match="positive"):
         stream_estimate(MemoryEdgeStream(PAW_EDGES), 2, n=0)
+
+
+# -- the edge-by-edge passes, kept as the reference for the block passes --
+
+
+def _reference_pass1(source, sampled, n, strict=False):
+    sampled = [int(i) for i in sampled]
+    s = len(sampled)
+    state = StreamState(
+        sampled=sampled,
+        n=n,
+        neighbor_bits=np.zeros((s, (n + 7) // 8), dtype=np.uint8),
+        edge_counts=np.zeros((s, n), dtype=np.min_scalar_type(n)),
+        vertex_count=np.zeros(s, dtype=np.int64),
+    )
+    slots_of = {}
+    for t, i in enumerate(sampled):
+        slots_of.setdefault(i, []).append(t)
+    bits = state.neighbor_bits
+    seen = set() if strict else None
+    for u, v in source:
+        _check_endpoints(u, v, n)
+        state.m += 1
+        if seen is not None:
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise StreamFormatError(f"duplicate edge {{{key[0]},{key[1]}}} in stream")
+            seen.add(key)
+        for i, other in ((u, v), (v, u)):
+            for t in slots_of.get(i, ()):
+                byte, mask = other >> 3, 1 << (other & 7)
+                if bits[t, byte] & mask:
+                    raise StreamFormatError(
+                        f"duplicate edge {{{u},{v}}} detected at sampled vertex {i}"
+                    )
+                bits[t, byte] |= mask
+    return state
+
+
+def _reference_pass2(source, state):
+    bits, counts, tally = state.neighbor_bits, state.edge_counts, state.vertex_count
+    for j, d in source:
+        _check_endpoints(j, d, state.n)
+        hit = (bits[:, j >> 3] & (1 << (j & 7))) != 0
+        hit &= (bits[:, d >> 3] & (1 << (d & 7))) != 0
+        if hit.any():
+            counts[hit, j] += 1
+            counts[hit, d] += 1
+            tally[hit] += 1
+    state.pass_phase = PHASE_PASS2
+    return state
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call raised, as (type, message), or its result."""
+    try:
+        return fn(*args, **kwargs)
+    except (StreamFormatError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_state(a, b):
+    assert a.m == b.m
+    assert np.array_equal(a.neighbor_bits, b.neighbor_bits)
+    assert a.edge_counts.dtype == b.edge_counts.dtype
+    assert np.array_equal(a.edge_counts, b.edge_counts)
+    assert np.array_equal(a.vertex_count, b.vertex_count)
+
+
+# A path 0-1-...-9 on n=12 vertices, vertex 11 isolated; sampled vertices
+# 3 (twice) and 6.  `_bad_stream` puts a bad edge at position `at`.
+_PATH = [(k, k + 1) for k in range(9)]
+_N = 12
+_SAMPLED = [3, 6, 3]
+_BAD_EDGES = {
+    "self-loop": [(5, 5)],
+    "id >= n": [(2, _N)],
+    "negative id": [(-1, 4)],
+    "id beyond int64": [(4, 1 << 64)],
+    "negative id beyond int64": [(-(1 << 64), 4)],
+    "duplicate at a sampled vertex": [(4, 3)],
+    "duplicate, then a bad endpoint": [(7, 6), (0, 0)],
+    "bad endpoint, then a duplicate": [(0, 20), (7, 6)],
+    "duplicate, then a self-loop at a sampled vertex": [(2, 3), (3, 3)],
+    "strict-only duplicate": [(1, 0)],
+}
+
+
+def _bad_stream(case, at):
+    edges = list(_PATH)
+    edges[at:at] = _BAD_EDGES[case]
+    return edges
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("case", sorted(_BAD_EDGES))
+def test_block_passes_raise_the_reference_error(case, block):
+    # With 3-edge blocks, positions 2, 3 and 4 are before, at and after a
+    # block edge; a duplicate at position 8 repeats an edge two blocks back.
+    for at, strict in itertools.product((2, 3, 4, 8), (False, True)):
+        edges = _bad_stream(case, at)
+        with patch.object(streaming, "_STREAM_BLOCK", block):
+            got = _outcome(pass1_neighborhoods, MemoryEdgeStream(edges), _SAMPLED, _N, strict)
+            want = _outcome(_reference_pass1, MemoryEdgeStream(edges), _SAMPLED, _N, strict)
+            if isinstance(want, StreamState):
+                _same_state(got, want)
+            else:
+                assert got == want, (at, strict)
+            good = pass1_neighborhoods(MemoryEdgeStream(_PATH), _SAMPLED, _N)
+            ref = _reference_pass1(MemoryEdgeStream(_PATH), _SAMPLED, _N)
+            got = _outcome(pass2_local_counts, MemoryEdgeStream(edges), good)
+            want = _outcome(_reference_pass2, MemoryEdgeStream(edges), ref)
+        if isinstance(want, StreamState):  # the stream has more edges than pass 1 read
+            assert got[0] is StreamFormatError and "changed between passes" in got[1], at
+        else:
+            assert got == want, at
+
+
+def test_every_bad_edge_case_raises():
+    # The parity test above would pass vacuously if a case raised nothing.
+    for case in _BAD_EDGES:
+        strict = case == "strict-only duplicate"
+        with pytest.raises(StreamFormatError):
+            source = MemoryEdgeStream(_bad_stream(case, 3))
+            pass1_neighborhoods(source, _SAMPLED, _N, strict=strict)
+
+
+def test_an_id_beyond_int64_is_outside_the_universe():
+    with pytest.raises(StreamFormatError, match=r"edge \(0,18446744073709551616\) outside"):
+        pass1_neighborhoods(MemoryEdgeStream([(0, 1 << 64)]), [0], 4)
+    with pytest.raises(StreamFormatError, match="outside vertex universe"):
+        pass_count_n(MemoryEdgeStream([(0, 1), (0, 1 << 64)]))
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_block_passes_match_the_edge_by_edge_passes(block):
+    rng = np.random.default_rng(103)
+    with patch.object(streaming, "_STREAM_BLOCK", block):
+        for _ in range(15):
+            n = int(rng.integers(4, 40))
+            edges = gnp_edges(n, float(rng.uniform(0.1, 0.5)), rng)
+            rng.shuffle(edges)
+            flips = rng.random(len(edges)) < 0.5
+            edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+            sampled = rng.integers(n, size=int(rng.integers(1, 12))).tolist()
+            sampled += sampled[:3]  # repeated sampled vertices keep their own rows
+            got = pass1_neighborhoods(MemoryEdgeStream(edges), sampled, n)
+            want = _reference_pass1(MemoryEdgeStream(edges), sampled, n)
+            _same_state(got, want)
+            pass2_local_counts(MemoryEdgeStream(edges), got)
+            _reference_pass2(MemoryEdgeStream(edges), want)
+            _same_state(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_a_full_pass_is_counted_whatever_the_block(block):
+    with patch.object(streaming, "_STREAM_BLOCK", block):
+        for m in (3, 4, 6):
+            src = MemoryEdgeStream(_PATH[:m])
+            state = pass1_neighborhoods(src, [1], _N)
+            pass2_local_counts(src, state)
+            assert src.passes == 2
+            assert state.m == m
+
+
+class _ShrinkingStream(EdgeStreamSource):
+    """Drops its last edge after the first pass, as a file truncated
+    between the passes would."""
+
+    def __init__(self, edges):
+        super().__init__()
+        self._edges = list(edges)
+
+    def _iter_edges(self):
+        yield from self._edges[: len(self._edges) - (self.passes > 0)]
+
+
+def test_a_stream_that_changes_between_passes_is_refused():
+    with pytest.raises(StreamFormatError, match="stream changed between passes"):
+        stream_estimate(_ShrinkingStream(PAW_EDGES), 4, seed=1, n=4)
