@@ -19,8 +19,8 @@ from .analytics import (
     variance_generic,
     variance_report,
 )
-from .estimator import Estimate, beta_value, estimate, run_trials, trial_value
-from .exact import TriangleProfile, count_exact, local_edge_count
+from .estimator import Estimate, estimate, run_trials
+from .exact import TriangleProfile, count_exact
 from .graph import (
     EdgeStreamSource,
     FileEdgeStream,
@@ -31,7 +31,7 @@ from .graph import (
     load_edge_list,
     write_edge_list,
 )
-from .rng import SampleStreams, seed_streams, weighted_choice
+from .rng import SampleStreams, seed_streams
 from .samplers import (
     EDGE_DEGREE,
     EDGE_UNIFORM,
@@ -40,11 +40,7 @@ from .samplers import (
     QOPT_UNIFORM,
     SAMPLER_KINDS,
     SamplerSpec,
-    TrialDraw,
     build_sampler,
-    draw,
-    draw_given_i,
-    draw_vertex,
 )
 from .streaming import (
     StreamFormatError,
@@ -80,21 +76,15 @@ __all__ = [
     "StreamRun",
     "StreamState",
     "TriangleProfile",
-    "TrialDraw",
     "VERTEX_BOUND",
     "VarianceReport",
-    "beta_value",
     "build_sampler",
     "chernoff_sample_size",
     "count_exact",
-    "draw",
-    "draw_given_i",
-    "draw_vertex",
     "estimate",
     "finalize_stream_estimate",
     "has_edge",
     "load_edge_list",
-    "local_edge_count",
     "make_plan",
     "pass1_neighborhoods",
     "pass2_local_counts",
@@ -104,11 +94,9 @@ __all__ = [
     "scaled_trial_statistic",
     "seed_streams",
     "stream_estimate",
-    "trial_value",
     "variance_closed_form",
     "variance_from_probabilities",
     "variance_generic",
     "variance_report",
-    "weighted_choice",
     "write_edge_list",
 ]

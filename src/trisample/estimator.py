@@ -11,8 +11,9 @@ count under every built-in strategy.
 :func:`run_trials` draws, values and folds trials in chunks of array
 operations.  It consumes the seed's substreams exactly as a loop of
 single draws does and folds the values in trial order, so its result
-equals, bit for bit, the mean of ``trial_value(g, draw(spec, streams))``
-over ``s`` calls.
+equals, bit for bit, that of the one-trial loop kept as the reference in
+``tests/trial_reference.py``.  :func:`fold_trials` is the one valuation:
+the in-memory trials and the stream finalize both go through it.
 """
 
 from __future__ import annotations
@@ -21,32 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import TriangleProfile, count_exact, local_edge_count
+from .exact import TriangleProfile, count_exact
 from .graph import Graph
 from .rng import seed_streams
-from .samplers import OPTIMAL, SamplerSpec, TrialDraw, build_sampler, draw_vertices, second_stage
+from .samplers import OPTIMAL, SamplerSpec, build_sampler, draw_vertices, second_stage
 
 _CHUNK = 4096  # trials drawn and folded at once; bounds the per-chunk arrays
-
-
-def beta_value(local_count: int, p_i: float, q_j_given_i: float) -> float:
-    """Single-trial value T_{ij} / (6 p q); shared by every estimation path."""
-    if local_count == 0:
-        return 0.0
-    denom = 6.0 * p_i * q_j_given_i
-    if denom <= 0.0:
-        raise RuntimeError(
-            "trial has positive local count but zero draw probability; "
-            "the sampler violates its support contract"
-        )
-    return local_count / denom
-
-
-def trial_value(g: Graph, d: TrialDraw) -> float:
-    """Value of one recorded draw; 0 for degenerate draws."""
-    if d.degenerate:
-        return 0.0
-    return beta_value(local_edge_count(g, d.i, d.j), d.p_i, d.q_j_given_i)
 
 
 class Moments:
@@ -89,6 +70,19 @@ class Moments:
             return 0.0
         spread = self.sum_sq - self._sum * (self._sum / s)
         return max(spread, 0.0) / (s - 1) / s
+
+
+def fold_trials(moments: Moments, live: np.ndarray, local: np.ndarray, p, q) -> np.ndarray:
+    """Value a batch of trials and fold them into ``moments`` in order.
+
+    ``local``, ``p`` and ``q`` belong to the live trials: each is worth
+    T_ij / (6 p q); the other trials are degenerate and worth 0.
+    Returns the values of the whole batch.
+    """
+    values = np.zeros(len(live))
+    values[live] = local / (6.0 * p * q)
+    moments.fold(values.tolist())
+    return values
 
 
 @dataclass(frozen=True)
@@ -160,11 +154,8 @@ def run_trials(spec: SamplerSpec, s: int, seed: int, keep_trials: bool = False) 
     retained = np.empty(s, dtype=np.float64) if keep_trials else None
     for start in range(0, s, _CHUNK):
         vertices = draw_vertices(spec, streams.vertices, min(_CHUNK, s - start))
-        live, local, q = pairs(vertices, streams.pairs)
-        # beta_value's arithmetic, elementwise; degenerate trials are worth 0
-        values = np.zeros(len(vertices))
-        values[live] = local / (6.0 * spec.p_of(vertices[live]) * q)
-        moments.fold(values.tolist())
+        live, _, local, q = pairs(vertices, streams.pairs)
+        values = fold_trials(moments, live, local, spec.p_of(vertices[live]), q)
         degenerate += len(vertices) - len(local)
         if retained is not None:
             retained[start : start + len(values)] = values

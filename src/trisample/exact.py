@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import Graph, has_edge
+from .graph import Graph
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,32 +45,6 @@ class TriangleProfile:
     @property
     def max_per_edge(self) -> int:
         return max(self.per_edge.values(), default=0)
-
-
-def _intersection_size(a: list[int], b: list[int]) -> int:
-    """|a ∩ b| for strictly ascending int lists, by two-pointer merge."""
-    ia, ib, count = 0, 0, 0
-    la, lb = len(a), len(b)
-    while ia < la and ib < lb:
-        x, y = a[ia], b[ib]
-        if x == y:
-            count += 1
-            ia += 1
-            ib += 1
-        elif x < y:
-            ia += 1
-        else:
-            ib += 1
-    return count
-
-
-def local_edge_count(g: Graph, i: int, j: int) -> int:
-    """Number of triangles through {i, j}: |N(i) ∩ N(j)| if it is an edge, else 0."""
-    if i == j:
-        raise ValueError("local_edge_count requires two distinct vertices")
-    if not has_edge(g, i, j):
-        return 0
-    return _intersection_size(g.neighbors(i).tolist(), g.neighbors(j).tolist())
 
 
 # Adjacency entries gathered into one temporary array by the array counts

@@ -19,9 +19,12 @@ A draw whose first-stage vertex admits no valid second stage (no local
 triangles for qopt, degree zero for edge-uniform) is *degenerate*: it
 contributes a zero-valued trial and consumes no second-stage variate.
 
-``draw`` makes one trial's draw; ``draw_vertices`` and ``second_stage``
-make a whole batch of them and consume each substream exactly as that
-many calls of ``draw`` would.
+``draw_vertices`` and ``second_stage`` make a whole batch of draws and
+consume each substream exactly as that many one-trial draws would.
+:func:`weighted_pick` is the package's one weighted draw: the qopt
+second stage and the stream finalize both pick through it.  The
+one-trial draw path they are checked against lives with the tests, in
+``tests/trial_reference.py``.
 """
 
 from __future__ import annotations
@@ -31,14 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import (
-    TriangleProfile,
-    _intersection_size,
-    common_neighbour_counts,
-    neighbour_local_counts,
-)
+from .exact import TriangleProfile, common_neighbour_counts, neighbour_local_counts
 from .graph import Graph
-from .rng import SampleStreams, weighted_choice
 
 OPTIMAL = "optimal"
 QOPT_UNIFORM = "qopt-uniform"
@@ -50,21 +47,6 @@ SAMPLER_KINDS = (OPTIMAL, QOPT_UNIFORM, QOPT_DEGREE, EDGE_UNIFORM, EDGE_DEGREE)
 
 _Q_OPTIMAL_KINDS = frozenset({OPTIMAL, QOPT_UNIFORM, QOPT_DEGREE})
 _DEGREE_P_KINDS = frozenset({QOPT_DEGREE, EDGE_DEGREE})
-
-
-@dataclass(slots=True)
-class TrialDraw:
-    """One (i, j) draw with the probabilities that produced it.
-
-    ``degenerate`` marks draws whose chosen ``i`` admits no valid ``j``;
-    such trials are worth zero and carry ``j=None, q=0``.
-    """
-
-    i: int
-    j: int | None
-    p_i: float
-    q_j_given_i: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,40 +148,36 @@ def draw_vertices(spec: SamplerSpec, rng: np.random.Generator, size: int | None 
     return spec._p_cum.searchsorted(rng.integers(spec._p_total, size=size), side="right")
 
 
-def draw_vertex(spec: SamplerSpec, rng: np.random.Generator) -> int:
-    """First-stage draw: i distributed per the strategy's p."""
-    return int(draw_vertices(spec, rng))
+def weighted_pick(
+    weights: np.ndarray, starts: np.ndarray, stops: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One weighted pick from each run ``weights[starts[k]:stops[k]]``.
+
+    Weights are nonnegative integers.  A run with a positive total is
+    live: it draws one integer variate ``u`` in ``[0, total)``, in run
+    order, and picks the position where its running sum first exceeds
+    ``u``, so each position is picked with probability weight / total.
+    A zero weight repeats the running sum before it: it is never picked
+    and moves no other pick.  Dead runs draw nothing, so splitting the
+    runs across calls consumes ``rng`` as one call does.
+
+    Returns the live mask, the picked positions (indices into
+    ``weights``) and the totals, both for the live runs in order.
+    """
+    running = np.zeros(len(weights) + 1, dtype=np.int64)
+    np.cumsum(weights, out=running[1:])
+    base = running[starts]
+    totals = running[stops] - base
+    live = totals > 0
+    totals = totals[live]
+    u = base[live] + rng.integers(0, totals)
+    return live, running.searchsorted(u, side="right") - 1, totals
 
 
-def draw_given_i(spec: SamplerSpec, i: int, rng: np.random.Generator) -> TrialDraw:
-    """Second-stage draw for a fixed first-stage vertex ``i``."""
-    g = spec.graph
-    p_i = spec.p(i)
-    nb = g.neighbors(i).tolist()
-    if spec.kind in _Q_OPTIMAL_KINDS:
-        if spec.kind == OPTIMAL:
-            weights = [spec.profile.edge_count(i, j) for j in nb]
-        else:
-            weights = [_intersection_size(nb, g.neighbors(j).tolist()) for j in nb]
-        if not any(weights):
-            return TrialDraw(i=i, j=None, p_i=p_i, q_j_given_i=0.0, degenerate=True)
-        j, w, total = weighted_choice(nb, weights, rng)
-        return TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=w / total)
-    deg = len(nb)
-    if deg == 0:
-        return TrialDraw(i=i, j=None, p_i=p_i, q_j_given_i=0.0, degenerate=True)
-    j = nb[int(rng.integers(deg))]
-    return TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=1.0 / deg)
-
-
-def draw(spec: SamplerSpec, streams: SampleStreams) -> TrialDraw:
-    """One full two-stage draw from the strategy's named substreams."""
-    i = draw_vertex(spec, streams.vertices)
-    return draw_given_i(spec, i, streams.pairs)
-
-
-# (first-stage vertices, pairs substream) -> (live, local counts, q); see second_stage
-PairDraws = Callable[[np.ndarray, np.random.Generator], tuple[np.ndarray, np.ndarray, np.ndarray]]
+# (first-stage vertices, pairs substream) -> (live, j, local counts, q); see second_stage
+PairDraws = Callable[
+    [np.ndarray, np.random.Generator], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+]
 
 
 def second_stage(spec: SamplerSpec) -> PairDraws:
@@ -207,16 +185,17 @@ def second_stage(spec: SamplerSpec) -> PairDraws:
 
     The returned function takes a batch of first-stage vertices and the
     pairs substream.  It returns the mask of the live (non-degenerate)
-    trials and, for the live trials in order, the local count T_ij of the
-    drawn pair and its conditional probability q_{j|i}.  It draws one
-    integer variate per live trial, in trial order, as :func:`draw_given_i`
-    does, so batches consume the substream exactly as single draws do.
+    trials and, for the live trials in order, the drawn vertex j, the
+    local count T_ij of the pair and its conditional probability
+    q_{j|i}.  It draws one integer variate per live trial, in trial
+    order, so batches consume the substream exactly as one-trial draws
+    do.
 
     The qopt family computes the T_ij of a vertex's neighbours once per
-    run, when the vertex is first drawn (at most 2m counts in all).  Its
-    draw picks j in proportion to T_ij, so the picked weight is the local
-    count.  The edge family draws a uniform neighbour and counts its
-    common neighbours.
+    run, when the vertex is first drawn (at most 2m counts in all), and
+    picks j in proportion to T_ij with :func:`weighted_pick`, so the
+    picked weight is the local count.  The edge family draws a uniform
+    neighbour and counts its common neighbours.
     """
     g = spec.graph
     if spec.kind not in _Q_OPTIMAL_KINDS:
@@ -226,7 +205,7 @@ def second_stage(spec: SamplerSpec) -> PairDraws:
             live = deg > 0
             i, deg = vertices[live], deg[live]
             j = g.indices[g.indptr[i] + rng.integers(0, deg)]
-            return live, common_neighbour_counts(g, i, j), 1.0 / deg
+            return live, j, common_neighbour_counts(g, i, j), 1.0 / deg
 
         return edge_pairs
 
@@ -238,19 +217,15 @@ def second_stage(spec: SamplerSpec) -> PairDraws:
         for v in distinct.tolist():
             if v not in cache:
                 cache[v] = neighbour_local_counts(g, v, mask)
-        # The distinct vertices' counts back to back: the k-th one's end at
-        # ends[k], and running[p] sums the counts before position p.
+        # The distinct vertices' counts back to back; the k-th one's run
+        # ends at ends[k].
         counts = np.concatenate([cache[v] for v in distinct.tolist()])
-        running = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=running[1:])
         deg = g.degrees[distinct]
         ends = np.cumsum(deg)
-        base = running[ends - deg]
-        totals = (running[ends] - base)[which]  # 2 T_i of each trial's vertex
-        live = totals > 0
-        totals = totals[live]
-        pick = base[which[live]] + rng.integers(0, totals)
-        local = counts[np.searchsorted(running, pick, side="right") - 1]
-        return live, local, local / totals
+        starts = (ends - deg)[which]
+        live, picked, totals = weighted_pick(counts, starts, ends[which], rng)
+        local = counts[picked]
+        j = g.indices[g.indptr[vertices[live]] + picked - starts[live]]
+        return live, j, local, local / totals
 
     return qopt_pairs

@@ -10,14 +10,19 @@ reorganized for sequential edge access:
     counters for j and d and the per-vertex tally all advance by one.
 
 After the passes every sampled vertex knows its exact local triangle
-structure, so trials finalize in O(1) each.  State is one bit vector and
-one counter vector of length n per sampled vertex: O(s*n) overall.
+structure.  The finalize picks every trial's partner j from its
+counters with the in-memory engine's :func:`~trisample.samplers.weighted_pick`
+and values the trials with its :func:`~trisample.estimator.fold_trials`,
+over the non-zero counters only.  State is one bit vector and one
+counter vector of length n per sampled vertex: O(s*n) overall.
 
 Every pass reads the stream in blocks of ``_STREAM_BLOCK`` edges and does
 its work on a block with array operations, so the temporaries add
 O(s * _STREAM_BLOCK) to the state.  Errors still name the first bad edge
 in stream order, as an edge-by-edge pass would.  Pass 1 records how many
 edges it read, and pass 2 refuses a stream that has changed length.
+Pass 2 also refuses a repeated edge that closes a triangle, which pass 1
+only sees under ``strict`` but which would be counted twice.
 
 Sampled vertices are drawn with replacement; duplicates keep independent
 counters, matching the i.i.d. trial model of the in-memory estimator.
@@ -33,10 +38,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .estimator import Estimate, Moments, beta_value, finalize_estimate
+from .estimator import Estimate, Moments, finalize_estimate, fold_trials
 from .graph import EdgeStreamSource
-from .rng import seed_streams, weighted_choice
-from .samplers import QOPT_UNIFORM, TrialDraw
+from .rng import seed_streams
+from .samplers import QOPT_UNIFORM, weighted_pick
 
 PHASE_PASS1 = "pass1"
 PHASE_PASS2 = "pass2"
@@ -71,7 +76,6 @@ class StreamState:
     edge_counts: np.ndarray = field(repr=False)  # (s, n) narrowest uint >= n
     vertex_count: np.ndarray = field(repr=False)  # (s,) int64
     pass_phase: str = PHASE_PASS1
-    final_draws: list[TrialDraw] = field(default_factory=list, repr=False)
     m: int = 0  # pass 2 must read as many edges
 
     @property
@@ -223,12 +227,19 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
     its hits are added into the counters at once.  A
     pass that reads a different number of edges than pass 1 means the
     stream changed in between, and raises.
+
+    An edge that closes a triangle must not come twice, or its triangles
+    would be counted twice; pass 1 sees such a repeat only under
+    ``strict``, since the edge does not touch a sampled vertex.  The
+    canonical keys of the closing edges, which are few, are kept, and
+    the first repeat in stream order raises.
     """
     if state.pass_phase != PHASE_PASS1:
         raise RuntimeError(f"pass 2 requires completed pass 1, state is {state.pass_phase!r}")
     bits, counts, tally = state.neighbor_bits, state.edge_counts, state.vertex_count
     m = 0
     near = np.bitwise_or.reduce(bits, axis=0)  # the neighbours of any sampled vertex
+    closing: set[tuple[int, int]] = set()  # canonical keys of the edges that hit
     for block in _edge_blocks(source, state.n):
         m += len(block)
         j, d = block[:, 0], block[:, 1]
@@ -237,6 +248,11 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
         j, d = j[both], d[both]
         hit = (bits[:, j >> 3] & (1 << (j & 7)).astype(np.uint8)) != 0
         hit &= (bits[:, d >> 3] & (1 << (d & 7)).astype(np.uint8)) != 0
+        at = hit.any(axis=0)
+        for key in zip(np.minimum(j, d)[at].tolist(), np.maximum(j, d)[at].tolist()):
+            if key in closing:
+                raise StreamFormatError(f"duplicate edge {{{key[0]},{key[1]}}} in stream")
+            closing.add(key)
         t, r = np.nonzero(hit)
         np.add.at(counts, (t, j[r]), 1)
         np.add.at(counts, (t, d[r]), 1)
@@ -254,35 +270,25 @@ def finalize_stream_estimate(
 ) -> Estimate:
     """Turn the accumulated counters into the final estimate.
 
-    Each sampled vertex is one trial: a partner j is drawn proportionally
-    to the per-edge counters (recorded but not affecting the value) and
-    the trial is worth the uniform-first-stage value n * tally / 3.
-    Vertices with no local triangles are degenerate zero trials.
+    Each sampled vertex is one trial.  Its partner j is picked in
+    proportion to the per-edge counters of its row, by one
+    :func:`~trisample.samplers.weighted_pick` over the non-zero counters
+    of all rows, and the trial is valued as the in-memory qopt-uniform
+    engine values it.  Vertices with no local triangles are degenerate
+    zero trials.
     """
     if state.pass_phase != PHASE_PASS2:
         raise RuntimeError(f"finalize requires completed pass 2, state is {state.pass_phase!r}")
-    n = state.n
-    p_i = 1.0 / n
-    values = []
-    state.final_draws.clear()
-    for t, i in enumerate(state.sampled):
-        z = int(state.vertex_count[t])
-        if z == 0:
-            d = TrialDraw(i=i, j=None, p_i=p_i, q_j_given_i=0.0, degenerate=True)
-            b = 0.0
-        else:
-            row = state.edge_counts[t]
-            support = np.nonzero(row)[0]
-            j, w, total = weighted_choice(support, row[support], rng)
-            d = TrialDraw(i=i, j=int(j), p_i=p_i, q_j_given_i=w / total)
-            b = beta_value(w, d.p_i, d.q_j_given_i)
-        state.final_draws.append(d)
-        values.append(b)
+    counts = state.edge_counts.ravel()
+    cells = np.flatnonzero(counts)  # row by row, so each row's cells are one run
+    weights = counts[cells]
+    bounds = cells.searchsorted(np.arange(len(state.sampled) + 1) * state.n)
+    live, picked, totals = weighted_pick(weights, bounds[:-1], bounds[1:], rng)
+    local = weights[picked]
     moments = Moments()
-    moments.fold(values)
+    fold_trials(moments, live, local, 1.0 / state.n, local / totals)
     state.pass_phase = PHASE_DONE
-    degenerate = int(np.count_nonzero(state.vertex_count == 0))
-    return finalize_estimate(moments, QOPT_UNIFORM, seed, degenerate)
+    return finalize_estimate(moments, QOPT_UNIFORM, seed, len(live) - len(local))
 
 
 def stream_estimate(

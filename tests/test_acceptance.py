@@ -15,7 +15,6 @@ from trisample import (
     Graph,
     MemoryEdgeStream,
     SAMPLER_KINDS,
-    TrialDraw,
     build_sampler,
     chernoff_sample_size,
     count_exact,
@@ -23,7 +22,6 @@ from trisample import (
     pass1_neighborhoods,
     pass2_local_counts,
     stream_estimate,
-    trial_value,
     variance_closed_form,
     variance_generic,
 )
@@ -35,6 +33,7 @@ from conftest import (
     brute_force_triangles,
     gnp_edges,
 )
+from trial_reference import TrialDraw, trial_value
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

@@ -8,18 +8,16 @@ import trisample.exact
 from trisample import (
     SAMPLER_KINDS,
     Graph,
-    TrialDraw,
     build_sampler,
     count_exact,
-    draw,
     estimate,
     run_trials,
     seed_streams,
-    trial_value,
     variance_closed_form,
 )
 
 from conftest import PAW_EDGES, gnp_graph
+from trial_reference import TrialDraw, draw, trial_value
 
 
 def test_trial_value_optimal_is_always_truth(k4):

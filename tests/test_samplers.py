@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,14 +8,13 @@ from trisample import (
     SAMPLER_KINDS,
     build_sampler,
     count_exact,
-    draw,
-    draw_given_i,
     seed_streams,
     variance_from_probabilities,
 )
-from trisample.samplers import draw_vertices
+from trisample.samplers import draw_vertices, second_stage
 
 from conftest import gnp_graph
+from trial_reference import draw, draw_given_i
 
 
 def test_optimal_probabilities_on_k3(k3):
@@ -145,14 +143,41 @@ def test_degenerate_draws_skip_second_stage(paw):
     assert g_before.bit_generator.state == state0  # no variate consumed
 
 
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_second_stage_draws_the_reference_pairs(kind):
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        g = gnp_graph(int(rng.integers(6, 25)), 0.3, rng)
+        prof = count_exact(g)
+        if g.m == 0 or (kind == "optimal" and prof.total == 0):
+            continue
+        spec = build_sampler(g, kind, prof if kind == "optimal" else None)
+        pairs = second_stage(spec)
+        streams, ref = seed_streams(7), seed_streams(7)
+        for size in (1, 9, 40):  # several batches of one run
+            vertices = draw_vertices(spec, streams.vertices, size)
+            live, j, local, q = pairs(vertices, streams.pairs)
+            want = [draw(spec, ref) for _ in range(size)]
+            assert vertices.tolist() == [d.i for d in want]
+            assert live.tolist() == [not d.degenerate for d in want]
+            assert j.tolist() == [d.j for d in want if not d.degenerate]
+            assert q.tolist() == [d.q_j_given_i for d in want if not d.degenerate]
+            assert local.tolist() == [prof.edge_count(d.i, d.j) for d in want if not d.degenerate]
+
+
 def _frequency_check(spec, g, draws, seed):
-    # The batched first stage draws the same vertices as `draws` calls of
-    # `draw` would, so the pairs are those of the single-trial reference.
+    # One batch of the engine's draws; a degenerate trial counts as (i, None).
     streams = seed_streams(seed)
-    pair_counts = Counter()
-    for i in draw_vertices(spec, streams.vertices, draws).tolist():
-        d = draw_given_i(spec, i, streams.pairs)
-        pair_counts[(d.i, d.j)] += 1
+    vertices = draw_vertices(spec, streams.vertices, draws)
+    live, partners, _, _ = second_stage(spec)(vertices, streams.pairs)
+    drawn = np.full(draws, g.n)  # g.n stands for None
+    drawn[live] = partners
+    keys, counts = np.unique(vertices * (g.n + 1) + drawn, return_counts=True)
+    firsts, seconds = np.divmod(keys, g.n + 1)
+    pair_counts = {
+        (i, None if j == g.n else j): c
+        for i, j, c in zip(firsts.tolist(), seconds.tolist(), counts.tolist())
+    }
     for i in range(g.n):
         p_i = spec.p(i)
         outcomes = [(j, spec.q(i, j)) for j in range(g.n)] + [(None, 0.0)]

@@ -90,13 +90,13 @@ def test_finalize_examples():
     est = finalize_stream_estimate(state, rng)
     assert est.value == pytest.approx(4 / 3, rel=1e-12)
     assert state.pass_phase == PHASE_DONE
-    assert state.final_draws[0].j in (0, 1)
+    assert est.degenerate_trials == 0
 
     state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [3], 4)
     pass2_local_counts(MemoryEdgeStream(PAW_EDGES), state)
     est = finalize_stream_estimate(state, rng)
     assert est.value == 0.0
-    assert state.final_draws[0].degenerate
+    assert est.degenerate_trials == 1
 
     state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [0, 1, 2, 3], 4)
     pass2_local_counts(MemoryEdgeStream(PAW_EDGES), state)
@@ -192,6 +192,36 @@ def test_duplicate_edge_detected_at_sampled_vertex():
         pass1_neighborhoods(MemoryEdgeStream(dup), [3], 4, strict=True)
 
 
+def test_pass2_refuses_a_repeated_edge_that_closes_a_triangle():
+    # (1, 0) again touches no sampled vertex, so pass 1 lets it through;
+    # pass 2 would count the triangle {0, 1, 2} twice.
+    dup = PAW_EDGES + [(1, 0)]
+    state = pass1_neighborhoods(MemoryEdgeStream(dup), [2], 4)
+    with pytest.raises(StreamFormatError, match=r"duplicate edge \{0,1\} in stream"):
+        pass2_local_counts(MemoryEdgeStream(dup), state)
+    run = stream_estimate(MemoryEdgeStream(PAW_EDGES), 3, seed=11, n=4)
+    assert run.state.sampled == [2, 3, 2]  # vertices 0 and 1 are not sampled
+    with pytest.raises(StreamFormatError, match=r"duplicate edge \{0,1\} in stream"):
+        stream_estimate(MemoryEdgeStream(dup), 3, seed=11, n=4)
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_pass2_names_the_first_repeat_in_stream_order(block):
+    # K4 with vertex 0 sampled: every edge among 1, 2, 3 closes a triangle.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (1, 3)]
+    with patch.object(streaming, "_STREAM_BLOCK", block):
+        for first, second in itertools.permutations([(2, 1), (3, 2), (1, 3)], 2):
+            for at in range(len(edges) + 1):
+                stream = edges[:at] + [first] + edges[at:] + [second]
+                state = pass1_neighborhoods(MemoryEdgeStream(stream), [0], 4)
+                ref = _reference_pass1(MemoryEdgeStream(stream), [0], 4)
+                got = _outcome(pass2_local_counts, MemoryEdgeStream(stream), state)
+                want = _outcome(_reference_pass2, MemoryEdgeStream(stream), ref)
+                assert got == want
+                u, v = sorted(first)
+                assert got == (StreamFormatError, f"duplicate edge {{{u},{v}}} in stream")
+
+
 def test_state_bytes_scale_linearly_in_s_times_n():
     rng = np.random.default_rng(97)
     per_sn = []
@@ -248,11 +278,16 @@ def _reference_pass1(source, sampled, n, strict=False):
 
 def _reference_pass2(source, state):
     bits, counts, tally = state.neighbor_bits, state.edge_counts, state.vertex_count
+    closing = set()
     for j, d in source:
         _check_endpoints(j, d, state.n)
         hit = (bits[:, j >> 3] & (1 << (j & 7))) != 0
         hit &= (bits[:, d >> 3] & (1 << (d & 7))) != 0
         if hit.any():
+            key = (min(j, d), max(j, d))
+            if key in closing:
+                raise StreamFormatError(f"duplicate edge {{{key[0]},{key[1]}}} in stream")
+            closing.add(key)
             counts[hit, j] += 1
             counts[hit, d] += 1
             tally[hit] += 1

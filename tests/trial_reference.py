@@ -1,0 +1,136 @@
+"""The one-trial draw path: the reference the batched engine is checked against.
+
+A trial is drawn one variate at a time, with plain Python lists and
+scalar generator calls, and valued with its own arithmetic.
+``run_trials`` and the stream finalize must agree with a loop over
+``trial_value(g, draw(spec, streams))`` bit for bit, and
+``weighted_pick`` with :func:`weighted_choice` pick for pick.  Nothing
+here is used by the library.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
+
+from trisample import Graph, SampleStreams, has_edge
+from trisample.samplers import OPTIMAL, _Q_OPTIMAL_KINDS, SamplerSpec, draw_vertices
+
+
+@dataclass(slots=True)
+class TrialDraw:
+    """One (i, j) draw with the probabilities that produced it.
+
+    ``degenerate`` marks draws whose chosen ``i`` admits no valid ``j``;
+    such trials are worth zero and carry ``j=None, q=0``.
+    """
+
+    i: int
+    j: int | None
+    p_i: float
+    q_j_given_i: float
+    degenerate: bool = False
+
+
+def weighted_choice(values, weights, rng: np.random.Generator):
+    """Pick ``values[k]`` with probability ``weights[k] / total``.
+
+    Weights are nonnegative integers, as a sequence or an integer array.
+    Exactly one integer variate in ``[0, total)`` is consumed, and the
+    pick depends only on the (value, weight) pairs with positive weight,
+    so callers that present the same positive weights -- with or without
+    interleaved zeros -- make identical picks from identical generator
+    states.
+
+    Returns ``(value, weight, total)`` for the selected entry.
+    """
+    if isinstance(weights, np.ndarray):
+        weights = weights.tolist()
+    cumulative = list(accumulate(weights))
+    if not cumulative or cumulative[-1] <= 0:
+        raise ValueError("weighted_choice requires positive total weight")
+    # A zero weight repeats the running sum before it, so bisecting never
+    # picks it and it leaves every other pick alone.
+    k = bisect_right(cumulative, int(rng.integers(cumulative[-1])))
+    return values[k], weights[k], cumulative[-1]
+
+
+def _intersection_size(a: list[int], b: list[int]) -> int:
+    """|a ∩ b| for strictly ascending int lists, by two-pointer merge."""
+    ia, ib, count = 0, 0, 0
+    la, lb = len(a), len(b)
+    while ia < la and ib < lb:
+        x, y = a[ia], b[ib]
+        if x == y:
+            count += 1
+            ia += 1
+            ib += 1
+        elif x < y:
+            ia += 1
+        else:
+            ib += 1
+    return count
+
+
+def local_edge_count(g: Graph, i: int, j: int) -> int:
+    """Number of triangles through {i, j}: |N(i) ∩ N(j)| if it is an edge, else 0."""
+    if i == j:
+        raise ValueError("local_edge_count requires two distinct vertices")
+    if not has_edge(g, i, j):
+        return 0
+    return _intersection_size(g.neighbors(i).tolist(), g.neighbors(j).tolist())
+
+
+def draw_vertex(spec: SamplerSpec, rng: np.random.Generator) -> int:
+    """First-stage draw: i distributed per the strategy's p."""
+    return int(draw_vertices(spec, rng))
+
+
+def draw_given_i(spec: SamplerSpec, i: int, rng: np.random.Generator) -> TrialDraw:
+    """Second-stage draw for a fixed first-stage vertex ``i``."""
+    g = spec.graph
+    p_i = spec.p(i)
+    nb = g.neighbors(i).tolist()
+    if spec.kind in _Q_OPTIMAL_KINDS:
+        if spec.kind == OPTIMAL:
+            weights = [spec.profile.edge_count(i, j) for j in nb]
+        else:
+            weights = [_intersection_size(nb, g.neighbors(j).tolist()) for j in nb]
+        if not any(weights):
+            return TrialDraw(i=i, j=None, p_i=p_i, q_j_given_i=0.0, degenerate=True)
+        j, w, total = weighted_choice(nb, weights, rng)
+        return TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=w / total)
+    deg = len(nb)
+    if deg == 0:
+        return TrialDraw(i=i, j=None, p_i=p_i, q_j_given_i=0.0, degenerate=True)
+    j = nb[int(rng.integers(deg))]
+    return TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=1.0 / deg)
+
+
+def draw(spec: SamplerSpec, streams: SampleStreams) -> TrialDraw:
+    """One full two-stage draw from the strategy's named substreams."""
+    i = draw_vertex(spec, streams.vertices)
+    return draw_given_i(spec, i, streams.pairs)
+
+
+def beta_value(local_count: int, p_i: float, q_j_given_i: float) -> float:
+    """Single-trial value T_{ij} / (6 p q)."""
+    if local_count == 0:
+        return 0.0
+    denom = 6.0 * p_i * q_j_given_i
+    if denom <= 0.0:
+        raise RuntimeError(
+            "trial has positive local count but zero draw probability; "
+            "the sampler violates its support contract"
+        )
+    return local_count / denom
+
+
+def trial_value(g: Graph, d: TrialDraw) -> float:
+    """Value of one recorded draw; 0 for degenerate draws."""
+    if d.degenerate:
+        return 0.0
+    return beta_value(local_edge_count(g, d.i, d.j), d.p_i, d.q_j_given_i)
