@@ -27,7 +27,6 @@ from .graph import (
     Graph,
     MemoryEdgeStream,
     ParseError,
-    has_edge,
     load_edge_list,
     write_edge_list,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "count_exact",
     "estimate",
     "finalize_stream_estimate",
-    "has_edge",
     "load_edge_list",
     "make_plan",
     "pass1_neighborhoods",

@@ -109,6 +109,8 @@ def finalize_estimate(
 ) -> Estimate:
     """Package accumulated moments; shared by in-memory and stream paths."""
     s = moments.count
+    if s == 0:
+        raise ValueError("no trials to estimate from")
     return Estimate(
         value=moments.total / s,
         trials=s,

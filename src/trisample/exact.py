@@ -138,13 +138,12 @@ def count_exact(g: Graph) -> TriangleProfile:
     (n <= 50) the total is additionally cross-checked by direct triple
     enumeration.
     """
-    keys = g.edge_keys
-    upper = keys[keys // g.n < g.indices]  # i * n + j of each edge i < j, in CSR order
+    edges = g.edge_array()
     ids = np.arange(g.n, dtype=object)  # one int object per vertex, shared by its keys
     per_edge: dict[tuple[int, int], int] = {}
     per_vertex = np.zeros(g.n, dtype=np.int64)
-    for lo in range(0, len(upper), _EDGE_BLOCK):
-        a, b = np.divmod(upper[lo : lo + _EDGE_BLOCK], g.n)
+    for lo in range(0, len(edges), _EDGE_BLOCK):
+        a, b = edges[lo : lo + _EDGE_BLOCK].T
         counts = common_neighbour_counts(g, a, b)
         np.add.at(per_vertex, a, counts)
         np.add.at(per_vertex, b, counts)

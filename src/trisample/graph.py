@@ -3,10 +3,14 @@
 The graph is immutable after construction: vertex ids are dense
 ``0..n-1``, adjacency is stored CSR-style (``indptr``/``indices``) with
 each neighbor run sorted strictly ascending.  These two arrays are the
-graph's only representation; every reader, from single-edge lookups to
-the exact oracle, goes through them.  Ids present nowhere in the edge
-list but below the maximum id (or below an explicit header count) are
-isolated vertices.
+graph's only representation; every reader, from the samplers to the
+exact oracle and the edge-list writer, goes through them.  Ids present
+nowhere in the edge list but below the maximum id (or below an explicit
+header count) are isolated vertices.  ``n`` is capped so that the edge
+keys ``i * n + j`` fit an int64.
+
+Edges leave every reader as ``(k, 2)`` int64 arrays: an edge stream
+yields a pass as blocks, and :meth:`Graph.edge_array` gives all edges.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import re
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
+from math import isqrt
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -26,6 +31,7 @@ log = logging.getLogger(__name__)
 
 _HEADER_RE = re.compile(r"^[#%]\s*n\s*=\s*(\d+)\s*$", re.ASCII)
 _MAX_ID = 2**63 - 1  # ids index int64 arrays
+_MAX_N = isqrt(_MAX_ID + 1)  # the edge keys i * n + j < n * n fit an int64
 
 
 class ParseError(ValueError):
@@ -51,14 +57,11 @@ class Graph:
         """Build a graph from unique undirected edges.
 
         ``edges`` may be any iterable of id pairs or an ``(m, 2)`` integer
-        array.  Rejects self-loops and duplicate undirected edges; use
-        :func:`load_edge_list` for tolerant ingestion of raw files.
+        array.  Rejects self-loops, duplicate undirected edges and more
+        than ``3037000499`` vertices; use :func:`load_edge_list` for
+        tolerant ingestion of raw files.
         """
-        und = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
-        if und.size == 0:
-            und = und.reshape(0, 2)
-        elif und.ndim != 2 or und.shape[1] != 2:
-            raise ValueError("edges must be (u, v) pairs")
+        und = _edge_pairs(edges)
         bad = (und[:, 0] == und[:, 1]) | (und < 0).any(axis=1)
         if bad.any():
             u, v = und[bad.argmax()].tolist()
@@ -66,13 +69,15 @@ class Graph:
                 raise ValueError(f"self-loop ({u},{u}) not allowed")
             raise ValueError("vertex ids must be nonnegative")
         m = len(und)
+        max_id = int(und.max()) if m else -1
+        if n is None:
+            n = max_id + 1
+        if n > _MAX_N:
+            raise ValueError(f"n={n} vertices exceed the limit of {_MAX_N} (edge keys would overflow int64)")
         both, repeated = _sort_rows(np.concatenate([und, und[:, ::-1]]))
         if repeated.any():
             raise ValueError("duplicate undirected edges not allowed")
-        max_id = int(both[-1, 0]) if m else -1
-        if n is None:
-            n = max_id + 1
-        elif max_id >= n:
+        if max_id >= n:
             raise ValueError(f"vertex id {max_id} out of declared range n={n}")
         indices = np.ascontiguousarray(both[:, 1])
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -96,18 +101,18 @@ class Graph:
     def edge_keys(self) -> np.ndarray:
         """``i * n + j`` for every neighbour ``j`` of every ``i``: ascending, in CSR order.
 
-        A membership table for ordered pairs; ``n * n`` fits an int64 for
-        every graph whose ``indptr`` fits in memory.
+        A membership table for ordered pairs.  The keys fit an int64
+        because :meth:`from_edges` refuses an ``n`` whose ``n * n`` does not.
         """
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         return rows * self.n + self.indices
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Each undirected edge once, as (i, j) with i < j, lexicographic."""
-        for i in range(self.n):
-            for j in self.indices[self.indptr[i] : self.indptr[i + 1]]:
-                if i < j:
-                    yield i, int(j)
+    def edge_array(self) -> np.ndarray:
+        """Each undirected edge once, as the rows (i, j) with i < j of an
+        ``(m, 2)`` int64 array, in lexicographic order."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        upper = rows < self.indices
+        return np.stack([rows[upper], self.indices[upper]], axis=1)
 
     def _check_id(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -136,12 +141,18 @@ def _sort_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pairs, repeated
 
 
-def has_edge(g: Graph, i: int, j: int) -> bool:
-    """True iff {i, j} is an edge, by binary search in the neighbor list."""
-    nb = g.neighbors(i)
-    g._check_id(j)
-    k = int(nb.searchsorted(j))
-    return k < len(nb) and int(nb[k]) == j
+def _edge_pairs(edges) -> np.ndarray:
+    """``edges``, id pairs or an integer array, as an ``(m, 2)`` int64
+    array; a ValueError unless they are pairs of ids that fit in 64 bits."""
+    try:
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    except OverflowError:
+        raise ValueError("vertex ids must fit in 64 bits") from None
+    if pairs.size == 0:
+        return pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    return pairs
 
 
 def _edge_records(source) -> Iterator:
@@ -244,77 +255,66 @@ def load_edge_list(source) -> Graph:
 def write_edge_list(g: Graph, sink) -> None:
     """Write ``g`` in the edge-list format, with an explicit ``# n=`` header."""
 
-    def _write(fh) -> None:
-        fh.write(f"# n={g.n}\n")
-        for i, j in g.edges():
-            fh.write(f"{i} {j}\n")
-
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            _write(fh)
-    else:
-        _write(sink)
+    np.savetxt(sink, g.edge_array(), fmt="%d", header=f"n={g.n}", comments="# ")
 
 
 class EdgeStreamSource:
     """Ordered, replayable sequence of undirected edges.
 
-    Each undirected edge appears exactly once per pass, and iteration
-    yields the identical sequence on every pass.  ``passes`` counts
-    completed full traversals; abandoning an iteration midway does not
-    count.
+    Each undirected edge appears exactly once per pass, and every pass
+    yields the identical sequence.  :meth:`blocks` reads one pass as
+    ``(k, 2)`` int64 arrays; subclasses implement ``_blocks``.
+    ``passes`` counts completed full traversals; abandoning a pass midway
+    does not count.  ``declared_n`` is the vertex count the source
+    declares (a ``# n=`` header, say), or ``None``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, declared_n: int | None = None) -> None:
         self.passes = 0
+        self.declared_n = declared_n
 
-    def _iter_edges(self) -> Iterator[tuple[int, int]]:
+    def _blocks(self, size: int) -> Iterator[np.ndarray]:
         raise NotImplementedError
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        yield from self._iter_edges()
+    def blocks(self, size: int) -> Iterator[np.ndarray]:
+        """One pass, in stream order, as ``(k, 2)`` int64 blocks of 1 to ``size`` edges."""
+        if size < 1:
+            raise ValueError("block size must be at least 1")
+        yield from self._blocks(size)
         self.passes += 1
-
-    @property
-    def declared_n(self) -> int | None:
-        """Vertex count from a ``# n=`` header, when the source carries one."""
-        return None
 
 
 class MemoryEdgeStream(EdgeStreamSource):
-    """Edge stream over an in-memory sequence."""
+    """Edge stream over in-memory id pairs, held as one read-only int64 array.
+
+    Raises ValueError when built from anything but pairs of ids that fit
+    in 64 bits.
+    """
 
     def __init__(self, edges: Iterable[tuple[int, int]], n: int | None = None) -> None:
-        super().__init__()
-        self._edges = [(int(u), int(v)) for u, v in edges]
-        self._n = n
+        super().__init__(n)
+        self._edges = _edge_pairs(edges).copy()  # replays even if the caller's array changes
+        self._edges.flags.writeable = False
 
-    def _iter_edges(self) -> Iterator[tuple[int, int]]:
-        yield from self._edges
-
-    @property
-    def declared_n(self) -> int | None:
-        return self._n
+    def _blocks(self, size: int) -> Iterator[np.ndarray]:
+        for lo in range(0, len(self._edges), size):
+            yield self._edges[lo : lo + size]
 
 
 class FileEdgeStream(EdgeStreamSource):
     """Edge stream over an edge-list file (re-read lazily on every pass).
 
-    Only one line is held in memory at a time, so the stream itself adds
-    nothing to the estimator's working-set bound.
+    Only one block of edges is held in memory at a time, so the stream
+    itself adds O(block) to the estimator's working set.
     """
 
     def __init__(self, path) -> None:
-        super().__init__()
-        self.path = path
         with closing(_edge_records(path)) as records:
-            self._declared_n = next(records)
+            super().__init__(next(records))
+        self.path = path
 
-    def _iter_edges(self) -> Iterator[tuple[int, int]]:
+    def _blocks(self, size: int) -> Iterator[np.ndarray]:
         records = _edge_records(self.path)
         next(records)  # the header, already read
-        yield from records
-
-    @property
-    def declared_n(self) -> int | None:
-        return self._declared_n
+        while len(block := np.fromiter(chain.from_iterable(islice(records, size)), np.int64)):
+            yield block.reshape(-1, 2)

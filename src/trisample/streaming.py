@@ -16,11 +16,13 @@ and values the trials with its :func:`~trisample.estimator.fold_trials`,
 over the non-zero counters only.  State is one bit vector and one
 counter vector of length n per sampled vertex: O(s*n) overall.
 
-Every pass reads the stream in blocks of ``_STREAM_BLOCK`` edges and does
-its work on a block with array operations, so the temporaries add
-O(s * _STREAM_BLOCK) to the state.  Errors still name the first bad edge
-in stream order, as an edge-by-edge pass would.  Pass 1 records how many
-edges it read, and pass 2 refuses a stream that has changed length.
+Every pass reads the stream as the ``(k, 2)`` int64 blocks of
+:meth:`~trisample.graph.EdgeStreamSource.blocks`, at most
+``_STREAM_BLOCK`` edges each, and does its work on a block with array
+operations, so the temporaries add O(s * _STREAM_BLOCK) to the state.
+Errors still name the first bad edge in stream order, as an
+edge-by-edge pass would.  Pass 1 records how many edges it read, and
+pass 2 refuses a stream that has changed length.
 Pass 2 also refuses a repeated edge that closes a triangle, which pass 1
 only sees under ``strict`` but which would be counted twice.
 
@@ -33,7 +35,6 @@ Given the same seed, the final estimate equals the in-memory
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
@@ -94,38 +95,25 @@ class StreamRun:
 
 
 def _edge_blocks(source: EdgeStreamSource, n: int | None = None) -> Iterator[np.ndarray]:
-    """One full pass over ``source`` as ``(k, 2)`` int64 blocks of at most
-    ``_STREAM_BLOCK`` edges, in stream order.
+    """One full pass over ``source`` as its ``(k, 2)`` int64 blocks of at
+    most ``_STREAM_BLOCK`` edges, in stream order.
 
     The source is read to its end, so the pass counts in
     ``source.passes``.  With ``n``, every edge is checked against the
     universe ``[0, n)``.  The edges before the first bad one come as a
     block of their own, and the next step raises on the bad edge through
     ``_check_endpoints``.  A pass that acts on each block before asking
-    for the next one thus reports its errors in stream order.  Without
-    ``n`` only ids that do not fit int64 are refused, as outside
-    ``[0, 2**63)``.
+    for the next one thus reports its errors in stream order.
     """
-    universe = 1 << 63 if n is None else n
-    edges_in = iter(source)
-    while edges := list(islice(edges_in, _STREAM_BLOCK)):
-        try:
-            flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
-        except OverflowError:  # an id beyond int64, possible from an in-memory stream
-            fits = [-(1 << 63) <= min(e) and max(e) < 1 << 63 for e in edges]
-            stop = fits.index(False)
-            flat = np.fromiter(chain.from_iterable(edges[:stop]), np.int64, 2 * stop)
-        block = flat.reshape(-1, 2)
+    for block in source.blocks(_STREAM_BLOCK):
         if n is not None:
             u, v = block[:, 0], block[:, 1]
             bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
             if bad.any():
-                block = block[: int(bad.argmax())]
-        if len(block) < len(edges):
-            if len(block):
-                yield block
-            u, v = edges[len(block)]
-            _check_endpoints(u, v, universe)  # raises: the edge is bad
+                k = int(bad.argmax())
+                if k:
+                    yield block[:k]
+                _check_endpoints(*block[k].tolist(), n)  # raises: the edge is bad
         yield block
 
 

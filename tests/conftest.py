@@ -31,6 +31,12 @@ def path3() -> Graph:
     return Graph.from_edges(PATH3_EDGES)
 
 
+def stream_pairs(source, size: int = 1024):
+    """One pass over an edge stream as (u, v) int tuples, read through its blocks."""
+    for block in source.blocks(size):
+        yield from map(tuple, block.tolist())
+
+
 def gnp_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:
     """Erdos-Renyi edge list; vectorized so big test graphs stay cheap."""
     iu, ju = np.triu_indices(n, k=1)

@@ -82,6 +82,15 @@ def test_exact_rejects_an_id_beyond_int64(capsys, tmp_path):
     assert err.startswith("error: line 1: ")
 
 
+def test_exact_refuses_a_universe_whose_edge_keys_overflow(capsys, tmp_path):
+    path = tmp_path / "wide.edges"
+    path.write_text("3037000499 0\n")
+    code, out, err = run_cli(capsys, "exact", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: n=3037000500 vertices exceed the limit of 3037000499")
+
+
 def test_exact_reports_an_allocation_failure(capsys, monkeypatch, paw_file):
     # A parsed id can still size arrays beyond memory; stand in for that
     # failure rather than allocating for real.

@@ -98,6 +98,11 @@ def test_requires_at_least_one_trial(paw):
         estimate(paw, "edge-uniform", 0, seed=1)
 
 
+def test_run_trials_without_trials_is_a_clear_error(paw):
+    with pytest.raises(ValueError, match="no trials"):
+        run_trials(build_sampler(paw, "edge-uniform"), 0, seed=1)
+
+
 def _enumerated_expectation(g, spec):
     """Full-support sum of p*q*value; the unbiasedness oracle."""
     total = 0.0
@@ -175,7 +180,7 @@ def _parity_graphs():
     yield "triangle-free", Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], n=7)
     for t in range(3):
         g = gnp_graph(int(rng.integers(8, 30)), 0.3, rng)
-        yield f"gnp{t}", Graph.from_edges(list(g.edges()), n=g.n + 2)
+        yield f"gnp{t}", Graph.from_edges(g.edge_array(), n=g.n + 2)
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)

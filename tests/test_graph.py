@@ -1,5 +1,6 @@
 import io
 import logging
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from trisample import (
     FileEdgeStream,
     ParseError,
     estimate,
-    has_edge,
     load_edge_list,
     stream_estimate,
+    streaming,
     write_edge_list,
 )
 
-from conftest import gnp_graph
+from conftest import gnp_graph, stream_pairs
+from trial_reference import has_edge
 
 
 def test_load_triangle():
@@ -82,7 +84,7 @@ def test_vertex_ids_are_ascii_digits_that_fit_int64(tmp_path, lines, error_line,
     with pytest.raises(ParseError, match=f"^line {error_line}: .*{message}"):
         load_edge_list(lines)
     with pytest.raises(ParseError, match=f"^line {error_line}: .*{message}"):
-        list(FileEdgeStream(path))
+        list(stream_pairs(FileEdgeStream(path)))
 
 
 def test_header_count_is_ascii_digits():
@@ -119,10 +121,29 @@ def test_from_edges_rejects_bad_edges():
 
 
 def test_from_edges_accepts_pairs_or_an_array(paw):
-    edges = list(paw.edges())
+    edges = paw.edge_array().tolist()
     assert Graph.from_edges(np.array(edges), n=paw.n) == paw
     assert Graph.from_edges(iter(edges)) == paw
     assert Graph.from_edges(np.zeros((0, 2), dtype=np.int64), n=2).m == 0
+
+
+def test_vertex_universe_is_capped_so_edge_keys_fit_int64():
+    # n * n must fit an int64; the graph is refused before any array of
+    # length n is allocated.
+    limit = "n=3037000500 vertices exceed the limit of 3037000499"
+    with pytest.raises(ValueError, match=limit):
+        Graph.from_edges([(0, 1)], n=3_037_000_500)
+    with pytest.raises(ValueError, match=limit):
+        Graph.from_edges([(0, 3_037_000_499)])
+    with pytest.raises(ValueError, match=limit):
+        load_edge_list(["3037000499 0"])
+
+
+def test_edge_array_lists_each_edge_once_in_order(paw):
+    edges = paw.edge_array()
+    assert edges.dtype == np.int64
+    assert edges.tolist() == [[0, 1], [0, 2], [1, 2], [2, 3]]
+    assert Graph.from_edges([], n=3).edge_array().shape == (0, 2)
 
 
 def test_has_edge(paw, k3):
@@ -165,18 +186,23 @@ def test_serialization_round_trip():
 def test_memory_stream_replays_identically():
     edges = [(0, 1), (0, 2), (1, 2), (2, 3)]
     src = MemoryEdgeStream(edges)
-    assert list(src) == edges
-    assert list(src) == edges
+    assert list(stream_pairs(src)) == edges
+    assert list(stream_pairs(src)) == edges
     assert src.passes == 2
+    array = np.array(edges)
+    src = MemoryEdgeStream(array)
+    array[0] = (5, 6)  # the stream keeps its own copy
+    assert list(stream_pairs(src)) == edges
+    assert not next(src.blocks(2)).flags.writeable
 
 
 def test_partial_iteration_does_not_count_a_pass():
     src = MemoryEdgeStream([(0, 1), (1, 2), (2, 3)])
-    it = iter(src)
+    it = stream_pairs(src)
     next(it)
     del it
     assert src.passes == 0
-    list(src)
+    list(stream_pairs(src))
     assert src.passes == 1
 
 
@@ -185,8 +211,8 @@ def test_file_stream_replays_and_reads_header(tmp_path):
     path.write_text("# n=5\n0 1\n1 2\n")
     src = FileEdgeStream(path)
     assert src.declared_n == 5
-    assert list(src) == [(0, 1), (1, 2)]
-    assert list(src) == [(0, 1), (1, 2)]
+    assert list(stream_pairs(src)) == [(0, 1), (1, 2)]
+    assert list(stream_pairs(src)) == [(0, 1), (1, 2)]
     assert src.passes == 2
 
 
@@ -194,6 +220,24 @@ def test_file_stream_without_header(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("0 1\n1 2\n")
     assert FileEdgeStream(path).declared_n is None
+
+
+def test_blocks_cut_one_pass_at_every_size(tmp_path):
+    edges = [(0, 1), (3, 1), (1, 2), (2, 0), (4, 2)]
+    path = tmp_path / "g.edges"
+    path.write_text("# n=6\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    m = len(edges)
+    for src in (MemoryEdgeStream(edges, n=6), FileEdgeStream(path)):
+        for size in range(1, m + 2):
+            blocks = list(src.blocks(size))
+            assert all(b.dtype == np.int64 and b.shape[1] == 2 for b in blocks)
+            assert [len(b) for b in blocks] == [min(size, m - lo) for lo in range(0, m, size)]
+            assert [tuple(e) for e in np.concatenate(blocks).tolist()] == edges
+            assert src.passes == size
+            partial = src.blocks(size)
+            next(partial)
+            del partial  # an abandoned pass does not count
+            assert src.passes == size
 
 
 # Every text below goes through both readers.  Accepted texts (error line
@@ -219,13 +263,17 @@ def test_file_and_stream_readers_agree(tmp_path, text, error_line):
     if error_line is not None:
         with pytest.raises(ParseError, match=f"^line {error_line}:"):
             load_edge_list(path)
-        with pytest.raises(ParseError, match=f"^line {error_line}:"):
-            stream_estimate(FileEdgeStream(path), 8, seed=3)
+        for block in (1, 3, 4096):
+            with patch.object(streaming, "_STREAM_BLOCK", block):
+                with pytest.raises(ParseError, match=f"^line {error_line}:"):
+                    stream_estimate(FileEdgeStream(path), 8, seed=3)
         return
     g = load_edge_list(path)
-    stream_edges = sorted((min(u, v), max(u, v)) for u, v in FileEdgeStream(path))
-    assert stream_edges == list(g.edges())
-    for seed in range(5):
-        run = stream_estimate(FileEdgeStream(path), 8, seed=seed)
-        assert run.state.n == g.n
-        assert run.estimate == estimate(g, "qopt-uniform", 8, seed=seed)
+    stream_edges = sorted((min(u, v), max(u, v)) for u, v in stream_pairs(FileEdgeStream(path)))
+    assert stream_edges == [tuple(e) for e in g.edge_array().tolist()]
+    for block in (1, 3, 4096):
+        with patch.object(streaming, "_STREAM_BLOCK", block):
+            for seed in range(5):
+                run = stream_estimate(FileEdgeStream(path), 8, seed=seed)
+                assert run.state.n == g.n
+                assert run.estimate == estimate(g, "qopt-uniform", 8, seed=seed)

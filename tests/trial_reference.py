@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from trisample import Graph, SampleStreams, has_edge
+from trisample import Graph, SampleStreams
 from trisample.samplers import OPTIMAL, _Q_OPTIMAL_KINDS, SamplerSpec, draw_vertices
 
 
@@ -73,6 +73,14 @@ def _intersection_size(a: list[int], b: list[int]) -> int:
         else:
             ib += 1
     return count
+
+
+def has_edge(g: Graph, i: int, j: int) -> bool:
+    """True iff {i, j} is an edge, by binary search in the neighbor list."""
+    nb = g.neighbors(i)
+    g._check_id(j)
+    k = int(nb.searchsorted(j))
+    return k < len(nb) and int(nb[k]) == j
 
 
 def local_edge_count(g: Graph, i: int, j: int) -> int:
