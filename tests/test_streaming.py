@@ -310,6 +310,12 @@ def _outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def _on_stream(fn, edges, *args):
+    """``fn`` run on a MemoryEdgeStream of ``edges``; building the stream is
+    part of the call, since it already refuses ids beyond int64."""
+    return fn(MemoryEdgeStream(edges), *args)
+
+
 def _same_state(a, b):
     assert a.m == b.m
     assert np.array_equal(a.neighbor_bits, b.neighbor_bits)
@@ -327,6 +333,8 @@ _BAD_EDGES = {
     "self-loop": [(5, 5)],
     "id >= n": [(2, _N)],
     "negative id": [(-1, 4)],
+    "id beyond int64": [(4, 1 << 64)],
+    "negative id beyond int64": [(-(1 << 64), 4)],
     "duplicate at a sampled vertex": [(4, 3)],
     "duplicate, then a bad endpoint": [(7, 6), (0, 0)],
     "bad endpoint, then a duplicate": [(0, 20), (7, 6)],
@@ -349,16 +357,16 @@ def test_block_passes_raise_the_reference_error(case, block):
     for at, strict in itertools.product((2, 3, 4, 8), (False, True)):
         edges = _bad_stream(case, at)
         with patch.object(streaming, "_STREAM_BLOCK", block):
-            got = _outcome(pass1_neighborhoods, MemoryEdgeStream(edges), _SAMPLED, _N, strict)
-            want = _outcome(_reference_pass1, MemoryEdgeStream(edges), _SAMPLED, _N, strict)
+            got = _outcome(_on_stream, pass1_neighborhoods, edges, _SAMPLED, _N, strict)
+            want = _outcome(_on_stream, _reference_pass1, edges, _SAMPLED, _N, strict)
             if isinstance(want, StreamState):
                 _same_state(got, want)
             else:
                 assert got == want, (at, strict)
             good = pass1_neighborhoods(MemoryEdgeStream(_PATH), _SAMPLED, _N)
             ref = _reference_pass1(MemoryEdgeStream(_PATH), _SAMPLED, _N)
-            got = _outcome(pass2_local_counts, MemoryEdgeStream(edges), good)
-            want = _outcome(_reference_pass2, MemoryEdgeStream(edges), ref)
+            got = _outcome(_on_stream, pass2_local_counts, edges, good)
+            want = _outcome(_on_stream, _reference_pass2, edges, ref)
         if isinstance(want, StreamState):  # the stream has more edges than pass 1 read
             assert got[0] is StreamFormatError and "changed between passes" in got[1], at
         else:
@@ -367,11 +375,14 @@ def test_block_passes_raise_the_reference_error(case, block):
 
 def test_every_bad_edge_case_raises():
     # The parity test above would pass vacuously if a case raised nothing.
+    # Ids beyond int64 are refused when the stream is built, not by a pass.
     for case in _BAD_EDGES:
         strict = case == "strict-only duplicate"
-        with pytest.raises(StreamFormatError):
+        error = ValueError if "beyond int64" in case else StreamFormatError
+        with pytest.raises(error) as raised:
             source = MemoryEdgeStream(_bad_stream(case, 3))
             pass1_neighborhoods(source, _SAMPLED, _N, strict=strict)
+        assert (error is StreamFormatError) != ("fit in 64 bits" in str(raised.value)), case
 
 
 def test_an_id_beyond_int64_is_outside_the_universe():
