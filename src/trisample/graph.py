@@ -11,17 +11,27 @@ keys ``i * n + j`` fit an int64.
 
 Edges leave every reader as ``(k, 2)`` int64 arrays: an edge stream
 yields a pass as blocks, and :meth:`Graph.edge_array` gives all edges.
+
+Edge-list files are read in byte chunks of 1 MiB, each read on to the
+end of its last line.  A chunk of plain lines (ASCII digits, spaces,
+tabs and newlines; every non-blank line two ids of at most 18 digits)
+is parsed with array operations.  The lines up to the first edge, and
+any other chunk, go through the per-line grammar of
+:func:`_edge_records`, which text sources use throughout.  So the
+grammar, and the line number of every error, do not depend on how a
+file is read.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 import os
 import re
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from math import isqrt
 from typing import Iterable, Iterator
 
@@ -32,6 +42,8 @@ log = logging.getLogger(__name__)
 _HEADER_RE = re.compile(r"^[#%]\s*n\s*=\s*(\d+)\s*$", re.ASCII)
 _MAX_ID = 2**63 - 1  # ids index int64 arrays
 _MAX_N = isqrt(_MAX_ID + 1)  # the edge keys i * n + j < n * n fit an int64
+_PLAIN_DIGITS = 18  # any id of at most 18 digits fits an int64
+_CHUNK_BYTES = 1 << 20  # file bytes per chunk, read on to the end of a line
 
 
 class ParseError(ValueError):
@@ -56,10 +68,11 @@ class Graph:
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
         """Build a graph from unique undirected edges.
 
-        ``edges`` may be any iterable of id pairs or an ``(m, 2)`` integer
-        array.  Rejects self-loops, duplicate undirected edges and more
-        than ``3037000499`` vertices; use :func:`load_edge_list` for
-        tolerant ingestion of raw files.
+        ``edges`` may be any iterable of integer id pairs or an ``(m, 2)``
+        integer array; other ids, such as floats or strings, are refused.
+        Rejects self-loops, duplicate undirected edges and more than
+        ``3037000499`` vertices; use :func:`load_edge_list` for tolerant
+        ingestion of raw files.
         """
         und = _edge_pairs(edges)
         bad = (und[:, 0] == und[:, 1]) | (und < 0).any(axis=1)
@@ -72,16 +85,18 @@ class Graph:
         max_id = int(und.max()) if m else -1
         if n is None:
             n = max_id + 1
-        if n > _MAX_N:
-            raise ValueError(f"n={n} vertices exceed the limit of {_MAX_N} (edge keys would overflow int64)")
-        both, repeated = _sort_rows(np.concatenate([und, und[:, ::-1]]))
-        if repeated.any():
-            raise ValueError("duplicate undirected edges not allowed")
-        if max_id >= n:
+        _check_universe(n)
+        if max_id >= n:  # keys i * n + j would collide: look for a duplicate by rows
+            if len(np.unique(np.sort(und, axis=1), axis=0)) < m:
+                raise ValueError("duplicate undirected edges not allowed")
             raise ValueError(f"vertex id {max_id} out of declared range n={n}")
-        indices = np.ascontiguousarray(both[:, 1])
+        u, v = und[:, 0], und[:, 1]
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))  # both orientations, CSR order
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("duplicate undirected edges not allowed")
+        rows, indices = np.divmod(keys, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(both[:, 0], minlength=n), out=indptr[1:])
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(n=n, m=m, indptr=indptr, indices=indices)
 
     @cached_property
@@ -132,33 +147,41 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _sort_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of an ``(m, 2)`` array in lexicographic order, plus a mask of
-    the rows that equal the row before them."""
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    repeated = np.zeros(len(pairs), dtype=bool)
-    repeated[1:] = (pairs[1:] == pairs[:-1]).all(axis=1)
-    return pairs, repeated
+def _check_universe(n: int) -> None:
+    if n > _MAX_N:
+        raise ValueError(f"n={n} vertices exceed the limit of {_MAX_N} (edge keys would overflow int64)")
 
 
 def _edge_pairs(edges) -> np.ndarray:
     """``edges``, id pairs or an integer array, as an ``(m, 2)`` int64
-    array; a ValueError unless they are pairs of ids that fit in 64 bits."""
+    array; a ValueError unless they are pairs of integer ids that fit in
+    64 bits.  Floats and strings are refused, not truncated or parsed."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
     try:
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
-    except OverflowError:
-        raise ValueError("vertex ids must fit in 64 bits") from None
+        pairs = np.asarray(edges)
+    except ValueError:  # ragged
+        raise ValueError("edges must be (u, v) pairs") from None
     if pairs.size == 0:
-        return pairs.reshape(0, 2)
+        return np.empty((0, 2), dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be (u, v) pairs")
-    return pairs
+    if pairs.dtype.kind == "u" and pairs.max() > _MAX_ID:
+        raise ValueError("vertex ids must fit in 64 bits")
+    if pairs.dtype.kind not in "iu":  # Python ints beyond int64 come as floats or objects
+        ids = [x for pair in edges for x in pair]
+        if not all(isinstance(x, numbers.Integral) for x in ids):
+            raise ValueError("vertex ids must be integers")
+        if min(ids) < -_MAX_ID - 1 or max(ids) > _MAX_ID:
+            raise ValueError("vertex ids must fit in 64 bits")
+        pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    return pairs.astype(np.int64, copy=False)
 
 
 def _edge_records(source) -> Iterator:
     """The edge-list line grammar, shared by every reader of the format.
 
-    ``source`` is a path, an open text file, or an iterable of lines.
+    ``source`` is an open text file or an iterable of lines.
     Yields the count of the ``# n=<count>`` header first (``None`` when
     there is none), then each edge record as ``(u, v)`` in input order.
     A record is two vertex ids, each a string of ASCII decimal digits
@@ -168,14 +191,22 @@ def _edge_records(source) -> Iterator:
     repeated header, like a malformed record, is a :class:`ParseError`
     naming its line.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from _edge_records(fh)
-        return
     lines = enumerate(source, start=1)
-    declared_n: int | None = None
-    first = None
-    for lineno, raw in lines:  # comments and the header, up to the first edge
+    declared_n, first = _prelude(lines)
+    yield declared_n
+    if first is None:
+        return
+    yield first
+    yield from _body(lines)
+
+
+def _prelude(lines, declared_n: int | None = None) -> tuple[int | None, tuple[int, int] | None]:
+    """Read numbered lines up to and including the first edge record.
+
+    Returns the header count (``declared_n`` if no header is read) and
+    the first edge, or ``None`` when the lines run out first.
+    """
+    for lineno, raw in lines:
         tokens = raw.split()
         if not tokens:
             continue
@@ -186,12 +217,12 @@ def _edge_records(source) -> Iterator:
                     raise ParseError(f"line {lineno}: repeated '# n=' header")
                 declared_n = int(header.group(1))
             continue
-        first = _vertex_ids(tokens, lineno)
-        break
-    yield declared_n
-    if first is None:
-        return
-    yield first
+        return declared_n, _vertex_ids(tokens, lineno)
+    return declared_n, None
+
+
+def _body(lines) -> Iterator[tuple[int, int]]:
+    """The edge records of numbered lines that follow the first edge."""
     for lineno, raw in lines:
         tokens = raw.split()
         if len(tokens) == 2:
@@ -226,6 +257,93 @@ def _vertex_ids(tokens: list[str], lineno: int) -> tuple[int, int]:
     return int(tokens[0]), int(tokens[1])
 
 
+def _edge_arrays(source) -> Iterator:
+    """The edge-list reader: the header count (``None`` when there is
+    none), then the edge records in input order as ``(k, 2)`` int64 arrays.
+
+    A path is read in byte chunks by :func:`_file_arrays`; an open text
+    file or an iterable of lines goes through :func:`_edge_records`.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            yield from _file_arrays(fh)
+        return
+    records = _edge_records(source)
+    yield next(records)
+    yield _pairs(records)
+
+
+def _file_arrays(fh) -> Iterator:
+    """:func:`_edge_arrays` over a binary file.
+
+    The lines up to the first edge go one at a time through the line
+    grammar, so the header count is known once the first edge is read.
+    The rest is read in chunks of whole lines: a chunk that
+    :func:`_plain_ids` accepts is parsed whole, and any other chunk is
+    decoded as UTF-8 and read line by line, its lines numbered on from
+    the lines before it.  Errors, and the line numbers they name, are
+    those of a text-mode read of the same file.
+    """
+    lineno, declared_n, first = 1, None, None
+    while first is None and (line := fh.readline()):
+        text = _text_lines(line)  # more than one line if a lone \r ends some
+        lines = enumerate(text, start=lineno)
+        declared_n, first = _prelude(lines, declared_n)
+        lineno += len(text)
+    yield declared_n
+    if first is None:
+        return
+    yield _pairs(chain([first], _body(lines)))
+    while chunk := fh.read(_CHUNK_BYTES):
+        if not chunk.endswith(b"\n"):
+            chunk += fh.readline()  # on to the end of the line the read cut
+        ids = _plain_ids(chunk)
+        if ids is None:
+            text = _text_lines(chunk)
+            yield _pairs(_body(enumerate(text, start=lineno)))
+            lineno += len(text)
+        else:
+            yield np.fromstring(chunk, dtype=np.int64, count=ids, sep=" ").reshape(-1, 2)
+            lineno += chunk.count(b"\n")
+
+
+def _text_lines(chunk: bytes) -> list[str]:
+    r"""A chunk of whole lines decoded as UTF-8 and split as a text-mode
+    file splits it: at ``\n``, ``\r\n`` and a lone ``\r`` only."""
+    lines = chunk.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _plain_ids(chunk: bytes) -> int | None:
+    """The number of ids in a chunk of plain lines, or None if it is not one.
+
+    Plain means: only ASCII digits, spaces, tabs and newlines, and each
+    non-blank line two ids of at most 18 digits.  Such lines are edge
+    records whatever their place in the file, and their ids fit an int64.
+    """
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    digit = (b - 48) < 10  # wraps below "0"
+    newline = b == 10
+    if not (digit | newline | (b == 32) | (b == 9)).all():
+        return None
+    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]  # digit runs: the ids
+    if len(starts) and (ends - starts).max() > _PLAIN_DIGITS:
+        return None
+    line_ends = np.append(np.flatnonzero(newline), len(b))
+    per_line = np.diff(np.searchsorted(starts, line_ends), prepend=0)
+    if ((per_line != 0) & (per_line != 2)).any():
+        return None
+    return len(starts)
+
+
+def _pairs(records) -> np.ndarray:
+    """Edge records as an ``(k, 2)`` int64 array."""
+    return np.fromiter(chain.from_iterable(records), dtype=np.int64).reshape(-1, 2)
+
+
 def load_edge_list(source) -> Graph:
     """Parse an edge-list text source into a validated :class:`Graph`.
 
@@ -233,23 +351,26 @@ def load_edge_list(source) -> Graph:
     Self-loops and duplicate undirected edges are dropped (counts logged
     as warnings); a source with no edge records at all is an error.
     """
-    records = _edge_records(source)
-    declared_n = next(records)
-    pairs = np.fromiter(chain.from_iterable(records), dtype=np.int64).reshape(-1, 2)
+    arrays = _edge_arrays(source)
+    declared_n = next(arrays)
+    pairs = np.concatenate([np.empty((0, 2), dtype=np.int64), *arrays])
     if not len(pairs):
         raise ParseError("empty input: no edge records")
-    max_id = int(pairs.max())
-    pairs.sort(axis=1)
-    loops = pairs[:, 0] == pairs[:, 1]
-    pairs, repeated = _sort_rows(pairs[~loops])
-    if loops.any():
-        log.warning("dropped %d self-loop(s)", loops.sum())
-    if repeated.any():
-        log.warning("dropped %d duplicate edge(s)", repeated.sum())
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    max_id = int(hi.max())
     n = declared_n if declared_n is not None else max_id + 1
     if max_id >= n:
         raise ParseError(f"vertex id {max_id} exceeds declared universe n={n}")
-    return Graph.from_edges(pairs[~repeated], n=n)
+    _check_universe(n)
+    loops = lo == hi
+    keys = np.sort(lo[~loops] * n + hi[~loops])
+    fresh = np.diff(keys, prepend=-1) > 0  # keys are nonnegative
+    if loops.any():
+        log.warning("dropped %d self-loop(s)", loops.sum())
+    if not fresh.all():
+        log.warning("dropped %d duplicate edge(s)", len(keys) - fresh.sum())
+    return Graph.from_edges(np.stack(np.divmod(keys[fresh], n), axis=1), n=n)
 
 
 def write_edge_list(g: Graph, sink) -> None:
@@ -304,17 +425,25 @@ class MemoryEdgeStream(EdgeStreamSource):
 class FileEdgeStream(EdgeStreamSource):
     """Edge stream over an edge-list file (re-read lazily on every pass).
 
-    Only one block of edges is held in memory at a time, so the stream
-    itself adds O(block) to the estimator's working set.
+    A pass holds one chunk of the file (about 1 MiB) and its edges at a
+    time, so the stream adds O(chunk + block) to the estimator's
+    working set.
     """
 
     def __init__(self, path) -> None:
-        with closing(_edge_records(path)) as records:
-            super().__init__(next(records))
+        with closing(_edge_arrays(path)) as arrays:
+            super().__init__(next(arrays))
         self.path = path
 
     def _blocks(self, size: int) -> Iterator[np.ndarray]:
-        records = _edge_records(self.path)
-        next(records)  # the header, already read
-        while len(block := np.fromiter(chain.from_iterable(islice(records, size)), np.int64)):
-            yield block.reshape(-1, 2)
+        with closing(_edge_arrays(self.path)) as arrays:
+            next(arrays)  # the header, already read
+            held = np.empty((0, 2), dtype=np.int64)
+            for pairs in arrays:
+                pairs = np.concatenate([held, pairs])
+                whole = len(pairs) - len(pairs) % size
+                for lo in range(0, whole, size):
+                    yield pairs[lo : lo + size]
+                held = pairs[whole:]
+            if len(held):
+                yield held

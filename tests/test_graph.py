@@ -1,5 +1,7 @@
+import gc
 import io
 import logging
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -11,6 +13,7 @@ from trisample import (
     FileEdgeStream,
     ParseError,
     estimate,
+    graph,
     load_edge_list,
     stream_estimate,
     streaming,
@@ -18,6 +21,7 @@ from trisample import (
 )
 
 from conftest import gnp_graph, stream_pairs
+from trisample.graph import _edge_records
 from trial_reference import has_edge
 
 
@@ -93,11 +97,17 @@ def test_header_count_is_ascii_digits():
     assert load_edge_list(["# n=5", "0 1"]).n == 5
 
 
-def test_long_vertex_ids_that_fit_int64_are_read():
-    from trisample.graph import _edge_records
-
+def test_long_vertex_ids_that_fit_int64_are_read(tmp_path):
     lines = ["9223372036854775807 0", "0000000000000000000000001 2"]
     assert list(_edge_records(lines)) == [None, (2**63 - 1, 0), (1, 2)]
+    # 18-digit ids take the file reader's array path, longer ones its line path
+    ids = [999999999999999999, 100000000000000001, 2**63 - 1, 10**18, 123456789012345678, 7]
+    path = tmp_path / "g.edges"
+    path.write_text("0 1\n" + "".join(f"{a} {b}\n" for a, b in zip(ids, ids[::-1])))
+    for size in (1, 8, 40, 1 << 20):
+        with patch.object(graph, "_CHUNK_BYTES", size):
+            pairs = np.concatenate(list(FileEdgeStream(path).blocks(4))).tolist()
+        assert pairs == [[0, 1], *map(list, zip(ids, ids[::-1]))]
 
 
 def test_empty_input_is_an_error():
@@ -118,6 +128,37 @@ def test_from_edges_rejects_bad_edges():
         Graph.from_edges([(0, 1), (2, -1), (3, 3)])
     with pytest.raises(ValueError, match=r"self-loop \(3,3\)"):
         Graph.from_edges([(0, 1), (3, 3), (2, -1)])
+
+
+NON_INTEGER_IDS = {
+    "floats": ([(0.5, 1.7)], "must be integers"),
+    "an-integral-float": ([(0, 1), (1, 2.0)], "must be integers"),
+    "numeric-strings": ([("1", "2")], "must be integers"),
+    "float-array": (np.array([[0.0, 1.0]]), "must be integers"),
+    "uint64-beyond-int64": (np.array([[0, 2**63 + 5]], dtype=np.uint64), "must fit in 64 bits"),
+    "python-int-beyond-int64": ([(0, 2**63 + 5)], "must fit in 64 bits"),
+    "ragged": ([(0, 1), (1, 2, 3)], r"must be \(u, v\) pairs"),
+}
+
+
+@pytest.mark.parametrize("edges, message", NON_INTEGER_IDS.values(), ids=NON_INTEGER_IDS)
+def test_ids_must_be_integers_that_fit_int64(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph.from_edges(edges)
+    with pytest.raises(ValueError, match=message):
+        MemoryEdgeStream(edges)
+
+
+def test_any_integer_ids_are_taken_as_they_are(paw):
+    edges = paw.edge_array()
+    for same in (
+        edges.astype(np.uint64),
+        edges.astype(np.int32),
+        edges.astype(object),
+        [(np.int16(u), int(v)) for u, v in edges.tolist()],
+    ):
+        assert Graph.from_edges(same) == paw
+        assert np.array_equal(np.concatenate(list(MemoryEdgeStream(same).blocks(8))), edges)
 
 
 def test_from_edges_accepts_pairs_or_an_array(paw):
@@ -240,9 +281,26 @@ def test_blocks_cut_one_pass_at_every_size(tmp_path):
             assert src.passes == size
 
 
-# Every text below goes through both readers.  Accepted texts (error line
-# None) have no self-loops or duplicates, so both readers must see the same
-# graph; rejected ones must fail on the same line in both.
+def test_abandoned_file_passes_close_their_file(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("# n=3\n0 1\n1 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        src = FileEdgeStream(path)
+        partial = src.blocks(1)
+        next(partial)
+        del partial
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert src.passes == 0
+
+
+# Every text below goes through both readers.  Accepted texts (expect None)
+# have no self-loops or duplicates, so both readers must see the same graph.
+# Otherwise ``expect`` is the line of the ParseError both readers raise, the
+# exception type both raise, or EMPTY: no edge records, which
+# load_edge_list refuses and a stream reads as an empty pass.
+EMPTY = "empty"
 READER_PARITY_CASES = {
     "header-first": ("# n=6\n0 1\n1 2\n0 2\n2 3\n", None),
     "header-after-comments": ("# a triangle\n% plus three isolated vertices\n\n# n=6\n0 1\n1 2\n0 2\n", None),
@@ -253,19 +311,54 @@ READER_PARITY_CASES = {
     "malformed-line": ("0 1\n1 x\n", 2),
     "three-tokens": ("# n=4\n0 1\n\n1 2 3\n", 4),
     "negative-id": ("0 1\n1 -2\n", 2),
+    "crlf": ("# n=6\r\n0 1\r\n1 2\r\n\r\n0 2\r\n2 3\r\n", None),
+    "lone-cr": ("# n=5\r0 1\r1 2\n0 2\r\r2 3\n3 4\r", None),
+    "lone-cr-then-malformed": ("0 1\n1 2\r0 2\n1 x\n", 4),
+    "tabs": ("0\t1\n\t1 \t2\t\n\n0\t\t2\n", None),
+    "unicode-whitespace": ("0 1\n1\x0b2\n0\x0c2\n2\xa03\n3\u20034\n1\u30003\n", None),
+    "line-separators-are-whitespace": ("0 1\n1\x1c2\n0\x852\n2\u20283\n", None),
+    "eighteen-digit-ids": ("# n=4\n000000000000000000 000000000000000001\n000000000000000001 2\n", None),
+    "nineteen-digit-ids": ("# n=4\n0 1\n0000000000000000001 2\n3 0000000000000000002\n", None),
+    "zero-padded-ids": ("00 01\n0000000000000000000000001 2\n002 0\n", None),
+    "big-ids": ("# n=5\n0 1\n999999999999999999 0\n", ParseError),
+    "nineteen-digits-beyond-int64": ("0 1\n1 2\n9999999999999999999 0\n", 3),
+    "utf8-bom": ("\ufeff0 1\n1 2\n", 1),
+    "no-final-newline": ("0 1\n1 2\n0 2\n2 3", None),
+    "header-only": ("# n=5\n", EMPTY),
+    "late-header-after-plain-lines": ("# n=12\n0 1\n1 2\n0 2\n2 3\n3 4\n4 5\n5 6\n# n=12\n6 7\n", 9),
+    "malformed-after-plain-lines": ("# n=12\n0 1\n1 2\n0 2\n2 3\n3 4\n4 5\n5 6\n6 7 8\n", 9),
+    "invalid-utf8-after-plain-lines": (b"0 1\n1 2\n0 2\n2 3\n3 4\n4 5\n5 \xff6\n", UnicodeDecodeError),
 }
 
 
-@pytest.mark.parametrize("text, error_line", READER_PARITY_CASES.values(), ids=READER_PARITY_CASES)
-def test_file_and_stream_readers_agree(tmp_path, text, error_line):
+def _edge_file(tmp_path, data):
     path = tmp_path / "g.edges"
-    path.write_text(text)
-    if error_line is not None:
-        with pytest.raises(ParseError, match=f"^line {error_line}:"):
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    return path
+
+
+def _raises(expect):
+    if isinstance(expect, int):
+        return pytest.raises(ParseError, match=f"^line {expect}:")
+    return pytest.raises(expect)
+
+
+@pytest.mark.parametrize("text, expect", READER_PARITY_CASES.values(), ids=READER_PARITY_CASES)
+def test_file_and_stream_readers_agree(tmp_path, text, expect):
+    path = _edge_file(tmp_path, text)
+    if expect is EMPTY:
+        with pytest.raises(ParseError, match="empty input"):
             load_edge_list(path)
+        assert list(stream_pairs(FileEdgeStream(path))) == []
+        return
+    if expect is not None:
+        with _raises(expect):
+            load_edge_list(path)
+        if expect is ParseError:  # a load-only check, such as the declared universe
+            return
         for block in (1, 3, 4096):
             with patch.object(streaming, "_STREAM_BLOCK", block):
-                with pytest.raises(ParseError, match=f"^line {error_line}:"):
+                with _raises(expect):
                     stream_estimate(FileEdgeStream(path), 8, seed=3)
         return
     g = load_edge_list(path)
@@ -277,3 +370,87 @@ def test_file_and_stream_readers_agree(tmp_path, text, error_line):
                 run = stream_estimate(FileEdgeStream(path), 8, seed=seed)
                 assert run.state.n == g.n
                 assert run.estimate == estimate(g, "qopt-uniform", 8, seed=seed)
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the type and message of what it raises.
+    A decoding error is compared by type: its byte offsets count from
+    wherever the reader's buffer began."""
+    try:
+        return read()
+    except UnicodeDecodeError:
+        return UnicodeDecodeError
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _stream_read(source):
+    """A file stream's header count and its pass cut into blocks of two edges."""
+    return source.declared_n, [block.tolist() for block in source.blocks(2)]
+
+
+@pytest.mark.parametrize("text, expect", READER_PARITY_CASES.values(), ids=READER_PARITY_CASES)
+def test_every_chunk_cut_reads_as_the_line_reader(tmp_path, text, expect):
+    path = _edge_file(tmp_path, text)
+
+    def by_lines():  # a text-mode read through the line grammar
+        with open(path, encoding="utf-8") as fh:
+            records = _edge_records(fh)
+            declared_n = next(records)
+            pairs = [list(e) for e in records]
+        return declared_n, [pairs[lo : lo + 2] for lo in range(0, len(pairs), 2)]
+
+    def load_by_lines():
+        with open(path, encoding="utf-8") as fh:
+            return load_edge_list(fh)
+
+    want_graph, want_stream = _outcome(load_by_lines), _outcome(by_lines)
+    assert (want_graph is UnicodeDecodeError) == (expect is UnicodeDecodeError)
+    for size in range(1, path.stat().st_size + 1):
+        with patch.object(graph, "_CHUNK_BYTES", size):
+            assert _outcome(lambda: load_edge_list(path)) == want_graph, size
+            assert _outcome(lambda: _stream_read(FileEdgeStream(path))) == want_stream, size
+
+
+# Inputs with two faults at once: the error named first is pinned, so that
+# the order in which the graph builders check their input stays as it is.
+FROM_EDGES_FIRST_FAULT = {
+    "duplicate-then-out-of-range": ([(0, 1), (1, 0), (0, 5)], 3, "duplicate"),
+    "out-of-range-then-duplicate": ([(0, 5), (1, 0), (0, 1)], 3, "duplicate"),
+    "out-of-range-whose-key-collides": ([(0, 2), (1, 0)], 2, "out of declared range"),
+    "duplicate-far-out-of-range": ([(0, 2**62), (2**62, 0)], 3, "duplicate"),
+    "self-loop-then-negative": ([(1, 1), (0, -1)], None, r"self-loop \(1,1\)"),
+    "negative-then-self-loop": ([(0, -1), (1, 1)], None, "nonnegative"),
+    "self-loop-out-of-range": ([(0, 1), (5, 5)], 3, r"self-loop \(5,5\)"),
+    "cap-and-duplicate": ([(0, 1), (1, 0)], 3_037_000_500, "exceed the limit"),
+    "cap-by-max-id-and-duplicate": ([(0, 3_037_000_499), (3_037_000_499, 0)], None, "exceed the limit"),
+    "cap-and-out-of-range": ([(0, 2**62)], 3_037_000_500, "exceed the limit"),
+}
+
+
+@pytest.mark.parametrize("edges, n, message", FROM_EDGES_FIRST_FAULT.values(), ids=FROM_EDGES_FIRST_FAULT)
+def test_from_edges_names_the_first_of_two_faults(edges, n, message):
+    with pytest.raises(ValueError, match=message):
+        Graph.from_edges(edges, n=n)
+    with pytest.raises(ValueError, match=message):
+        Graph.from_edges(np.array(edges, dtype=np.int64), n=n)
+
+
+LOAD_FIRST_FAULT = {
+    "duplicate-and-out-of-range": (["# n=3", "0 1", "1 0", "0 5"], ParseError, "vertex id 5 exceeds declared universe n=3"),
+    "self-loop-and-negative": (["1 1", "0 -1"], ParseError, "^line 2: vertex ids must be nonnegative"),
+    "negative-and-self-loop": (["0 -1", "1 1"], ParseError, "^line 1: vertex ids must be nonnegative"),
+    "cap-by-max-id-and-duplicate": (["3037000499 0", "0 3037000499"], ValueError, "n=3037000500 vertices exceed the limit"),
+    "cap-by-header-and-duplicate": (["# n=3037000500", "0 1", "1 0"], ValueError, "n=3037000500 vertices exceed the limit"),
+    "cap-by-header-and-out-of-range": (["# n=3037000500", "0 3037000500"], ParseError, "exceeds declared universe"),
+}
+
+
+@pytest.mark.parametrize("lines, error, message", LOAD_FIRST_FAULT.values(), ids=LOAD_FIRST_FAULT)
+def test_load_names_the_first_of_two_faults(tmp_path, lines, error, message):
+    path = tmp_path / "g.edges"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for source in (lines, path):
+        with pytest.raises(error, match=message) as caught:
+            load_edge_list(source)
+        assert type(caught.value) is error

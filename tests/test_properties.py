@@ -27,6 +27,7 @@ from trisample import (  # noqa: E402
     streaming,
     write_edge_list,
 )
+from trisample.graph import _edge_records, _file_arrays  # noqa: E402
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 BLOCKS = st.sampled_from([1, 2, 3, 7, 4096])
@@ -81,3 +82,52 @@ def test_write_then_load_round_trips(graph):
     assert back.n == g.n
     assert np.array_equal(back.indptr, g.indptr)
     assert np.array_equal(back.indices, g.indices)
+
+
+# Edge-list-like text over digits, blanks, line ends, comment marks, "-",
+# "n=" and "x": edge records (some with ids longer than the array path's
+# 18 digits), headers and comments, and in half the texts one line of junk.
+_ID = st.sampled_from(["0", "1", "2", "7", "10", "000000000000000003", "999999999999999999", "0000000000000000001"])
+_BLANK = st.sampled_from(["", " ", "\t", " \t "])
+_EDGE_LINE = st.tuples(_BLANK, _ID, st.sampled_from([" ", "\t", "  "]), _ID, _BLANK).map("".join)
+_OTHER_LINE = st.sampled_from(["", "# c", "% c", "# n=5", "%n=12"])
+_LINE = st.integers(0, 9).flatmap(lambda k: _OTHER_LINE if k == 9 else _EDGE_LINE)  # 9 in 10 are edges
+_JUNK_LINE = st.lists(st.sampled_from(["0", "1", "9", " ", "\t", "#", "%", "-", "n=", "x"]), max_size=8).map("".join)
+_END = st.sampled_from(["\n"] * 8 + ["\r\n", "\r"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = draw(st.lists(_LINE, max_size=16))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_JUNK_LINE))
+    ends = draw(st.lists(_END, min_size=len(lines), max_size=len(lines)))
+    last = draw(st.sampled_from(["", "0 1"]))  # a last line without a line end
+    return "".join(line + end for line, end in zip(lines, ends)) + last
+
+
+def _outcome(read, data):
+    """The header count and edge records ``read`` finds in ``data``, or
+    the type and message of its error."""
+    try:
+        return read(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _by_lines(data):
+    records = _edge_records(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    return next(records), [tuple(e) for e in records]
+
+
+def _by_chunks(data):
+    arrays = _file_arrays(io.BytesIO(data))
+    return next(arrays), [tuple(e) for pairs in arrays for e in pairs.tolist()]
+
+
+@SETTINGS
+@given(edge_list_texts(), st.integers(1, 64))
+def test_array_reader_agrees_with_the_line_grammar(text, chunk):
+    data = text.encode("ascii")
+    with patch("trisample.graph._CHUNK_BYTES", chunk):
+        assert _outcome(_by_chunks, data) == _outcome(_by_lines, data)
