@@ -1,4 +1,4 @@
-"""Simple undirected graphs in compressed adjacency form, plus edge streams.
+r"""Simple undirected graphs in compressed adjacency form, plus edge streams.
 
 The graph is immutable after construction: vertex ids are dense
 ``0..n-1``, adjacency is stored CSR-style (``indptr``/``indices``) with
@@ -14,10 +14,10 @@ yields a pass as blocks, and :meth:`Graph.edge_array` gives all edges.
 
 Edge-list files are read in byte chunks of 1 MiB, each read on to the
 end of its last line.  A chunk of plain lines (ASCII digits, spaces,
-tabs and newlines; every non-blank line two ids of at most 18 digits)
-is parsed with array operations.  The lines up to the first edge, and
-any other chunk, go through the per-line grammar of
-:func:`_edge_records`, which text sources use throughout.  So the
+tabs and ``\n`` or ``\r\n`` line ends; every non-blank line two ids
+of at most 18 digits) is parsed with array operations.  The lines up
+to the first edge, and any other chunk, go through the per-line grammar
+of :func:`_edge_records`, which text sources use throughout.  So the
 grammar, and the line number of every error, do not depend on how a
 file is read.
 """
@@ -90,14 +90,10 @@ class Graph:
             if len(np.unique(np.sort(und, axis=1), axis=0)) < m:
                 raise ValueError("duplicate undirected edges not allowed")
             raise ValueError(f"vertex id {max_id} out of declared range n={n}")
-        u, v = und[:, 0], und[:, 1]
-        keys = np.sort(np.concatenate([u * n + v, v * n + u]))  # both orientations, CSR order
+        keys = _pair_keys(und[:, 0], und[:, 1], n)
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate undirected edges not allowed")
-        rows, indices = np.divmod(keys, n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(n=n, m=m, indptr=indptr, indices=indices)
+        return _from_keys(keys, n)
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -150,6 +146,23 @@ class Graph:
 def _check_universe(n: int) -> None:
     if n > _MAX_N:
         raise ValueError(f"n={n} vertices exceed the limit of {_MAX_N} (edge keys would overflow int64)")
+
+
+def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The keys ``u * n + v`` and ``v * n + u`` of the edges (u, v), sorted
+    into CSR order.  Ids must lie in ``[0, n)``, so the keys fit an int64."""
+    keys = np.concatenate([u * n + v, v * n + u])
+    keys.sort()
+    return keys
+
+
+def _from_keys(keys: np.ndarray, n: int) -> Graph:
+    """The graph whose ordered pairs (i, j) have the keys ``i * n + j`` in
+    ``keys``: sorted, without repeats, both orientations of every edge."""
+    rows, indices = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Graph(n=n, m=len(keys) // 2, indptr=indptr, indices=indices)
 
 
 def _edge_pairs(edges) -> np.ndarray:
@@ -317,16 +330,21 @@ def _text_lines(chunk: bytes) -> list[str]:
 
 
 def _plain_ids(chunk: bytes) -> int | None:
-    """The number of ids in a chunk of plain lines, or None if it is not one.
+    r"""The number of ids in a chunk of plain lines, or None if it is not one.
 
-    Plain means: only ASCII digits, spaces, tabs and newlines, and each
-    non-blank line two ids of at most 18 digits.  Such lines are edge
-    records whatever their place in the file, and their ids fit an int64.
+    Plain means: only ASCII digits, spaces, tabs, ``\n`` and a ``\r``
+    right before a ``\n``, and each non-blank line two ids of at most 18
+    digits.  Such lines are edge records whatever their place in the file,
+    and their ids fit an int64.  A lone ``\r`` ends a line in text mode,
+    so it is not plain.
     """
     b = np.frombuffer(chunk, dtype=np.uint8)
     digit = (b - 48) < 10  # wraps below "0"
     newline = b == 10
-    if not (digit | newline | (b == 32) | (b == 9)).all():
+    plain = digit | newline | (b == 32) | (b == 9)
+    if b"\r" in chunk:  # np.fromstring reads the \r of a \r\n as a blank
+        plain |= (b == 13) & np.append(newline[1:], False)
+    if not plain.all():
         return None
     bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
     starts, ends = bounds[0::2], bounds[1::2]  # digit runs: the ids
@@ -356,21 +374,22 @@ def load_edge_list(source) -> Graph:
     pairs = np.concatenate([np.empty((0, 2), dtype=np.int64), *arrays])
     if not len(pairs):
         raise ParseError("empty input: no edge records")
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    max_id = int(hi.max())
+    max_id = int(pairs.max())
     n = declared_n if declared_n is not None else max_id + 1
     if max_id >= n:
         raise ParseError(f"vertex id {max_id} exceeds declared universe n={n}")
     _check_universe(n)
-    loops = lo == hi
-    keys = np.sort(lo[~loops] * n + hi[~loops])
-    fresh = np.diff(keys, prepend=-1) > 0  # keys are nonnegative
+    u, v = pairs[:, 0], pairs[:, 1]
+    loops = u == v
     if loops.any():
         log.warning("dropped %d self-loop(s)", loops.sum())
+        u, v = u[~loops], v[~loops]
+    keys = _pair_keys(u, v, n)
+    fresh = np.diff(keys, prepend=-1) > 0  # keys are nonnegative
     if not fresh.all():
-        log.warning("dropped %d duplicate edge(s)", len(keys) - fresh.sum())
-    return Graph.from_edges(np.stack(np.divmod(keys[fresh], n), axis=1), n=n)
+        keys = keys[fresh]  # a repeated edge repeats in both orientations
+        log.warning("dropped %d duplicate edge(s)", (len(fresh) - len(keys)) // 2)
+    return _from_keys(keys, n)
 
 
 def write_edge_list(g: Graph, sink) -> None:

@@ -110,11 +110,14 @@ class SamplerSpec:
 def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) -> SamplerSpec:
     """Precompute the tables a strategy needs and return its spec.
 
-    "optimal" requires the exact profile of a graph with at least one
-    triangle; the degree-weighted kinds require at least one edge.
+    Every kind requires at least one vertex.  "optimal" requires the
+    exact profile of a graph with at least one triangle; the
+    degree-weighted kinds require at least one edge.
     """
     if kind not in SAMPLER_KINDS:
         raise ValueError(f"unknown sampler kind {kind!r}; choose from {SAMPLER_KINDS}")
+    if g.n == 0:
+        raise ValueError(f"{kind} sampling is undefined on a graph with no vertices")
     if kind == OPTIMAL:
         if oracle is None:
             raise ValueError("optimal sampling requires the exact triangle profile")

@@ -146,9 +146,11 @@ def pass1_neighborhoods(
 
     Each block of edges is handled with array operations: its
     incidences at sampled vertices are listed in stream order (edge,
-    then the direction u->v before v->u, then the slot), checked for
-    bits already set or repeated within the block, and set at once.
-    The first error raised is the one an edge-by-edge pass would raise.
+    then the direction u->v before v->u), checked for bits already set
+    or repeated within the block, and set at once.  The first error
+    raised is the one an edge-by-edge pass would raise.  A vertex sampled
+    more than once is marked in its first slot only, and its other rows
+    are copied from that one after the pass.
     """
     sampled = [int(i) for i in sampled]
     for i in sampled:
@@ -163,11 +165,11 @@ def pass1_neighborhoods(
         vertex_count=np.zeros(s, dtype=np.int64),
     )
     bits = state.neighbor_bits
-    ids = np.array(sampled, dtype=np.int64)
-    slot_order = np.argsort(ids, kind="stable")  # a vertex's slots stay ascending
-    sorted_ids = ids[slot_order]
-    is_sampled = np.zeros(n, dtype=bool)
-    is_sampled[ids] = True
+    ids, first, inverse = np.unique(
+        np.array(sampled, dtype=np.int64), return_index=True, return_inverse=True
+    )
+    slot_of = np.full(n, -1, dtype=np.int64)  # a sampled vertex's first slot
+    slot_of[ids] = first
     seen: set[tuple[int, int]] | None = set() if strict else None
     for block in _edge_blocks(source, n):
         state.m += len(block)
@@ -181,26 +183,23 @@ def pass1_neighborhoods(
                 seen.add(key)
         # incidence k of the block: vertex ends[k] sees neighbour others[k]
         ends, others = block.ravel(), block[:, ::-1].ravel()
-        at = np.flatnonzero(is_sampled[ends])
-        at_ids = ends[at]
-        first = np.searchsorted(sorted_ids, at_ids, side="left")
-        count = np.searchsorted(sorted_ids, at_ids, side="right") - first
-        # one row per (incidence, slot of its vertex), slots ascending
-        inc = np.repeat(np.arange(len(at)), count)
-        rank = np.arange(len(inc)) - np.repeat(np.cumsum(count) - count, count)
-        slot = slot_order[first[inc] + rank]
-        other = others[at[inc]]
+        slot = slot_of[ends]
+        at = np.flatnonzero(slot >= 0)
+        slot, other = slot[at], others[at]
         byte, mask = other >> 3, (1 << (other & 7)).astype(np.uint8)
-        dup = np.ones(len(slot), dtype=bool)  # set by an earlier row of the block...
+        dup = np.ones(len(slot), dtype=bool)  # set by an earlier incidence of the block...
         dup[np.unique(slot * n + other, return_index=True)[1]] = False
         dup |= (bits[slot, byte] & mask) != 0  # ...or by an earlier block
         if dup.any():
-            k = at[inc[int(dup.argmax())]]
+            k = at[int(dup.argmax())]
             u, v = block[k >> 1].tolist()
             raise StreamFormatError(
                 f"duplicate edge {{{u},{v}}} detected at sampled vertex {int(ends[k])}"
             )
         np.bitwise_or.at(bits, (slot, byte), mask)
+    marked = first[inverse]  # the row each sampled vertex was marked in
+    copies = np.flatnonzero(marked != np.arange(s))
+    bits[copies] = bits[marked[copies]]
     return state
 
 

@@ -21,7 +21,7 @@ from trisample import (
 )
 
 from conftest import gnp_graph, stream_pairs
-from trisample.graph import _edge_records
+from trisample.graph import _edge_records, _plain_ids
 from trial_reference import has_edge
 
 
@@ -41,6 +41,13 @@ def test_load_drops_duplicates_and_self_loops(caplog):
     messages = " ".join(rec.getMessage() for rec in caplog.records)
     assert "1 self-loop" in messages
     assert "1 duplicate" in messages
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="trisample.graph"):
+        g = load_edge_list(["0 1", "1 0", "2 2", "1 2", "0 1", "3 3", "2 1", "1 0"])
+    assert g == Graph.from_edges([(0, 1), (1, 2)], n=4)
+    messages = " ".join(rec.getMessage() for rec in caplog.records)
+    assert "2 self-loop" in messages
+    assert "4 duplicate" in messages
 
 
 def test_load_paw():
@@ -293,6 +300,16 @@ def test_abandoned_file_passes_close_their_file(tmp_path):
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert src.passes == 0
+
+
+def test_plain_chunks_may_end_their_lines_with_crlf():
+    assert _plain_ids(b"1 2\n3 4\n") == 4
+    assert _plain_ids(b"1 2\r\n3 4\r\n") == 4
+    assert _plain_ids(b"1 2\r\n\r\n3\t4 \r\n") == 4
+    # a lone \r ends a line in text mode, so these take the line path
+    assert _plain_ids(b"1 2\r3 4\n") is None
+    assert _plain_ids(b"1 2\r\r\n") is None
+    assert _plain_ids(b"1 2\n3 4\r") is None
 
 
 # Every text below goes through both readers.  Accepted texts (expect None)

@@ -1,6 +1,6 @@
 """Property tests over random graphs, stream orders, seeds and block sizes.
 
-hypothesis is not a declared dependency, so the module is skipped where
+hypothesis comes with the ``test`` extra; the module is skipped where
 it is missing.  Examples are derandomized and capped, so every run checks
 the same inputs in a few seconds.
 """
@@ -17,6 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from trisample import (  # noqa: E402
     Graph,
+    graph as graph_module,
     MemoryEdgeStream,
     count_exact,
     estimate,
@@ -82,6 +83,26 @@ def test_write_then_load_round_trips(graph):
     assert back.n == g.n
     assert np.array_equal(back.indptr, g.indptr)
     assert np.array_equal(back.indices, g.indices)
+
+
+@SETTINGS
+@given(streams(), st.data())
+def test_load_drops_exactly_the_extra_copies_and_the_loops(graph, data):
+    n, edges = graph
+    copies = data.draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
+    loops = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    rows = [(u, v) for (u, v), c in zip(edges, copies) for _ in range(c)]
+    rows = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in rows]
+    rows = data.draw(st.permutations(rows + [(i, i) for i in loops]))
+    with patch.object(graph_module.log, "warning") as warning:
+        g = load_edge_list([f"# n={n}", *(f"{u} {v}" for u, v in rows)])
+    assert g == Graph.from_edges(edges, n=n)
+    logged = [call.args[0] % call.args[1:] for call in warning.call_args_list]
+    extra = sum(copies) - len(edges)
+    assert logged == [
+        *([f"dropped {len(loops)} self-loop(s)"] if loops else []),
+        *([f"dropped {extra} duplicate edge(s)"] if extra else []),
+    ]
 
 
 # Edge-list-like text over digits, blanks, line ends, comment marks, "-",

@@ -8,6 +8,7 @@ from trisample import (
     SAMPLER_KINDS,
     build_sampler,
     count_exact,
+    estimate,
     seed_streams,
     variance_from_probabilities,
 )
@@ -53,6 +54,15 @@ def test_build_errors(path3):
             build_sampler(edgeless, kind)
     with pytest.raises(ValueError, match="unknown sampler"):
         build_sampler(path3, "doulion")
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_a_graph_without_vertices_is_refused(kind):
+    empty = Graph.from_edges([])
+    with pytest.raises(ValueError, match=f"^{kind} sampling is undefined on a graph with no vertices"):
+        build_sampler(empty, kind, count_exact(empty))
+    with pytest.raises(ValueError, match="no vertices"):
+        estimate(empty, kind, 3)
 
 
 def _reachable(spec, i):
