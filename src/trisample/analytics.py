@@ -8,7 +8,11 @@ The variance of a single trial under first/second-stage probabilities
 summed over ordered pairs with T_{ij} > 0; the variance of the mean of
 ``s`` trials is that divided by s.  Each built-in strategy also has a
 specialized closed form, and the two must agree; both are exposed so
-they can be checked against each other.
+they can be checked against each other.  Both read the profile's arrays:
+the generic sum is one float64 array expression over the strategy's
+``p_of`` and ``q_of``, and the closed forms accumulate in Python
+integers and divide once, exactly, so their single-trial variance is
+correctly rounded.
 
 Sample-size planning inverts the exponential tail bound
 exp(-eps^2 s avg / (2 ub)) <= n^(-c) for the smallest integer s, where
@@ -19,7 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 from .exact import TriangleProfile
 from .graph import Graph
@@ -67,69 +74,84 @@ class ChernoffPlan:
 
 def variance_from_probabilities(
     profile: TriangleProfile,
-    p_of: Callable[[int], float],
-    q_of: Callable[[int, int], float],
+    p_of: Callable[[np.ndarray], np.ndarray | float],
+    q_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
     s: int = 1,
 ) -> float:
-    """Evaluate the generic variance sum for arbitrary (p, q) accessors.
+    """Evaluate the generic variance sum for arbitrary (p, q) array accessors.
 
-    Every ordered pair with a positive local count must have positive
-    draw probability, otherwise the estimator the probabilities describe
-    is not even unbiased and the sum is meaningless.
+    ``p_of(a)`` gives the first-stage probabilities of a vertex array and
+    ``q_of(a, b)`` the conditional probabilities of the pairs (a_t, b_t),
+    as :meth:`SamplerSpec.p_of` and :meth:`SamplerSpec.q_of` do.  Every
+    ordered pair with a positive local count must have positive draw
+    probability, otherwise the estimator the probabilities describe is
+    not even unbiased and the sum is meaningless; the error names the
+    first such pair, edges in lexicographic order and (i, j) before
+    (j, i).
     """
     if s < 1:
         raise ValueError("trial count must be at least 1")
-    acc = 0.0
-    for (i, j), c in profile.per_edge.items():
-        if c == 0:
-            continue
-        for a, b in ((i, j), (j, i)):
-            pq = p_of(a) * q_of(a, b)
-            if pq <= 0.0:
-                raise ValueError(
-                    f"support violation: pair ({a},{b}) has local count {c} "
-                    "but zero draw probability"
-                )
-            acc += (c * c) / pq
+    live = np.flatnonzero(profile.edge_counts)
+    c = profile.edge_counts[live]
+    i, j = profile.edges[live].T
+    # Every (i, j) with i < j, then every (j, i): each half probes the
+    # sorted edge keys in ascending order.
+    a, b = np.concatenate([i, j]), np.concatenate([j, i])
+    pq = (p_of(a) * q_of(a, b)).reshape(2, -1)
+    bad = pq <= 0.0
+    if bad.any():
+        k = int(bad.any(axis=0).argmax())
+        pair = (i[k], j[k]) if bad[0, k] else (j[k], i[k])
+        raise ValueError(
+            f"support violation: pair ({pair[0]},{pair[1]}) has local count {c[k]} "
+            "but zero draw probability"
+        )
+    acc = float(np.sum(np.square(c, dtype=np.float64) / pq))
     return (acc / 36.0 - profile.total**2) / s
 
 
 def variance_generic(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) -> float:
     """Generic variance sum evaluated with the strategy's own accessors."""
     spec = build_sampler(g, kind, profile)
-    return variance_from_probabilities(profile, spec.p, spec.q, s)
+    return variance_from_probabilities(profile, spec.p_of, spec.q_of, s)
 
 
 def variance_closed_form(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) -> float:
-    """Specialized variance formula for each built-in strategy."""
+    """Specialized variance formula for each built-in strategy.
+
+    The sums run in Python integers and the one division is exact, so
+    the single-trial variance is correctly rounded: exactly 0.0 where it
+    is 0.  The variance of ``s`` trials is that float divided by ``s``.
+    """
     if s < 1:
         raise ValueError("trial count must be at least 1")
     if kind not in SAMPLER_KINDS:
         raise ValueError(f"unknown sampler kind {kind!r}; choose from {SAMPLER_KINDS}")
-    total_sq = float(profile.total**2)
     if kind == OPTIMAL:
         return 0.0
+    t_sq = profile.total**2
     if kind == QOPT_UNIFORM:
-        acc = sum(int(d) ** 2 for d in profile.per_vertex)
-        return (g.n / 9.0 * acc - total_sq) / s
+        tri = profile.per_vertex.astype(object)
+        return float(Fraction(g.n * int(np.dot(tri, tri)) - 9 * t_sq, 9)) / s
     if kind == QOPT_DEGREE:
-        degrees = g.degrees
-        acc = 0.0
-        for i in range(g.n):
-            d_i = int(profile.per_vertex[i])
-            if d_i:
-                acc += d_i * d_i / int(degrees[i])
-        return (2.0 * g.m / 9.0 * acc - total_sq) / s
-    sq_by_vertex = [0] * g.n
-    for (i, j), c in profile.per_edge.items():
-        sq_by_vertex[i] += c * c
-        sq_by_vertex[j] += c * c
+        # sum of T_i^2 / deg(i), with one fraction per distinct degree
+        live = np.flatnonzero(profile.per_vertex)
+        live = live[np.argsort(g.degrees[live])]
+        deg = g.degrees[live]
+        starts = np.flatnonzero(np.diff(deg, prepend=-1))
+        tri = profile.per_vertex[live].astype(object)
+        by_degree = np.add.reduceat(tri * tri, starts)
+        acc = sum(map(Fraction, by_degree.tolist(), deg[starts].tolist()))
+        return float(Fraction(2 * g.m * acc - 9 * t_sq, 9)) / s
+    live = profile.edge_counts > 0
+    sq = profile.edge_counts[live].astype(object) ** 2
     if kind == EDGE_UNIFORM:
-        degrees = g.degrees
-        acc = sum(int(degrees[i]) * sq_by_vertex[i] for i in range(g.n))
-        return (g.n / 36.0 * acc - total_sq) / s
-    acc = sum(sq_by_vertex)  # ordered-pair sum of squared local counts
-    return (g.m / 18.0 * acc - total_sq) / s
+        # sum over ordered pairs of deg(i) T_ij^2: each edge carries deg(i) + deg(j)
+        i, j = profile.edges[live].T
+        acc = int(np.dot(sq, (g.degrees[i] + g.degrees[j]).astype(object)))
+        return float(Fraction(g.n * acc - 36 * t_sq, 36)) / s
+    acc = 2 * int(sq.sum())  # ordered-pair sum of squared local counts
+    return float(Fraction(g.m * acc - 18 * t_sq, 18)) / s
 
 
 def variance_report(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) -> VarianceReport:

@@ -116,8 +116,9 @@ def cmd_exact(args) -> dict:
     profile = count_exact(g)
     result: dict = {"triangles": profile.total}
     if args.profile:
-        result["per_vertex"] = [int(x) for x in profile.per_vertex]
-        result["per_edge"] = [[i, j, c] for (i, j), c in sorted(profile.per_edge.items())]
+        result["per_vertex"] = profile.per_vertex.tolist()
+        # the edges are already in lexicographic order
+        result["per_edge"] = np.column_stack([profile.edges, profile.edge_counts]).tolist()
     elapsed = (time.perf_counter() - t0) * 1000.0
     return _report("exact", _digest(args.file, g), result, elapsed)
 

@@ -3,12 +3,15 @@
 Counts the total number of triangles together with the per-vertex and
 per-edge local counts; every randomized estimator in this package is
 tested against these numbers.  The per-edge counts come from the same
-common-neighbour kernel that the edge samplers use for their trials.
+common-neighbour kernel that the edge samplers use for their trials, and
+are kept as an int64 array aligned with :meth:`Graph.edge_array`, so the
+analytics reduce them with array operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -17,26 +20,60 @@ import numpy as np
 from .graph import Graph
 
 
+def _lookup(keys: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each entry of ``probe`` sits in the ascending ``keys``, and
+    whether it is there."""
+    at = keys.searchsorted(probe)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == probe[hit]
+    return at, hit
+
+
 @dataclass(frozen=True, eq=False)
 class TriangleProfile:
     """Exact local-triangle structure of a graph.
 
-    ``total`` is the triangle count; ``per_vertex[i]`` counts triangles
-    incident to vertex ``i``; ``per_edge[(i, j)]`` (keyed with i < j)
-    counts triangles containing edge {i, j}.  The counts are linked by
-    ``total = sum(per_vertex) / 3`` and
-    ``per_vertex[i] = sum_j per_edge[{i,j}] / 2``.
+    ``total`` is the triangle count and ``per_vertex[i]`` counts the
+    triangles incident to vertex ``i``.  ``edges`` holds every edge once,
+    as the rows (i, j) with i < j of an ``(m, 2)`` int64 array in
+    lexicographic order (:meth:`Graph.edge_array`), and
+    ``edge_counts[k]`` counts the triangles containing edge ``edges[k]``.
+    The counts are linked by ``total = sum(per_vertex) / 3`` and
+    ``per_vertex[i] = sum_j T_ij / 2``.  :attr:`per_edge` gives the same
+    per-edge counts as a ``{(i, j): T_ij}`` mapping, built when read.
     """
 
     total: int
     per_vertex: np.ndarray = field(repr=False)
-    per_edge: dict[tuple[int, int], int] = field(repr=False)
+    edges: np.ndarray = field(repr=False)
+    edge_counts: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _upper_keys(self) -> np.ndarray:
+        """``i * n + j`` for every row (i, j) of ``edges``: ascending."""
+        return self.edges[:, 0] * len(self.per_vertex) + self.edges[:, 1]
+
+    def edge_counts_of(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """T_ab for each pair of the equal-length vertex arrays, in either
+        orientation; 0 for pairs that are not edges, ids out of range included."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        n = len(self.per_vertex)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        probe = lo * n + hi
+        at, hit = _lookup(self._upper_keys, probe)
+        hit &= (lo >= 0) & (hi < n)  # an out-of-range pair may share a key with an edge
+        counts = np.zeros(len(probe), dtype=np.int64)
+        counts[hit] = self.edge_counts[at[hit]]
+        return counts
 
     def edge_count(self, i: int, j: int) -> int:
         """Local count of {i, j}; 0 for non-edges (nothing is stored for them)."""
-        if i > j:
-            i, j = j, i
-        return self.per_edge.get((i, j), 0)
+        return int(self.edge_counts_of(np.array([i]), np.array([j]))[0])
+
+    @property
+    def per_edge(self) -> dict[tuple[int, int], int]:
+        """``{(i, j): T_ij}`` for every edge, i < j, in lexicographic order."""
+        return dict(zip(map(tuple, self.edges.tolist()), self.edge_counts.tolist()))
 
     @property
     def max_per_vertex(self) -> int:
@@ -44,7 +81,7 @@ class TriangleProfile:
 
     @property
     def max_per_edge(self) -> int:
-        return max(self.per_edge.values(), default=0)
+        return int(self.edge_counts.max()) if self.edge_counts.size else 0
 
 
 # Adjacency entries gathered into one temporary array by the array counts
@@ -133,21 +170,20 @@ def count_exact(g: Graph) -> TriangleProfile:
     """Exact total, per-vertex, and per-edge triangle counts.
 
     Per-edge counts are |N(i) ∩ N(j)| for every edge i < j, by
-    :func:`common_neighbour_counts` in blocks of ``_EDGE_BLOCK`` edges;
+    :func:`common_neighbour_counts` in blocks of ``_EDGE_BLOCK`` edges,
+    written into one int64 array aligned with :meth:`Graph.edge_array`;
     the vertex and total counts are derived from them.  On small graphs
     (n <= 50) the total is additionally cross-checked by direct triple
     enumeration.
     """
     edges = g.edge_array()
-    ids = np.arange(g.n, dtype=object)  # one int object per vertex, shared by its keys
-    per_edge: dict[tuple[int, int], int] = {}
-    per_vertex = np.zeros(g.n, dtype=np.int64)
+    edge_counts = np.empty(len(edges), dtype=np.int64)
     for lo in range(0, len(edges), _EDGE_BLOCK):
         a, b = edges[lo : lo + _EDGE_BLOCK].T
-        counts = common_neighbour_counts(g, a, b)
-        np.add.at(per_vertex, a, counts)
-        np.add.at(per_vertex, b, counts)
-        per_edge.update(zip(zip(ids[a].tolist(), ids[b].tolist()), counts.tolist()))
+        edge_counts[lo : lo + len(a)] = common_neighbour_counts(g, a, b)
+    per_vertex = np.zeros(g.n, dtype=np.int64)
+    np.add.at(per_vertex, edges[:, 0], edge_counts)
+    np.add.at(per_vertex, edges[:, 1], edge_counts)
     if np.any(per_vertex % 2):
         raise AssertionError("local vertex counts must be even before halving")
     per_vertex //= 2
@@ -157,4 +193,4 @@ def count_exact(g: Graph) -> TriangleProfile:
     total = vertex_sum // 3
     if g.n <= 50 and _brute_force_total(g) != total:
         raise AssertionError("intersection count disagrees with triple enumeration")
-    return TriangleProfile(total=total, per_vertex=per_vertex, per_edge=per_edge)
+    return TriangleProfile(total=total, per_vertex=per_vertex, edges=edges, edge_counts=edge_counts)

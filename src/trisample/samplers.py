@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import TriangleProfile, common_neighbour_counts, neighbour_local_counts
+from .exact import TriangleProfile, _lookup, common_neighbour_counts, neighbour_local_counts
 from .graph import Graph
 
 OPTIMAL = "optimal"
@@ -54,7 +54,8 @@ class SamplerSpec:
     """A built sampling strategy bound to a graph.
 
     Immutable after construction; exposes exact probability accessors
-    ``p(i)`` and ``q(i, j)`` alongside the drawing machinery.
+    ``p(i)`` and ``q(i, j)``, and their array forms ``p_of`` and
+    ``q_of``, alongside the drawing machinery.
     """
 
     kind: str
@@ -84,27 +85,39 @@ class SamplerSpec:
         For a degenerate first-stage vertex the conditional distribution
         is undefined and every value reports as 0.
         """
+        return float(self.q_of(np.array([i]), np.array([j]))[0])
+
+    def q_of(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Conditional probabilities q_{b_t|a_t} of the equal-length vertex
+        arrays, each equal to ``q``'s.
+
+        Without a profile, the qopt kinds count the local triangles of
+        each distinct vertex of ``a`` here.
+        """
         g = self.graph
-        g._check_id(i)
-        g._check_id(j)
-        if self.kind in _Q_OPTIMAL_KINDS:
-            if self.profile is not None:
-                delta_i = int(self.profile.per_vertex[i])
-                delta_ij = self.profile.edge_count(i, j)
-            else:
-                weights = neighbour_local_counts(g, i)
-                delta_i = int(weights.sum()) // 2
-                nb = g.neighbors(i)
-                k = int(np.searchsorted(nb, j))
-                delta_ij = int(weights[k]) if k < len(nb) and nb[k] == j else 0
-            if delta_i == 0:
-                return 0.0
-            return delta_ij / (2 * delta_i)
-        nb = g.neighbors(i)
-        k = int(nb.searchsorted(j))
-        if k < len(nb) and nb[k] == j:
-            return 1.0 / len(nb)
-        return 0.0
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if ((a < 0) | (a >= g.n) | (b < 0) | (b >= g.n)).any():
+            raise IndexError(f"vertex ids out of range [0,{g.n})")
+        if self.kind not in _Q_OPTIMAL_KINDS:
+            _, adjacent = _lookup(g.edge_keys, a * g.n + b)
+            return np.divide(1.0, g.degrees[a], out=np.zeros(len(a)), where=adjacent)
+        if self.profile is not None:
+            delta_i = self.profile.per_vertex[a]
+            delta_ij = self.profile.edge_counts_of(a, b)
+        else:
+            delta_i = np.zeros(len(a), dtype=np.int64)
+            delta_ij = np.zeros(len(a), dtype=np.int64)
+            mask = np.zeros(g.n, dtype=bool)
+            for v in np.unique(a).tolist():
+                nb = g.neighbors(v)
+                if len(nb) == 0:
+                    continue
+                rows = a == v
+                weights = neighbour_local_counts(g, v, mask)
+                k = np.minimum(nb.searchsorted(b[rows]), len(nb) - 1)
+                delta_i[rows] = weights.sum() // 2
+                delta_ij[rows] = np.where(nb[k] == b[rows], weights[k], 0)
+        return np.divide(delta_ij, 2 * delta_i, out=np.zeros(len(a)), where=delta_i > 0)
 
 
 def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) -> SamplerSpec:

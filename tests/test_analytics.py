@@ -1,21 +1,28 @@
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from trisample import (
     SAMPLER_KINDS,
+    Graph,
+    TriangleProfile,
+    build_sampler,
     chernoff_sample_size,
     count_exact,
     make_plan,
     plan_from_profile,
     scaled_trial_statistic,
     variance_closed_form,
+    variance_from_probabilities,
     variance_generic,
     variance_report,
 )
 
-from conftest import gnp_graph
+from conftest import PAW_EDGES, gnp_edges, gnp_graph
+from variance_reference import variance_loop
 
 
 def test_variance_examples_on_paw(paw):
@@ -56,6 +63,103 @@ def test_closed_form_agrees_with_generic_on_random_graphs():
             assert closed == pytest.approx(generic, rel=1e-9, abs=1e-9), kind
             checked += 1
     assert checked >= 60
+
+
+def _hub_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
+    """G(n, p) plus a hub joined to a quarter of the other vertices."""
+    edges = set(gnp_edges(n, p, rng))
+    edges |= {(0, int(j)) for j in rng.choice(np.arange(1, n), size=n // 4, replace=False)}
+    return Graph.from_edges(sorted(edges), n=n)
+
+
+def test_array_generic_matches_the_per_pair_loop():
+    rng = np.random.default_rng(67)
+    graphs = [gnp_graph(int(rng.integers(5, 40)), float(rng.uniform(0.1, 0.5)), rng) for _ in range(12)]
+    graphs += [_hub_graph(int(rng.integers(40, 200)), 0.05, rng) for _ in range(4)]
+    checked = 0
+    for g in graphs:
+        prof = count_exact(g)
+        if prof.total == 0:
+            continue
+        for kind in SAMPLER_KINDS:
+            spec = build_sampler(g, kind, prof)
+            for s in (1, 7):
+                want = variance_loop(prof, spec.p, spec.q, s)
+                got = variance_from_probabilities(prof, spec.p_of, spec.q_of, s)
+                # relative to the sum of the terms, (Var + T^2) / s
+                assert abs(got - want) <= 1e-12 * (abs(want) + prof.total**2 / s), (kind, g)
+                assert variance_generic(g, prof, kind, s) == got
+            checked += 1
+    assert checked >= 60
+
+
+def test_a_zero_probability_on_a_counted_pair_names_the_reference_pair():
+    rng = np.random.default_rng(71)
+    g = gnp_graph(14, 0.5, rng)
+    prof = count_exact(g)
+    spec = build_sampler(g, "edge-degree", prof)
+    counted = [e for e, c in prof.per_edge.items() if c]
+    assert len(counted) >= 4
+    (i1, j1), (i2, j2) = counted[1], counted[3]
+    # (j1, i1) comes before (i2, j2) in the reference order; (i1, j1) is fine
+    for zeros in ({(j1, i1)}, {(i2, j2)}, {(i2, j2), (j1, i1)}, {(j2, i2), (i2, j2)}):
+
+        def q(i, j, zeros=zeros):
+            return 0.0 if (i, j) in zeros else spec.q(i, j)
+
+        def q_of(a, b, zeros=zeros):
+            hit = np.array([(x, y) in zeros for x, y in zip(a.tolist(), b.tolist())], dtype=bool)
+            return np.where(hit, 0.0, spec.q_of(a, b))
+
+        with pytest.raises(ValueError, match="support violation") as want:
+            variance_loop(prof, spec.p, q)
+        with pytest.raises(ValueError, match="support violation") as got:
+            variance_from_probabilities(prof, spec.p_of, q_of)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind", ["qopt-uniform", "qopt-degree", "edge-uniform", "edge-degree"])
+def test_closed_forms_are_exactly_zero_on_complete_graphs(kind):
+    for n in range(4, 60):
+        g = Graph.from_edges(combinations(range(n), 2), n=n)
+        prof = count_exact(g)
+        assert variance_closed_form(g, prof, kind, 1) == 0.0, n
+        assert variance_closed_form(g, prof, kind, 3) == 0.0, n
+
+
+def test_closed_forms_are_exact_beyond_int64_squares():
+    g = Graph.from_edges(PAW_EDGES)
+    edges = g.edge_array()
+    counts = [3_400_000_000, 3_000_000_002, 2_900_000_004, 3_600_000_000]
+    twice = [0] * g.n
+    for (i, j), c in zip(edges.tolist(), counts):
+        twice[i] += c
+        twice[j] += c
+    tri = [t // 2 for t in twice]
+    assert max(tri) > 3_100_000_000  # T_i^2 is beyond int64
+    total = sum(tri) // 3
+    prof = TriangleProfile(
+        total=total,
+        per_vertex=np.array(tri, dtype=np.int64),
+        edges=edges,
+        edge_counts=np.array(counts, dtype=np.int64),
+    )
+    deg = g.degrees.tolist()
+    sq = [0] * g.n  # sum over j of T_ij^2
+    for (i, j), c in zip(edges.tolist(), counts):
+        sq[i] += c * c
+        sq[j] += c * c
+    t_sq = Fraction(total * total)
+    want = {
+        "qopt-uniform": Fraction(g.n, 9) * sum(t * t for t in tri) - t_sq,
+        "qopt-degree": Fraction(2 * g.m, 9) * sum(Fraction(t * t, d) for t, d in zip(tri, deg)) - t_sq,
+        "edge-uniform": Fraction(g.n, 36) * sum(d * q for d, q in zip(deg, sq)) - t_sq,
+        "edge-degree": Fraction(g.m, 18) * sum(sq) - t_sq,
+    }
+    for kind, var in want.items():
+        assert var > 0
+        assert variance_closed_form(g, prof, kind, 1) == float(var), kind
+        assert variance_closed_form(g, prof, kind, 5) == float(var) / 5, kind
 
 
 def test_variance_scales_inversely_with_s(paw):

@@ -5,9 +5,13 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
+from trisample import count_exact, load_edge_list, write_edge_list
 from trisample.cli import main
+
+from conftest import gnp_graph
 
 
 @pytest.fixture
@@ -62,6 +66,18 @@ def test_exact_k4_with_profile(capsys, k4_file):
     assert report["result"]["triangles"] == 4
     assert report["result"]["per_vertex"] == [3, 3, 3, 3]
     assert [row[2] for row in report["result"]["per_edge"]] == [2] * 6
+
+
+def test_exact_profile_rows_are_the_sorted_per_edge_mapping(capsys, tmp_path, paw_file, k4_file):
+    rng = np.random.default_rng(73)
+    random_file = tmp_path / "random.edges"
+    write_edge_list(gnp_graph(30, 0.3, rng), str(random_file))
+    for path in (k4_file, paw_file, str(random_file)):
+        rows = run_json(capsys, "exact", path, "--profile")["result"]["per_edge"]
+        prof = count_exact(load_edge_list(path))
+        assert [row[:2] for row in rows] == sorted(row[:2] for row in rows)
+        assert {(i, j): c for i, j, c in rows} == prof.per_edge
+        assert len(rows) == len(prof.per_edge)
 
 
 def test_exact_empty_file_fails(capsys, tmp_path):

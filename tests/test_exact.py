@@ -35,6 +35,9 @@ def test_paw_profile_matches_brute_force(paw):
     assert list(prof.per_vertex) == expected_vertex == [1, 1, 1, 0]
     assert prof.per_edge == expected_edge
     assert prof.edge_count(2, 3) == 0
+    assert prof.edge_count(3, 2) == 0
+    assert prof.edge_count(1, 0) == 1
+    assert prof.edge_count(-1, 5) == prof.edge_count(0, 6) == 0  # the keys of (0, 1) and (1, 2)
 
 
 def test_local_edge_count(k4, paw):

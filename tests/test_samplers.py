@@ -110,6 +110,26 @@ def test_support_covers_all_triangle_pairs():
                 assert spec.p(j) * spec.q(j, i) > 0.0
 
 
+def test_array_accessors_match_the_scalar_ones():
+    rng = np.random.default_rng(43)
+    for _ in range(6):
+        n = int(rng.integers(3, 16))
+        g = gnp_graph(n, 0.4, rng)
+        prof = count_exact(g)
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+        for kind in SAMPLER_KINDS:
+            for oracle in (prof, None):
+                if kind == "optimal" and (oracle is None or prof.total == 0):
+                    continue
+                spec = build_sampler(g, kind, oracle)
+                assert spec.q_of(a, b).tolist() == [spec.q(i, j) for i, j in zip(a.tolist(), b.tolist())]
+                for bad in ([0], [n]), ([-1], [0]):
+                    with pytest.raises(IndexError):
+                        spec.q_of(*map(np.array, bad))
+                p = spec.p_of(a)
+                assert np.broadcast_to(p, a.shape).tolist() == [spec.p(i) for i in a.tolist()]
+
+
 def test_qopt_q_matches_oracle_exactly():
     rng = np.random.default_rng(41)
     g = gnp_graph(18, 0.35, rng)
@@ -210,7 +230,7 @@ def test_empirical_frequencies_match_accessors(paw):
 def test_qopt_second_stage_beats_perturbed_alternatives(paw):
     prof = count_exact(paw)
     spec = build_sampler(paw, "qopt-uniform")
-    best = variance_from_probabilities(prof, spec.p, spec.q)
+    best = variance_from_probabilities(prof, spec.p_of, spec.q_of)
     rng = np.random.default_rng(13)
     support = {
         i: [j for j in range(paw.n) if prof.edge_count(i, j) > 0]
@@ -218,10 +238,12 @@ def test_qopt_second_stage_beats_perturbed_alternatives(paw):
         if prof.per_vertex[i] > 0
     }
     for _ in range(50):
-        tables = {i: dict(zip(js, rng.dirichlet(np.ones(len(js))))) for i, js in support.items()}
+        table = np.zeros((paw.n, paw.n))
+        for i, js in support.items():
+            table[i, js] = rng.dirichlet(np.ones(len(js)))
 
-        def q_alt(i, j, tables=tables):
-            return tables.get(i, {}).get(j, 0.0)
+        def q_alt(a, b, table=table):
+            return table[a, b]
 
-        alt = variance_from_probabilities(prof, spec.p, q_alt)
+        alt = variance_from_probabilities(prof, spec.p_of, q_alt)
         assert best <= alt + 1e-12
