@@ -4,13 +4,18 @@ Every command prints one machine-readable report (JSON by default, TSV on
 request) to stdout; diagnostics go to stderr; the exit code is 0 exactly
 when the command completed.  Randomized commands echo the seed that
 reproduces them.
+
+There is one report path: a ``cmd_*`` handler only loads and computes,
+and returns its input digest, result payload and seed; :func:`main`
+reads the clock around it and wraps every report as ``{command, input,
+result, elapsed_ms, seed}``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import os
 import shutil
 import sys
 import tempfile
@@ -26,10 +31,10 @@ from .analytics import (
     variance_closed_form,
     variance_report,
 )
-from .estimator import estimate
+from .estimator import Estimate, estimate
 from .exact import count_exact
 from .graph import FileEdgeStream, Graph, ParseError, load_edge_list
-from .samplers import SAMPLER_KINDS
+from .samplers import OPTIMAL, SAMPLER_KINDS
 from .streaming import StreamFormatError, stream_estimate
 
 
@@ -66,21 +71,21 @@ def _int_list(text: str) -> list[int]:
     return [_positive_int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _report(command: str, input_digest: dict, result: dict, elapsed_ms: float, seed=None) -> dict:
-    return {
-        "command": command,
-        "input": input_digest,
-        "result": result,
-        "elapsed_ms": elapsed_ms,
-        "seed": seed,
-    }
+def _digest(path: str, g: Graph) -> dict:
+    return {"path": path, "n": g.n, "m": g.m}
 
 
-def _digest(path: str, g: Graph | None) -> dict:
+def _estimate_fields(est: Estimate) -> dict:
+    """The :class:`Estimate` fields that ``estimate`` and ``stream`` report;
+    :func:`main` fills ``elapsed_ms`` with the run's one clock reading."""
     return {
-        "path": path,
-        "n": g.n if g is not None else None,
-        "m": g.m if g is not None else None,
+        "estimate": est.value,
+        "s": est.trials,
+        "sampler": est.kind,
+        "seed": est.seed,
+        "empirical_variance": est.empirical_variance,
+        "degenerate_trials": est.degenerate_trials,
+        "elapsed_ms": None,
     }
 
 
@@ -110,8 +115,7 @@ def emit(report: dict, fmt: str) -> None:
         sys.stdout.write(f"{key}\t{value}\n")
 
 
-def cmd_exact(args) -> dict:
-    t0 = time.perf_counter()
+def cmd_exact(args) -> tuple[dict, dict, int | None]:
     g = load_edge_list(args.file)
     profile = count_exact(g)
     result: dict = {"triangles": profile.total}
@@ -119,33 +123,19 @@ def cmd_exact(args) -> dict:
         result["per_vertex"] = profile.per_vertex.tolist()
         # the edges are already in lexicographic order
         result["per_edge"] = np.column_stack([profile.edges, profile.edge_counts]).tolist()
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return _report("exact", _digest(args.file, g), result, elapsed)
+    return _digest(args.file, g), result, None
 
 
-def cmd_estimate(args) -> dict:
-    t0 = time.perf_counter()
+def cmd_estimate(args) -> tuple[dict, dict, int | None]:
     g = load_edge_list(args.file)
     est = estimate(g, args.sampler, args.samples, seed=args.seed)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    result = {
-        "estimate": est.value,
-        "s": est.trials,
-        "sampler": est.kind,
-        "seed": est.seed,
-        "empirical_variance": est.empirical_variance,
-        "degenerate_trials": est.degenerate_trials,
-        "elapsed_ms": elapsed,
-    }
-    return _report("estimate", _digest(args.file, g), result, elapsed, seed=args.seed)
+    return _digest(args.file, g), _estimate_fields(est), args.seed
 
 
-def cmd_variance(args) -> dict:
-    t0 = time.perf_counter()
+def cmd_variance(args) -> tuple[dict, dict, int | None]:
     g = load_edge_list(args.file)
     profile = count_exact(g)
     rep = variance_report(g, profile, args.sampler, args.samples)
-    elapsed = (time.perf_counter() - t0) * 1000.0
     result = {
         "sampler": rep.kind,
         "s": rep.s,
@@ -153,11 +143,10 @@ def cmd_variance(args) -> dict:
         "generic_variance": rep.generic_variance,
         "difference": rep.analytical_variance - rep.generic_variance,
     }
-    return _report("variance", _digest(args.file, g), result, elapsed)
+    return _digest(args.file, g), result, None
 
 
-def cmd_plan(args) -> dict:
-    t0 = time.perf_counter()
+def cmd_plan(args) -> tuple[dict, dict, int | None]:
     if args.file is not None:
         g = load_edge_list(args.file)
         profile = count_exact(g)
@@ -165,78 +154,64 @@ def cmd_plan(args) -> dict:
         upper_source = "user-supplied" if args.upper_bound is not None else "oracle-derived"
         average_source = "oracle-derived"
         digest = _digest(args.file, g)
-        universe = g.n
     else:
         if args.n is None:
             raise ValueError("plan needs an edge-list file or an explicit --n")
-        if args.upper_bound is None:
-            raise ValueError("plan without a file needs --upper-bound (the bound/average ratio)")
+        if args.upper_bound is None or args.upper_bound < 1.0:
+            raise ValueError("plan without a file needs --upper-bound >= 1, the bound/average ratio")
         plan = make_plan(args.epsilon, args.c, args.n, args.upper_bound, 1.0, args.bound)
         upper_source = "user-supplied"
         average_source = "assumed-1"
         digest = {"path": None, "n": args.n, "m": None}
-        universe = args.n
-    elapsed = (time.perf_counter() - t0) * 1000.0
     result = {
         "epsilon": plan.epsilon,
         "c": plan.c,
         "bound": plan.bound_kind,
-        "n": universe,
+        "n": digest["n"],
         "upper_bound": plan.upper_bound,
         "average": plan.average,
         "upper_bound_source": upper_source,
         "average_source": average_source,
         "s": plan.s,
     }
-    return _report("plan", digest, result, elapsed)
+    return digest, result, None
 
 
-def cmd_stream(args) -> dict:
-    t0 = time.perf_counter()
-    spooled = None
-    path = args.file
-    try:
-        if path == "-":
+def cmd_stream(args) -> tuple[dict, dict, int | None]:
+    with contextlib.ExitStack() as stack:
+        source = args.file
+        if source == "-":
             if args.n is None:
                 raise StreamFormatError(
                     "streaming from a pipe needs an explicit --n: piped input "
                     "cannot be replayed to discover the vertex count"
                 )
-            spooled = tempfile.NamedTemporaryFile("w+", suffix=".edges", delete=False)
-            shutil.copyfileobj(sys.stdin, spooled)
-            spooled.flush()
-            path = spooled.name
-        source = FileEdgeStream(path)
-        run = stream_estimate(source, args.samples, seed=args.seed, n=args.n, strict=args.strict)
-    finally:
-        if spooled is not None:
-            spooled.close()
-            os.unlink(spooled.name)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    est = run.estimate
+            # An anonymous file: it has no directory entry to leave behind.
+            spool = stack.enter_context(tempfile.TemporaryFile("w+"))
+            shutil.copyfileobj(sys.stdin, spool)
+            spool.flush()
+            source = spool.buffer
+        run = stream_estimate(
+            FileEdgeStream(source), args.samples, seed=args.seed, n=args.n, strict=args.strict
+        )
     result = {
-        "estimate": est.value,
-        "s": est.trials,
-        "sampler": est.kind,
-        "seed": est.seed,
-        "empirical_variance": est.empirical_variance,
-        "degenerate_trials": est.degenerate_trials,
+        **_estimate_fields(run.estimate),
         "n": run.state.n,
         "passes_used": run.passes_used,
         "peak_state_bytes": run.state.state_bytes,
-        "elapsed_ms": elapsed,
     }
-    digest = {"path": args.file, "n": run.state.n, "m": run.state.m}
-    return _report("stream", digest, result, elapsed, seed=args.seed)
+    return {"path": args.file, "n": run.state.n, "m": run.state.m}, result, args.seed
 
 
-def cmd_bench(args) -> dict:
-    t0 = time.perf_counter()
+def cmd_bench(args) -> tuple[dict, dict, int | None]:
     g = load_edge_list(args.file)
     profile = count_exact(g)
     truth = profile.total
+    kinds = args.samplers
+    if kinds is None:  # optimal sampling is undefined without triangles
+        kinds = [k for k in SAMPLER_KINDS if k != OPTIMAL or truth > 0]
     rows = []
-    for kind in args.samplers:
+    for kind in kinds:
         for s in args.samples:
             row_t0 = time.perf_counter()
             values = [
@@ -263,9 +238,7 @@ def cmd_bench(args) -> dict:
                     "elapsed_ms": row_ms,
                 }
             )
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    result = {"triangles": truth, "rows": rows}
-    return _report("bench", _digest(args.file, g), result, elapsed, seed=args.seed)
+    return _digest(args.file, g), {"triangles": truth, "rows": rows}, args.seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="error/variance/time table across samplers and s")
     p.add_argument("file")
-    p.add_argument("--samplers", type=_kind_list, default=list(SAMPLER_KINDS))
+    p.add_argument("--samplers", type=_kind_list, default=None, help="default: every defined kind")
     p.add_argument("--samples", type=_int_list, default=[10, 100, 1000], help="s grid, comma-separated")
     p.add_argument("--repetitions", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -333,11 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        report = args.handler(args)
+        digest, result, seed = args.handler(args)
     except (ParseError, StreamFormatError, ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    if "elapsed_ms" in result:  # estimate and stream repeat it in their result
+        result["elapsed_ms"] = elapsed_ms
+    report = {
+        "command": args.command,
+        "input": digest,
+        "result": result,
+        "elapsed_ms": elapsed_ms,
+        "seed": seed,
+    }
     emit(report, args.format)
     return 0
 

@@ -444,18 +444,25 @@ class MemoryEdgeStream(EdgeStreamSource):
 class FileEdgeStream(EdgeStreamSource):
     """Edge stream over an edge-list file (re-read lazily on every pass).
 
-    A pass holds one chunk of the file (about 1 MiB) and its edges at a
-    time, so the stream adds O(chunk + block) to the estimator's
-    working set.
+    ``source`` is a path or an open binary file; an open file is read
+    from its start on every pass and left open.  A pass holds one chunk
+    of the file (about 1 MiB) and its edges at a time, so the stream
+    adds O(chunk + block) to the estimator's working set.
     """
 
-    def __init__(self, path) -> None:
-        with closing(_edge_arrays(path)) as arrays:
+    def __init__(self, source) -> None:
+        self.source = source
+        with closing(self._arrays()) as arrays:
             super().__init__(next(arrays))
-        self.path = path
+
+    def _arrays(self) -> Iterator:
+        if isinstance(self.source, (str, os.PathLike)):
+            return _edge_arrays(self.source)
+        self.source.seek(0)
+        return _file_arrays(self.source)
 
     def _blocks(self, size: int) -> Iterator[np.ndarray]:
-        with closing(_edge_arrays(self.path)) as arrays:
+        with closing(self._arrays()) as arrays:
             next(arrays)  # the header, already read
             held = np.empty((0, 2), dtype=np.int64)
             for pairs in arrays:

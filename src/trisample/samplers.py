@@ -49,6 +49,14 @@ _Q_OPTIMAL_KINDS = frozenset({OPTIMAL, QOPT_UNIFORM, QOPT_DEGREE})
 _DEGREE_P_KINDS = frozenset({QOPT_DEGREE, EDGE_DEGREE})
 
 
+def _check_ids(g: Graph, vertices) -> np.ndarray:
+    """``vertices`` as an int64 array; IndexError if an id is outside [0, n)."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    if ((vertices < 0) | (vertices >= g.n)).any():
+        raise IndexError(f"vertex ids out of range [0,{g.n})")
+    return vertices
+
+
 @dataclass(frozen=True, eq=False)
 class SamplerSpec:
     """A built sampling strategy bound to a graph.
@@ -67,16 +75,14 @@ class SamplerSpec:
 
     def p(self, i: int) -> float:
         """First-stage probability of vertex ``i``."""
-        g = self.graph
-        g._check_id(i)
-        if self._p_weights is None:
-            return 1.0 / g.n
-        return self._p_weights.item(i) / self._p_total
+        return float(self.p_of(np.array([i]))[0])
 
-    def p_of(self, vertices: np.ndarray):
+    def p_of(self, vertices: np.ndarray) -> np.ndarray:
         """First-stage probabilities of an array of vertices, each equal to ``p``'s."""
+        g = self.graph
+        vertices = _check_ids(g, vertices)
         if self._p_weights is None:
-            return 1.0 / self.graph.n
+            return np.full(len(vertices), 1.0 / g.n)
         return self._p_weights[vertices] / self._p_total
 
     def q(self, i: int, j: int) -> float:
@@ -95,9 +101,7 @@ class SamplerSpec:
         each distinct vertex of ``a`` here.
         """
         g = self.graph
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        if ((a < 0) | (a >= g.n) | (b < 0) | (b >= g.n)).any():
-            raise IndexError(f"vertex ids out of range [0,{g.n})")
+        a, b = _check_ids(g, a), _check_ids(g, b)
         if self.kind not in _Q_OPTIMAL_KINDS:
             _, adjacent = _lookup(g.edge_keys, a * g.n + b)
             return np.divide(1.0, g.degrees[a], out=np.zeros(len(a)), where=adjacent)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -8,7 +9,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from trisample import count_exact, load_edge_list, write_edge_list
+from trisample import SAMPLER_KINDS, count_exact, load_edge_list, write_edge_list
 from trisample.cli import main
 
 from conftest import gnp_graph
@@ -194,6 +195,15 @@ def test_plan_epsilon_out_of_range_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_plan_without_a_file_needs_a_ratio_of_at_least_1(capsys):
+    code, out, err = run_cli(capsys, "plan", "--epsilon", "0.1", "--n", "100", "--upper-bound", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: plan without a file needs --upper-bound >= 1, the bound/average ratio\n"
+    report = run_json(capsys, "plan", "--epsilon", "0.1", "--n", "100", "--upper-bound", "1")
+    assert report["result"]["s"] == math.ceil(2 * math.log(100) / 0.01)
+
+
 def test_plan_triangle_free_fails(capsys, path3_file):
     code, out, err = run_cli(capsys, "plan", path3_file, "--epsilon", "0.1")
     assert code != 0
@@ -260,6 +270,25 @@ def test_piped_stream_removes_its_spool_file(monkeypatch, capsys, tmp_path, text
     assert list(spool_dir.iterdir()) == []
 
 
+def test_piped_stream_spools_into_a_file_without_a_name(monkeypatch, capsys, tmp_path):
+    spool_dir = tmp_path / "tmp"
+    spool_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0 1\n0 2\n1 2\n"))
+    copy, listings = shutil.copyfileobj, []
+
+    def listed_copy(src, dst, *args):
+        listings.append(list(spool_dir.iterdir()))
+        copy(src, dst, *args)
+        listings.append(list(spool_dir.iterdir()))
+
+    monkeypatch.setattr(shutil, "copyfileobj", listed_copy)
+    report = run_json(capsys, "stream", "-", "--n", "3", "--samples", "4", "--seed", "1")
+    assert listings == [[], []]
+    assert report["result"]["estimate"] == 1.0
+    assert report["result"]["passes_used"] == 2
+
+
 def test_bench_error_shrinks_with_s(capsys, paw_file):
     report = run_json(
         capsys, "bench", paw_file, "--samplers", "qopt-uniform,edge-degree",
@@ -290,6 +319,49 @@ def test_bench_triangle_free_reports_absolute(capsys, path3_file):
     row = report["result"]["rows"][0]
     assert row["error_metric"] == "absolute"
     assert row["mean_error"] == 0.0
+
+
+def test_bench_defaults_leave_out_optimal_on_a_triangle_free_graph(capsys, path3_file):
+    report = run_json(capsys, "bench", path3_file, "--samples", "10", "--repetitions", "3")
+    rows = report["result"]["rows"]
+    assert [row["sampler"] for row in rows] == [k for k in SAMPLER_KINDS if k != "optimal"]
+    assert all(row["error_metric"] == "absolute" for row in rows)
+    code, out, err = run_cli(
+        capsys, "bench", path3_file, "--samplers", "optimal", "--samples", "10", "--repetitions", "3"
+    )
+    assert code == 1
+    assert out == ""
+    assert "triangle-free" in err
+
+
+PAW_DIGEST = {"path": "PAW", "n": 4, "m": 4}
+
+
+@pytest.mark.parametrize(
+    "argv, digest, seed",
+    [
+        (["exact", "PAW"], PAW_DIGEST, None),
+        (["estimate", "PAW", "--sampler", "qopt-degree", "--samples", "20", "--seed", "9"], PAW_DIGEST, 9),
+        (["variance", "PAW", "--sampler", "edge-degree"], PAW_DIGEST, None),
+        (["plan", "PAW", "--epsilon", "0.1"], PAW_DIGEST, None),
+        (["plan", "--epsilon", "0.1", "--n", "50", "--upper-bound", "2"], {"path": None, "n": 50, "m": None}, None),
+        (["stream", "PAW", "--samples", "8", "--seed", "9"], PAW_DIGEST, 9),
+        (["bench", "PAW", "--samples", "10", "--repetitions", "2", "--seed", "9"], PAW_DIGEST, 9),
+    ],
+    ids=["exact", "estimate", "variance", "plan-file", "plan-ratio", "stream", "bench"],
+)
+def test_every_report_has_the_same_envelope(capsys, paw_file, argv, digest, seed):
+    argv = [paw_file if a == "PAW" else a for a in argv]
+    report = run_json(capsys, *argv)
+    assert set(report) == {"command", "input", "result", "elapsed_ms", "seed"}
+    assert report["command"] == argv[0]
+    assert report["input"] == {k: paw_file if v == "PAW" else v for k, v in digest.items()}
+    assert report["seed"] == seed
+    assert report["elapsed_ms"] > 0.0
+    if argv[0] in ("estimate", "stream"):
+        assert report["result"]["elapsed_ms"] == report["elapsed_ms"]
+    else:
+        assert "elapsed_ms" not in report["result"]
 
 
 def test_json_reports_round_trip(capsys, paw_file):

@@ -288,6 +288,23 @@ def test_blocks_cut_one_pass_at_every_size(tmp_path):
             assert src.passes == size
 
 
+def test_file_stream_reads_an_open_binary_file_from_its_start(tmp_path):
+    edges = [(0, 1), (3, 1), (1, 2), (2, 0), (4, 2)]
+    path = tmp_path / "g.edges"
+    path.write_text("# n=6\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    by_path = FileEdgeStream(path)
+    with open(path, "rb") as fh:
+        fh.read(9)  # where the file stands does not matter
+        by_file = FileEdgeStream(fh)
+        assert by_file.declared_n == by_path.declared_n == 6
+        for size in (1, 2, 5, 6):
+            for _ in range(2):
+                want = [b.tolist() for b in by_path.blocks(size)]
+                assert [b.tolist() for b in by_file.blocks(size)] == want
+        assert by_file.passes == by_path.passes == 8
+        assert not fh.closed
+
+
 def test_abandoned_file_passes_close_their_file(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# n=3\n0 1\n1 2\n")

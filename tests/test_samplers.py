@@ -130,6 +130,16 @@ def test_array_accessors_match_the_scalar_ones():
                 assert np.broadcast_to(p, a.shape).tolist() == [spec.p(i) for i in a.tolist()]
 
 
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_accessors_refuse_ids_outside_the_graph(paw, kind):
+    spec = build_sampler(paw, kind, count_exact(paw))
+    for bad in (-1, paw.n):
+        with pytest.raises(IndexError, match=r"^vertex ids out of range \[0,4\)$"):
+            spec.p_of(np.array([0, bad]))
+        with pytest.raises(IndexError, match=r"^vertex ids out of range \[0,4\)$"):
+            spec.p(bad)
+
+
 def test_qopt_q_matches_oracle_exactly():
     rng = np.random.default_rng(41)
     g = gnp_graph(18, 0.35, rng)
