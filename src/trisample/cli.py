@@ -59,8 +59,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _entries(text: str) -> list[str]:
+    """The entries of a comma-separated list; a list without any is a usage error."""
+    entries = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not entries:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+    return entries
+
+
 def _kind_list(text: str) -> list[str]:
-    kinds = [k.strip() for k in text.split(",") if k.strip()]
+    kinds = _entries(text)
     for k in kinds:
         if k not in SAMPLER_KINDS:
             raise argparse.ArgumentTypeError(f"unknown sampler {k!r}")
@@ -68,7 +76,7 @@ def _kind_list(text: str) -> list[str]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [_positive_int(tok) for tok in text.split(",") if tok.strip()]
+    return [_positive_int(tok) for tok in _entries(text)]
 
 
 def _digest(path: str, g: Graph) -> dict:

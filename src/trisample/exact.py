@@ -5,7 +5,8 @@ per-edge local counts; every randomized estimator in this package is
 tested against these numbers.  The per-edge counts come from the same
 common-neighbour kernel that the edge samplers use for their trials, and
 are kept as an int64 array aligned with :meth:`Graph.edge_array`, so the
-analytics reduce them with array operations.
+analytics reduce them with array operations.  The qopt samplers count
+the T_ij around their first-stage vertices with :func:`local_counts_into`.
 """
 
 from __future__ import annotations
@@ -109,24 +110,87 @@ def _gathered_runs(g: Graph, rows: np.ndarray) -> Iterator[tuple[int, int, np.nd
         yield r0, r1, cuts, g.indices[positions]
 
 
-def neighbour_local_counts(g: Graph, i: int, mask: np.ndarray | None = None) -> np.ndarray:
-    """T_ij = |N(i) ∩ N(j)| for every neighbour j of ``i``, in neighbour order.
+def _run_positions(g: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR positions of the neighbour runs of ``vertices``, back to back.
 
-    Marks N(i) in ``mask`` (a length-n boolean array, all False, which is
-    left all False again), looks every entry of the neighbours' runs up in
-    it and sums the hits per run.  Costs O(n) for a fresh mask plus O(sum
-    of the neighbours' degrees); callers counting many vertices pass one
-    reusable mask.
+    Returns ``(bounds, positions)``: the run of ``vertices[k]`` is
+    ``positions[bounds[k]:bounds[k + 1]]``.
     """
-    if mask is None:
-        mask = np.zeros(g.n, dtype=bool)
-    nb = g.neighbors(i)
-    counts = np.zeros(len(nb), dtype=np.int64)
-    mask[nb] = True
-    for r0, r1, cuts, entries in _gathered_runs(g, nb):
-        counts[r0:r1] += np.add.reduceat(mask[entries], cuts[:-1], dtype=np.int64)
-    mask[nb] = False
-    return counts
+    bounds = np.zeros(len(vertices) + 1, dtype=np.int64)
+    np.cumsum(g.degrees[vertices], out=bounds[1:])
+    positions = (g.indptr[vertices] - bounds[:-1]).repeat(np.diff(bounds)) + np.arange(bounds[-1])
+    return bounds, positions
+
+
+# First-stage vertices whose neighbourhoods one round of local_counts_into
+# marks: the round's t-th vertex owns bit t of a uint64 word.
+_ROUND = 64
+# Vertices that gather more entries than this (the degrees of their
+# neighbours summed) count alone, on a boolean mask.  A uint64 word shifted
+# by its slot costs more per gathered entry than a byte; on a Chung-Lu
+# graph (n = 5e3, m = 5e4), whose low-degree vertices mostly neighbour
+# hubs, it costs more than the rounds save per vertex.
+_HUB_LOAD = 4096
+
+
+def local_counts_into(g: Graph, vertices: np.ndarray, out: np.ndarray) -> None:
+    """Write T_vj = |N(v) ∩ N(j)| for every neighbour j of each of the
+    distinct ``vertices`` into ``out[indptr[v]:indptr[v + 1]]``.
+
+    ``out`` is an int64 table in CSR order (one entry per adjacency
+    entry); its other entries are left as they are.  A vertex's load is
+    the number of entries in its neighbours' runs.  Vertices of load at
+    most ``_HUB_LOAD`` share rounds of at most ``_ROUND`` vertices and
+    ``_GATHER`` gathered entries: the round's t-th vertex sets bit t of a
+    uint64 word at each of its neighbours, and each entry k of a
+    neighbour j's run adds bit t of word k to T_vj.  A vertex of higher
+    load marks its neighbours alone, in a boolean mask.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    vertices = vertices[g.degrees[vertices] > 0]
+    if not len(vertices):
+        return
+    bounds, positions = _run_positions(g, vertices)
+    neighbours = g.indices[positions]
+    loads = np.add.reduceat(g.degrees[neighbours], bounds[:-1])
+    light = loads <= _HUB_LOAD
+
+    mask = np.zeros(g.n, dtype=bool)
+    for k in np.flatnonzero(~light).tolist():
+        run = slice(bounds[k], bounds[k + 1])
+        rows = neighbours[run]
+        counts = np.zeros(len(rows), dtype=np.int64)
+        mask[rows] = True
+        for r0, r1, cuts, entries in _gathered_runs(g, rows):
+            counts[r0:r1] += np.add.reduceat(mask[entries], cuts[:-1], dtype=np.int64)
+        mask[rows] = False
+        out[positions[run]] = counts
+
+    # The light vertices' entries, back to back in the same order: the
+    # k-th one's run is starts[k]:starts[k + 1], and the first k of them
+    # gather running[k] entries.
+    deg = np.diff(bounds)
+    on_light = light.repeat(deg)
+    positions, neighbours, deg = positions[on_light], neighbours[on_light], deg[light]
+    starts = np.concatenate(([0], np.cumsum(deg)))
+    running = np.concatenate(([0], np.cumsum(loads[light])))
+    words = np.zeros(g.n, dtype=np.uint64)
+    k0 = 0
+    while k0 < len(deg):
+        k1 = int(running.searchsorted(running[k0] + _GATHER, side="right")) - 1
+        k1 = min(max(k1, k0 + 1), k0 + _ROUND)
+        rows = neighbours[starts[k0] : starts[k1]]
+        slots = np.arange(k1 - k0, dtype=np.uint64).repeat(deg[k0:k1])
+        np.bitwise_or.at(words, rows, np.left_shift(np.uint64(1), slots))
+        counts = np.zeros(len(rows), dtype=np.int64)
+        for r0, r1, cuts, entries in _gathered_runs(g, rows):
+            hits = words[entries]
+            hits >>= slots[r0:r1].repeat(cuts[1:] - cuts[:-1])
+            hits &= np.uint64(1)
+            counts[r0:r1] += np.add.reduceat(hits, cuts[:-1], dtype=np.int64)
+        words[rows] = 0
+        out[positions[starts[k0] : starts[k1]]] = counts
+        k0 = k1
 
 
 def common_neighbour_counts(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarray:

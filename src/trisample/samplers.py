@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import TriangleProfile, _lookup, common_neighbour_counts, neighbour_local_counts
+from .exact import TriangleProfile, _lookup, _run_positions, common_neighbour_counts, local_counts_into
 from .graph import Graph
 
 OPTIMAL = "optimal"
@@ -109,18 +109,15 @@ class SamplerSpec:
             delta_i = self.profile.per_vertex[a]
             delta_ij = self.profile.edge_counts_of(a, b)
         else:
-            delta_i = np.zeros(len(a), dtype=np.int64)
+            distinct, which = np.unique(a, return_inverse=True)
+            counts = np.zeros(len(g.indices), dtype=np.int64)
+            local_counts_into(g, distinct, counts)
+            bounds, positions = _run_positions(g, distinct)
+            running = np.concatenate(([0], np.cumsum(counts[positions])))
+            delta_i = ((running[bounds[1:]] - running[bounds[:-1]]) // 2)[which]
+            at, adjacent = _lookup(g.edge_keys, a * g.n + b)  # at: b's entry in a's run
             delta_ij = np.zeros(len(a), dtype=np.int64)
-            mask = np.zeros(g.n, dtype=bool)
-            for v in np.unique(a).tolist():
-                nb = g.neighbors(v)
-                if len(nb) == 0:
-                    continue
-                rows = a == v
-                weights = neighbour_local_counts(g, v, mask)
-                k = np.minimum(nb.searchsorted(b[rows]), len(nb) - 1)
-                delta_i[rows] = weights.sum() // 2
-                delta_ij[rows] = np.where(nb[k] == b[rows], weights[k], 0)
+            delta_ij[adjacent] = counts[at[adjacent]]
         return np.divide(delta_ij, 2 * delta_i, out=np.zeros(len(a)), where=delta_i > 0)
 
 
@@ -211,11 +208,13 @@ def second_stage(spec: SamplerSpec) -> PairDraws:
     order, so batches consume the substream exactly as one-trial draws
     do.
 
-    The qopt family computes the T_ij of a vertex's neighbours once per
-    run, when the vertex is first drawn (at most 2m counts in all), and
-    picks j in proportion to T_ij with :func:`weighted_pick`, so the
-    picked weight is the local count.  The edge family draws a uniform
-    neighbour and counts its common neighbours.
+    The qopt family keeps one int64 table of T_ij in CSR order per run.
+    It fills a vertex's run of the table when the vertex is first drawn,
+    with one :func:`local_counts_into` call per batch for all its new
+    vertices (at most 2m counts in all), and picks j in proportion to
+    T_ij with :func:`weighted_pick`, so the picked weight is the local
+    count.  The edge family draws a uniform neighbour and counts its
+    common neighbours.
     """
     g = spec.graph
     if spec.kind not in _Q_OPTIMAL_KINDS:
@@ -229,23 +228,17 @@ def second_stage(spec: SamplerSpec) -> PairDraws:
 
         return edge_pairs
 
-    mask = np.zeros(g.n, dtype=bool)
-    cache: dict[int, np.ndarray] = {}  # vertex -> T_ij of its neighbours
+    counts = np.zeros(len(g.indices), dtype=np.int64)  # T_ij in CSR order
+    counted = np.zeros(g.n, dtype=bool)  # vertices whose run of counts is filled
 
     def qopt_pairs(vertices, rng):
         distinct, which = np.unique(vertices, return_inverse=True)
-        for v in distinct.tolist():
-            if v not in cache:
-                cache[v] = neighbour_local_counts(g, v, mask)
-        # The distinct vertices' counts back to back; the k-th one's run
-        # ends at ends[k].
-        counts = np.concatenate([cache[v] for v in distinct.tolist()])
-        deg = g.degrees[distinct]
-        ends = np.cumsum(deg)
-        starts = (ends - deg)[which]
-        live, picked, totals = weighted_pick(counts, starts, ends[which], rng)
-        local = counts[picked]
-        j = g.indices[g.indptr[vertices[live]] + picked - starts[live]]
-        return live, j, local, local / totals
+        new = distinct[~counted[distinct]]
+        local_counts_into(g, new, counts)
+        counted[new] = True
+        bounds, positions = _run_positions(g, distinct)
+        weights = counts[positions]  # the distinct vertices' runs back to back
+        live, picked, totals = weighted_pick(weights, bounds[which], bounds[which + 1], rng)
+        return live, g.indices[positions[picked]], weights[picked], weights[picked] / totals
 
     return qopt_pairs

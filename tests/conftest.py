@@ -48,6 +48,23 @@ def gnp_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph.from_edges(gnp_edges(n, p, rng), n=n)
 
 
+def chung_lu_graph(n: int, m: int, rng: np.random.Generator, gamma: float = 2.5) -> Graph:
+    """Power-law expected degrees: ``m`` draws of both endpoints in proportion
+    to ``(k + 1) ** (-1 / (gamma - 1))``, without loops and repeats; hubs
+    at the low ids."""
+    weights = (np.arange(n) + 1.0) ** (-1.0 / (gamma - 1.0))
+    u, v = rng.choice(n, size=(2, m), p=weights / weights.sum())
+    pairs = np.sort(np.stack([u, v], axis=1)[u != v], axis=1)
+    return Graph.from_edges(np.unique(pairs, axis=0), n=n)
+
+
+def hub_graph(n: int, p: float, hub_degree: int, rng: np.random.Generator) -> Graph:
+    """G(n, p) plus edges from vertex 0 to ``hub_degree`` random others."""
+    edges = set(gnp_edges(n, p, rng))
+    edges |= {(0, int(j)) for j in rng.choice(np.arange(1, n), size=hub_degree, replace=False)}
+    return Graph.from_edges(sorted(edges), n=n)
+
+
 def brute_force_triangles(n: int, edges: list[tuple[int, int]]) -> int:
     """Independent triple-enumeration oracle, built straight from the edge list."""
     adj = [set() for _ in range(n)]

@@ -334,6 +334,17 @@ def test_bench_defaults_leave_out_optimal_on_a_triangle_free_graph(capsys, path3
     assert "triangle-free" in err
 
 
+@pytest.mark.parametrize("flag", ["--samplers", "--samples"])
+@pytest.mark.parametrize("value", [",", "", " , "])
+def test_bench_refuses_a_list_without_entries(capsys, paw_file, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", paw_file, flag, value, "--repetitions", "2", "--format", "tsv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected a comma-separated list, got {value!r}" in captured.err
+
+
 PAW_DIGEST = {"path": "PAW", "n": 4, "m": 4}
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import trisample.estimator
 import trisample.exact
+import trisample.samplers
 from trisample import (
     SAMPLER_KINDS,
     Graph,
@@ -15,8 +16,9 @@ from trisample import (
     seed_streams,
     variance_closed_form,
 )
+from trisample.samplers import draw_vertices
 
-from conftest import PAW_EDGES, gnp_graph
+from conftest import PAW_EDGES, gnp_graph, hub_graph
 from trial_reference import TrialDraw, draw, trial_value
 
 
@@ -216,3 +218,37 @@ def test_run_trials_matches_the_per_trial_loop_across_a_full_chunk(paw):
         value, _, sum_sq, _, degenerate, values = _per_trial_reference(build_sampler(paw, kind), s, 4)
         assert (est.value, est.sum_beta_sq, est.degenerate_trials) == (value, sum_sq, degenerate)
         assert est.trial_values.tolist() == values
+
+
+@pytest.fixture(scope="module")
+def hub_spec_graph():
+    g = hub_graph(300, 0.06, 250, np.random.default_rng(83))
+    assert int(g.degrees[g.neighbors(0)].sum()) > trisample.exact._HUB_LOAD  # the hub counts alone
+    return g, count_exact(g)
+
+
+@pytest.mark.parametrize("kind", ["optimal", "qopt-uniform", "qopt-degree"])
+@pytest.mark.parametrize("s", [1, 37, 5000])
+def test_run_trials_matches_the_per_trial_loop_with_a_hub_and_full_rounds(
+    monkeypatch, hub_spec_graph, kind, s
+):
+    g, prof = hub_spec_graph
+    spec = build_sampler(g, kind, prof if kind == "optimal" else None)
+    kernel, given = trisample.samplers.local_counts_into, []
+
+    def recording(graph, vertices, out):
+        given.append(np.array(vertices))
+        return kernel(graph, vertices, out)
+
+    monkeypatch.setattr(trisample.samplers, "local_counts_into", recording)
+    seed = 11 + s
+    est = run_trials(spec, s, seed, keep_trials=True)
+    value, sum_beta, sum_sq, variance, degenerate, values = _per_trial_reference(spec, s, seed)
+    assert (est.value, est.sum_beta, est.sum_beta_sq) == (value, sum_beta, sum_sq)
+    assert (est.empirical_variance, est.degenerate_trials) == (variance, degenerate)
+    assert est.trial_values.tolist() == values
+    # Each distinct first-stage vertex is counted once per run.
+    drawn = draw_vertices(spec, seed_streams(seed).vertices, s)
+    assert sorted(np.concatenate(given).tolist()) == np.unique(drawn).tolist()
+    if s == 5000:
+        assert len(given[0]) > 2 * trisample.exact._ROUND and 0 in drawn
