@@ -2,11 +2,13 @@
 
 Counts the total number of triangles together with the per-vertex and
 per-edge local counts; every randomized estimator in this package is
-tested against these numbers.  The per-edge counts come from the same
-common-neighbour kernel that the edge samplers use for their trials, and
-are kept as an int64 array aligned with :meth:`Graph.edge_array`, so the
-analytics reduce them with array operations.  The qopt samplers count
-the T_ij around their first-stage vertices with :func:`local_counts_into`.
+tested against these numbers.  :func:`count_exact` closes each wedge of
+the degree-ordered orientation once, so that every triangle is counted
+once, and keeps the per-edge counts as an int64 array aligned with
+:meth:`Graph.edge_array`, so the analytics reduce them with array
+operations.  The samplers count T_ij for the pairs they draw: the edge
+kinds with :func:`common_neighbour_counts`, the qopt kinds around their
+first-stage vertices with :func:`local_counts_into`.
 """
 
 from __future__ import annotations
@@ -194,11 +196,14 @@ def local_counts_into(g: Graph, vertices: np.ndarray, out: np.ndarray) -> None:
 
 
 def common_neighbour_counts(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|N(a_t) ∩ N(b_t)| for each pair of the equal-length vertex arrays.
+    """|N(a_t) ∩ N(b_t)| for each pair of the equal-length vertex arrays:
+    the edge samplers' kernel for the T_ij of the edges they draw.
 
     No vertex may be isolated (edges qualify).  Scans the run of the
     lower-degree vertex of each pair and looks every entry ``k`` up as
-    the key ``other * n + k`` in :attr:`Graph.edge_keys`.
+    the key ``other * n + k`` in :attr:`Graph.edge_keys`.  It costs
+    O(min(deg a_t, deg b_t) · log m) per pair, so it suits a few pairs;
+    :func:`count_exact` counts every edge at once by closing wedges.
     """
     swap = g.degrees[a] > g.degrees[b]
     a, b = np.where(swap, b, a), np.where(swap, a, b)
@@ -221,30 +226,88 @@ def _brute_force_total(g: Graph) -> int:
     return count
 
 
-# Edges counted per call of common_neighbour_counts.  A call over many
-# edges fills its _GATHER-entry windows with int64 temporaries: on a
-# Chung-Lu graph with n = 5e3 and m = 5e4, one call over all edges raised
-# the peak RSS of a process running `trisample exact` and `variance` from
-# 48 to 57 MB, and 8192-edge blocks to 53 MB.  _GATHER itself is shared
-# with the sampling engine's batched trials and stays as it is.
-_EDGE_BLOCK = 1024
+# Wedges closed per block of count_exact.  A block holds a few int64
+# arrays of this length, so the working set stays bounded whatever the
+# degrees; 2**14 ran faster than 2**12 and 2**13 on a Chung-Lu graph
+# (n = 5e3, m = 5e4) and a G(n, m) graph (n = 2e4, m = 2e5).
+_WEDGE_BLOCK = 1 << 14
+
+
+def _packs(span: int, bits: int) -> bool:
+    """Whether a key below ``span``, shifted left by ``bits`` with an index
+    in the low bits, fits an int64."""
+    return span << bits <= 1 << 63
+
+
+def _sort_indexed(keys: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """``keys``, each in ``[0, span)``, in ascending order, and the position
+    each came from.
+
+    One ``np.sort`` of the keys with their positions packed into the low
+    bits, in place of ``keys``, when that fits an int64; an argsort when
+    it does not.
+    """
+    bits = max(len(keys) - 1, 0).bit_length()
+    if _packs(span, bits):
+        keys <<= bits
+        keys |= np.arange(len(keys))
+        keys.sort()
+        return keys >> bits, keys & ((1 << bits) - 1)
+    order = np.argsort(keys)
+    return keys[order], order
 
 
 def count_exact(g: Graph) -> TriangleProfile:
     """Exact total, per-vertex, and per-edge triangle counts.
 
-    Per-edge counts are |N(i) ∩ N(j)| for every edge i < j, by
-    :func:`common_neighbour_counts` in blocks of ``_EDGE_BLOCK`` edges,
-    written into one int64 array aligned with :meth:`Graph.edge_array`;
-    the vertex and total counts are derived from them.  On small graphs
-    (n <= 50) the total is additionally cross-checked by direct triple
-    enumeration.
+    Each edge is oriented away from its end of lower (degree, id), so
+    that every triangle is exactly one closed forward wedge: a source u
+    with forward neighbours v < w and the edge {v, w}.  The wedges of
+    each u are generated in blocks of at most ``_WEDGE_BLOCK``, their
+    closing keys ``v * n + w`` sorted and looked up in the edges' keys,
+    and every closed wedge adds 1 to its three edges in one int64 array
+    aligned with :meth:`Graph.edge_array`; the vertex and total counts
+    are derived from them.  On small graphs (n <= 50) the total is
+    additionally cross-checked by direct triple enumeration.
     """
     edges = g.edge_array()
-    edge_counts = np.empty(len(edges), dtype=np.int64)
-    for lo in range(0, len(edges), _EDGE_BLOCK):
-        a, b = edges[lo : lo + _EDGE_BLOCK].T
-        edge_counts[lo : lo + len(a)] = common_neighbour_counts(g, a, b)
+    m, n = len(edges), g.n
+    upper = edges[:, 0] * n + edges[:, 1]
+    # Forward keys src * n + dst.  The row (i, j) has i < j, so i is the
+    # source unless its degree is higher.
+    keys = edges[:, 1] * n
+    keys += edges[:, 0]
+    np.copyto(keys, upper, where=g.degrees[edges[:, 0]] <= g.degrees[edges[:, 1]])
+    src, eid = _sort_indexed(keys, n * n)
+    del keys
+    dst = src % n
+    src //= n
+    # Forward entry k pairs with each later entry of its source's run.  A
+    # run is sorted by destination, so such a pair (v, w) has v < w and
+    # closes on the edge whose key is v * n + w.
+    later = np.cumsum(np.bincount(src, minlength=n))[src]
+    del src
+    later -= np.arange(1, m + 1)
+    wedge_start = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(later, out=wedge_start[1:])
+    del later
+
+    edge_counts = np.zeros(m, dtype=np.int64)
+    total_wedges = int(wedge_start[-1])
+    for lo in range(0, total_wedges, _WEDGE_BLOCK):
+        hi = min(lo + _WEDGE_BLOCK, total_wedges)
+        k0 = int(wedge_start.searchsorted(lo, side="right")) - 1
+        k1 = int(wedge_start.searchsorted(hi))
+        cuts = np.minimum(np.maximum(wedge_start[k0 : k1 + 1], lo), hi) - lo
+        first = np.arange(k0, k1).repeat(np.diff(cuts))
+        second = np.arange(lo + 1, hi + 1) - wedge_start[first] + first
+        probe, wedge = _sort_indexed(dst[first] * n + dst[second], n * n)
+        at, hit = _lookup(upper, probe)
+        wedge = wedge[hit]
+        # Each closed wedge is one triangle: 1 for each of its three edges.
+        for closed in (at[hit], eid[first[wedge]], eid[second[wedge]]):
+            np.add.at(edge_counts, closed, 1)
+
     per_vertex = np.zeros(g.n, dtype=np.int64)
     np.add.at(per_vertex, edges[:, 0], edge_counts)
     np.add.at(per_vertex, edges[:, 1], edge_counts)
@@ -256,5 +319,5 @@ def count_exact(g: Graph) -> TriangleProfile:
         raise AssertionError("vertex counts must sum to a multiple of 3")
     total = vertex_sum // 3
     if g.n <= 50 and _brute_force_total(g) != total:
-        raise AssertionError("intersection count disagrees with triple enumeration")
+        raise AssertionError("wedge-closure count disagrees with triple enumeration")
     return TriangleProfile(total=total, per_vertex=per_vertex, edges=edges, edge_counts=edge_counts)

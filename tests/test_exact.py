@@ -1,3 +1,6 @@
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,10 @@ from conftest import (
     chung_lu_graph,
     gnp_edges,
     gnp_graph,
+    hub_graph,
 )
 from trisample import Graph
+from oracle_reference import count_exact_reference
 from trial_reference import local_edge_count
 
 
@@ -87,19 +92,95 @@ def test_per_edge_matches_independent_counts():
 
 
 def test_blocks_and_gather_windows_split_the_edges(monkeypatch):
-    monkeypatch.setattr(exact, "_EDGE_BLOCK", 3)
     monkeypatch.setattr(exact, "_GATHER", 5)
-    rng = np.random.default_rng(41)
-    for _ in range(12):
-        n = int(rng.integers(4, 25))
-        size = n + int(rng.integers(1, 6))  # isolated vertices among the ids
-        ids = rng.permutation(size)[:n].tolist()
-        edges = [(ids[u], ids[v]) for u, v in gnp_edges(n, 0.4, rng)]
-        expected_vertex, expected_edge = brute_force_local_counts(size, edges)
-        prof = count_exact(Graph.from_edges(edges, n=size))
-        assert list(prof.per_vertex) == expected_vertex
-        assert prof.per_edge == expected_edge
-        assert list(prof.per_edge) == sorted(expected_edge)
+    for block in (1, 2, 5):
+        monkeypatch.setattr(exact, "_WEDGE_BLOCK", block)
+        rng = np.random.default_rng(41)
+        for _ in range(12):
+            n = int(rng.integers(4, 25))
+            size = n + int(rng.integers(1, 6))  # isolated vertices among the ids
+            ids = rng.permutation(size)[:n].tolist()
+            edges = [(ids[u], ids[v]) for u, v in gnp_edges(n, 0.4, rng)]
+            expected_vertex, expected_edge = brute_force_local_counts(size, edges)
+            prof = count_exact(Graph.from_edges(edges, n=size))
+            assert list(prof.per_vertex) == expected_vertex
+            assert prof.per_edge == expected_edge
+            assert list(prof.per_edge) == sorted(expected_edge)
+
+
+def _assert_same_profile(prof, want):
+    assert prof.total == want.total
+    for name in ("per_vertex", "edges", "edge_counts"):
+        got, expected = getattr(prof, name), getattr(want, name)
+        assert got.dtype == expected.dtype == np.int64, name
+        assert np.array_equal(got, expected), name
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(71)
+    for _ in range(30):
+        yield gnp_graph(int(rng.integers(2, 60)), float(rng.uniform(0.02, 0.9)), rng)
+    yield chung_lu_graph(400, 2000, rng)
+    yield hub_graph(300, 0.02, 120, rng)
+    for n in range(3, 13):
+        yield Graph.from_edges([(i, j) for i in range(n) for j in range(i + 1, n)], n=n)  # K_n
+    yield Graph.from_edges([(0, j) for j in range(1, 30)], n=30)  # a star
+    yield Graph.from_edges([(i, j) for i in range(5) for j in range(5, 12)], n=12)  # K_{5,7}
+    yield Graph.from_edges([], n=9)
+    yield Graph.from_edges([(3, 40), (40, 77), (3, 77), (77, 90), (12, 90)], n=100)  # sparse ids
+
+
+def test_profile_matches_the_per_edge_reference():
+    for g in _oracle_cases():
+        _assert_same_profile(count_exact(g), count_exact_reference(g))
+
+
+def _forward_wedges(g):
+    """C(d+(u), 2) per vertex u, edges pointing away from the lower (degree, id) end."""
+    out = [0] * g.n
+    for i, j in g.edge_array().tolist():
+        out[min((g.degree(i), i), (g.degree(j), j))[1]] += 1
+    return [comb(d, 2) for d in out]
+
+
+def test_a_hub_source_spans_several_wedge_blocks(monkeypatch):
+    # A hub joined to every vertex of K_40, each of which also has a leaf:
+    # the hub has the lowest degree among its neighbours, so all 780 of
+    # its wedges are forward, and all close.
+    k = 40
+    edges = [(0, j) for j in range(1, k + 1)]
+    edges += [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    edges += [(j, k + j) for j in range(1, k + 1)]
+    g = Graph.from_edges(edges, n=2 * k + 1)
+    assert _forward_wedges(g)[0] == comb(k, 2)
+    want = count_exact_reference(g)
+    assert want.total == comb(k + 1, 3) and want.per_vertex[0] == comb(k, 2)
+    for block in (7, 100, 250):  # the hub's run spans at least 4 blocks
+        monkeypatch.setattr(exact, "_WEDGE_BLOCK", block)
+        _assert_same_profile(count_exact(g), want)
+
+
+def test_argsort_fallback_gives_the_same_profile(monkeypatch):
+    graphs = list(_oracle_cases())
+    want = [count_exact(g) for g in graphs]
+    monkeypatch.setattr(exact, "_packs", lambda span, bits: False)
+    monkeypatch.setattr(exact, "_WEDGE_BLOCK", 50)
+    for g, expected in zip(graphs, want):
+        _assert_same_profile(count_exact(g), expected)
+
+
+def test_wedge_blocks_bound_the_working_memory():
+    g = gnp_graph(400, 0.3, np.random.default_rng(7))
+    wedges = sum(_forward_wedges(g))
+    assert wedges >= 50 * exact._WEDGE_BLOCK
+    count_exact(g)
+    tracemalloc.start()
+    try:
+        count_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * wedges  # one int64 array over every wedge would reach it alone
 
 
 def test_per_vertex_matches_networkx_with_a_hub():
