@@ -8,7 +8,10 @@ once, and keeps the per-edge counts as an int64 array aligned with
 :meth:`Graph.edge_array`, so the analytics reduce them with array
 operations.  The samplers count T_ij for the pairs they draw: the edge
 kinds with :func:`common_neighbour_counts`, the qopt kinds around their
-first-stage vertices with :func:`local_counts_into`.
+first-stage vertices with :func:`local_counts_into`.  The edge-key
+lookups of :func:`count_exact` and :func:`common_neighbour_counts` go
+through the graph's hashed edge filter first, and only the keys it
+passes are searched for.
 """
 
 from __future__ import annotations
@@ -200,19 +203,26 @@ def common_neighbour_counts(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarra
     the edge samplers' kernel for the T_ij of the edges they draw.
 
     No vertex may be isolated (edges qualify).  Scans the run of the
-    lower-degree vertex of each pair and looks every entry ``k`` up as
-    the key ``other * n + k`` in :attr:`Graph.edge_keys`.  It costs
-    O(min(deg a_t, deg b_t) · log m) per pair, so it suits a few pairs;
-    :func:`count_exact` counts every edge at once by closing wedges.
+    lower-degree vertex of each pair and probes, for every entry ``k``,
+    the key ``min(other, k) * n + max(other, k)``: :attr:`Graph.edge_filter`
+    rules out most probes that are not edges, and the rest are looked up
+    in :attr:`Graph.edge_keys`.  It costs O(min(deg a_t, deg b_t)) hashes
+    per pair, and a binary search of O(log m) for each probe that passes
+    the filter, so it suits a few pairs; :func:`count_exact` counts every
+    edge at once by closing wedges.
     """
     swap = g.degrees[a] > g.degrees[b]
     a, b = np.where(swap, b, a), np.where(swap, a, b)
-    keys = g.edge_keys
     counts = np.zeros(len(a), dtype=np.int64)
     for r0, r1, cuts, entries in _gathered_runs(g, a):
-        probe = (b[r0:r1] * g.n).repeat(cuts[1:] - cuts[:-1]) + entries
-        at = np.minimum(keys.searchsorted(probe), len(keys) - 1)
-        counts[r0:r1] += np.add.reduceat(keys[at] == probe, cuts[:-1], dtype=np.int64)
+        other = b[r0:r1].repeat(cuts[1:] - cuts[:-1])
+        probe = np.minimum(other, entries)
+        probe *= g.n
+        np.maximum(other, entries, out=other)
+        probe += other
+        hit = np.zeros(len(entries), dtype=bool)
+        hit[_find_edges(g, g.edge_keys, probe)[0]] = True
+        counts[r0:r1] += np.add.reduceat(hit, cuts[:-1], dtype=np.int64)
     return counts
 
 
@@ -257,17 +267,31 @@ def _sort_indexed(keys: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     return keys[order], order
 
 
+def _find_edges(g: Graph, keys: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``probe``, canonical keys ``min * n + max``, that are
+    edges of ``g``: their positions in ``probe``, and in ``keys``, an
+    ascending array that holds every edge's canonical key.
+
+    Only the probes that :attr:`Graph.edge_filter` passes are sorted and
+    searched for in ``keys``; sorted, they walk the search tree in order.
+    """
+    maybe = np.flatnonzero(g.edge_filter.may_hold(probe))
+    found, order = _sort_indexed(probe[maybe], g.n * g.n)
+    at, hit = _lookup(keys, found)
+    return maybe[order[hit]], at[hit]
+
+
 def count_exact(g: Graph) -> TriangleProfile:
     """Exact total, per-vertex, and per-edge triangle counts.
 
     Each edge is oriented away from its end of lower (degree, id), so
     that every triangle is exactly one closed forward wedge: a source u
     with forward neighbours v < w and the edge {v, w}.  The wedges of
-    each u are generated in blocks of at most ``_WEDGE_BLOCK``, their
-    closing keys ``v * n + w`` sorted and looked up in the edges' keys,
-    and every closed wedge adds 1 to its three edges in one int64 array
-    aligned with :meth:`Graph.edge_array`; the vertex and total counts
-    are derived from them.  On small graphs (n <= 50) the total is
+    each u are generated in blocks of at most ``_WEDGE_BLOCK``; the
+    closing keys ``v * n + w`` that :attr:`Graph.edge_filter` passes are
+    looked up in the edges' keys, and every closed wedge adds 1 to its
+    three edges in one int64 array aligned with :meth:`Graph.edge_array`;
+    the vertex and total counts are derived from them.  On small graphs (n <= 50) the total is
     additionally cross-checked by direct triple enumeration.
     """
     edges = g.edge_array()
@@ -301,11 +325,11 @@ def count_exact(g: Graph) -> TriangleProfile:
         cuts = np.minimum(np.maximum(wedge_start[k0 : k1 + 1], lo), hi) - lo
         first = np.arange(k0, k1).repeat(np.diff(cuts))
         second = np.arange(lo + 1, hi + 1) - wedge_start[first] + first
-        probe, wedge = _sort_indexed(dst[first] * n + dst[second], n * n)
-        at, hit = _lookup(upper, probe)
-        wedge = wedge[hit]
+        probe = dst[first] * n
+        probe += dst[second]
+        wedge, at = _find_edges(g, upper, probe)
         # Each closed wedge is one triangle: 1 for each of its three edges.
-        for closed in (at[hit], eid[first[wedge]], eid[second[wedge]]):
+        for closed in (at, eid[first[wedge]], eid[second[wedge]]):
             np.add.at(edge_counts, closed, 1)
 
     per_vertex = np.zeros(g.n, dtype=np.int64)

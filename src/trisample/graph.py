@@ -12,6 +12,10 @@ keys ``i * n + j`` fit an int64.
 Edges leave every reader as ``(k, 2)`` int64 arrays: an edge stream
 yields a pass as blocks, and :meth:`Graph.edge_array` gives all edges.
 
+Membership of a pair is looked up in :attr:`Graph.edge_keys`, after
+:attr:`Graph.edge_filter`, a one-hash bit filter over the keys, has
+ruled out most of the pairs that are not edges.
+
 Edge-list files are read in byte chunks of 1 MiB, each read on to the
 end of its last line.  A chunk of plain lines (ASCII digits, spaces,
 tabs and ``\n`` or ``\r\n`` line ends; every non-blank line two ids
@@ -44,10 +48,47 @@ _MAX_ID = 2**63 - 1  # ids index int64 arrays
 _MAX_N = isqrt(_MAX_ID + 1)  # the edge keys i * n + j < n * n fit an int64
 _PLAIN_DIGITS = 18  # any id of at most 18 digits fits an int64
 _CHUNK_BYTES = 1 << 20  # file bytes per chunk, read on to the end of a line
+_FILTER_SLOTS = 8  # edge filter slots per edge, before rounding up to a power of two
+_FILTER_HASH = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier: 2**64 / golden ratio
 
 
 class ParseError(ValueError):
     """Malformed edge-list input."""
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeFilter:
+    """A one-hash bit filter (Bloom, CACM 1970) over the canonical edge
+    keys ``min(i, j) * n + max(i, j)`` of a graph.
+
+    :meth:`may_hold` is true for every edge's key and false for most other
+    keys, so only the keys it passes need an exact lookup.  The table has
+    a byte for each of ``2**bits`` slots, at least ``_FILTER_SLOTS`` and
+    fewer than twice as many per edge, and a key sets or reads the slot
+    given by the top ``bits`` bits of its multiplicative hash.  So 6% to
+    12% of the slots are set, and as many of the keys of non-edges pass.
+    """
+
+    table: np.ndarray = field(repr=False)
+    shift: np.uint64  # 64 - bits
+
+    @classmethod
+    def of(cls, keys: np.ndarray, m: int) -> "EdgeFilter":
+        """The filter of a graph with ``m`` edges whose canonical keys,
+        repeats allowed, are the int64 array ``keys``."""
+        bits = (_FILTER_SLOTS * max(m, 1) - 1).bit_length()
+        f = cls(np.zeros(1 << bits, dtype=bool), np.uint64(64 - bits))
+        f.table[f._slots(keys)] = True
+        return f
+
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        slots = np.asarray(keys, dtype=np.int64).view(np.uint64) * _FILTER_HASH  # wraps mod 2**64
+        slots >>= self.shift
+        return slots
+
+    def may_hold(self, keys: np.ndarray) -> np.ndarray:
+        """False where a canonical key is surely no edge's."""
+        return self.table[self._slots(keys)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,10 +131,10 @@ class Graph:
             if len(np.unique(np.sort(und, axis=1), axis=0)) < m:
                 raise ValueError("duplicate undirected edges not allowed")
             raise ValueError(f"vertex id {max_id} out of declared range n={n}")
-        keys = _pair_keys(und[:, 0], und[:, 1], n)
+        keys, canonical = _pair_keys(und[:, 0], und[:, 1], n)
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate undirected edges not allowed")
-        return _from_keys(keys, n)
+        return _from_keys(keys, canonical, n)
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -114,16 +155,32 @@ class Graph:
 
         A membership table for ordered pairs.  The keys fit an int64
         because :meth:`from_edges` refuses an ``n`` whose ``n * n`` does not.
+        A graph built from an edge list holds the keys it was built from.
         """
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         return rows * self.n + self.indices
 
+    @cached_property
+    def edge_filter(self) -> EdgeFilter:
+        """The :class:`EdgeFilter` of the keys ``i * n + j``, i < j, of the edges.
+
+        A graph built from an edge list holds the filter built with it.
+        """
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        return EdgeFilter.of(self.edge_keys[rows < self.indices], self.m)
+
     def edge_array(self) -> np.ndarray:
         """Each undirected edge once, as the rows (i, j) with i < j of an
         ``(m, 2)`` int64 array, in lexicographic order."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        upper = rows < self.indices
-        return np.stack([rows[upper], self.indices[upper]], axis=1)
+        ids = np.arange(self.n, dtype=np.int64)
+        first = self.edge_keys.searchsorted(ids * (self.n + 1))  # each run's first j > i
+        upper = self.indptr[1:] - first
+        positions = (first - np.cumsum(upper) + upper).repeat(upper)
+        positions += np.arange(len(positions))
+        edges = np.empty((len(positions), 2), dtype=np.int64)
+        edges[:, 0] = ids.repeat(upper)
+        edges[:, 1] = self.indices[positions]
+        return edges
 
     def _check_id(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -148,21 +205,36 @@ def _check_universe(n: int) -> None:
         raise ValueError(f"n={n} vertices exceed the limit of {_MAX_N} (edge keys would overflow int64)")
 
 
-def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """The keys ``u * n + v`` and ``v * n + u`` of the edges (u, v), sorted
-    into CSR order.  Ids must lie in ``[0, n)``, so the keys fit an int64."""
-    keys = np.concatenate([u * n + v, v * n + u])
+def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys ``i * n + j`` of both orientations of the edges (u, v),
+    sorted into CSR order, and the canonical keys ``min * n + max`` in
+    input order.  Ids must lie in ``[0, n)``, so the keys fit an int64."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    canonical = lo * n
+    canonical += hi
+    hi *= n
+    hi += lo
+    keys = np.concatenate([canonical, hi])
     keys.sort()
-    return keys
+    return keys, canonical
 
 
-def _from_keys(keys: np.ndarray, n: int) -> Graph:
+def _from_keys(keys: np.ndarray, canonical: np.ndarray, n: int) -> Graph:
     """The graph whose ordered pairs (i, j) have the keys ``i * n + j`` in
-    ``keys``: sorted, without repeats, both orientations of every edge."""
+    ``keys``: sorted, without repeats, both orientations of every edge.
+
+    ``canonical`` holds the key ``min * n + max`` of every edge, repeats
+    allowed.  The graph keeps ``keys`` as its :attr:`Graph.edge_keys` and
+    hashes ``canonical`` into its :attr:`Graph.edge_filter`.
+    """
+    m = len(keys) // 2
+    edge_filter = EdgeFilter.of(canonical, m)
     rows, indices = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return Graph(n=n, m=len(keys) // 2, indptr=indptr, indices=indices)
+    g = Graph(n=n, m=m, indptr=indptr, indices=indices)
+    vars(g).update(edge_keys=keys, edge_filter=edge_filter)  # seed the cached properties
+    return g
 
 
 def _edge_pairs(edges) -> np.ndarray:
@@ -310,14 +382,15 @@ def _file_arrays(fh) -> Iterator:
     while chunk := fh.read(_CHUNK_BYTES):
         if not chunk.endswith(b"\n"):
             chunk += fh.readline()  # on to the end of the line the read cut
-        ids = _plain_ids(chunk)
-        if ids is None:
+        plain = _plain_ids(chunk)
+        if plain is None:
             text = _text_lines(chunk)
             yield _pairs(_body(enumerate(text, start=lineno)))
             lineno += len(text)
         else:
+            ids, lines = plain
             yield np.fromstring(chunk, dtype=np.int64, count=ids, sep=" ").reshape(-1, 2)
-            lineno += chunk.count(b"\n")
+            lineno += lines
 
 
 def _text_lines(chunk: bytes) -> list[str]:
@@ -329,8 +402,9 @@ def _text_lines(chunk: bytes) -> list[str]:
     return lines
 
 
-def _plain_ids(chunk: bytes) -> int | None:
-    r"""The number of ids in a chunk of plain lines, or None if it is not one.
+def _plain_ids(chunk: bytes) -> tuple[int, int] | None:
+    r"""The number of ids and of ``\n`` bytes in a chunk of plain lines, or
+    None if it is not one.
 
     Plain means: only ASCII digits, spaces, tabs, ``\n`` and a ``\r``
     right before a ``\n``, and each non-blank line two ids of at most 18
@@ -354,7 +428,7 @@ def _plain_ids(chunk: bytes) -> int | None:
     per_line = np.diff(np.searchsorted(starts, line_ends), prepend=0)
     if ((per_line != 0) & (per_line != 2)).any():
         return None
-    return len(starts)
+    return len(starts), len(line_ends) - 1
 
 
 def _pairs(records) -> np.ndarray:
@@ -384,12 +458,13 @@ def load_edge_list(source) -> Graph:
     if loops.any():
         log.warning("dropped %d self-loop(s)", loops.sum())
         u, v = u[~loops], v[~loops]
-    keys = _pair_keys(u, v, n)
+    keys, canonical = _pair_keys(u, v, n)
+    del pairs, u, v, loops  # the keys hold the edges from here on
     fresh = np.diff(keys, prepend=-1) > 0  # keys are nonnegative
     if not fresh.all():
         keys = keys[fresh]  # a repeated edge repeats in both orientations
         log.warning("dropped %d duplicate edge(s)", (len(fresh) - len(keys)) // 2)
-    return _from_keys(keys, n)
+    return _from_keys(keys, canonical, n)
 
 
 def write_edge_list(g: Graph, sink) -> None:

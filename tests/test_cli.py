@@ -348,19 +348,18 @@ def test_bench_refuses_a_list_without_entries(capsys, paw_file, flag, value):
 PAW_DIGEST = {"path": "PAW", "n": 4, "m": 4}
 
 
-@pytest.mark.parametrize(
-    "argv, digest, seed",
-    [
-        (["exact", "PAW"], PAW_DIGEST, None),
-        (["estimate", "PAW", "--sampler", "qopt-degree", "--samples", "20", "--seed", "9"], PAW_DIGEST, 9),
-        (["variance", "PAW", "--sampler", "edge-degree"], PAW_DIGEST, None),
-        (["plan", "PAW", "--epsilon", "0.1"], PAW_DIGEST, None),
-        (["plan", "--epsilon", "0.1", "--n", "50", "--upper-bound", "2"], {"path": None, "n": 50, "m": None}, None),
-        (["stream", "PAW", "--samples", "8", "--seed", "9"], PAW_DIGEST, 9),
-        (["bench", "PAW", "--samples", "10", "--repetitions", "2", "--seed", "9"], PAW_DIGEST, 9),
-    ],
-    ids=["exact", "estimate", "variance", "plan-file", "plan-ratio", "stream", "bench"],
-)
+ENVELOPE_CASES = {
+    "exact": (["exact", "PAW"], PAW_DIGEST, None),
+    "estimate": (["estimate", "PAW", "--sampler", "qopt-degree", "--samples", "20", "--seed", "9"], PAW_DIGEST, 9),
+    "variance": (["variance", "PAW", "--sampler", "edge-degree"], PAW_DIGEST, None),
+    "plan-file": (["plan", "PAW", "--epsilon", "0.1"], PAW_DIGEST, None),
+    "plan-ratio": (["plan", "--epsilon", "0.1", "--n", "50", "--upper-bound", "2"], {"path": None, "n": 50, "m": None}, None),
+    "stream": (["stream", "PAW", "--samples", "8", "--seed", "9"], PAW_DIGEST, 9),
+    "bench": (["bench", "PAW", "--samples", "10", "--repetitions", "2", "--seed", "9"], PAW_DIGEST, 9),
+}
+
+
+@pytest.mark.parametrize("argv, digest, seed", ENVELOPE_CASES.values(), ids=ENVELOPE_CASES)
 def test_every_report_has_the_same_envelope(capsys, paw_file, argv, digest, seed):
     argv = [paw_file if a == "PAW" else a for a in argv]
     report = run_json(capsys, *argv)
@@ -373,6 +372,25 @@ def test_every_report_has_the_same_envelope(capsys, paw_file, argv, digest, seed
         assert report["result"]["elapsed_ms"] == report["elapsed_ms"]
     else:
         assert "elapsed_ms" not in report["result"]
+
+
+def _without_times(report):
+    if isinstance(report, dict):
+        return {k: _without_times(v) for k, v in report.items() if k != "elapsed_ms"}
+    if isinstance(report, list):
+        return [_without_times(v) for v in report]
+    return report
+
+
+def test_commands_run_back_to_back_in_one_process(capsys, paw_file):
+    # main parses every command line with one parser; no run may leave
+    # anything in it, such as a default list, that changes the next.
+    runs = [[paw_file if a == "PAW" else a for a in argv] for argv, _, _ in ENVELOPE_CASES.values()]
+    runs.append(["bench", paw_file, "--repetitions", "2"])  # the default --samples grid
+    first = [_without_times(run_json(capsys, *argv)) for argv in runs]
+    again = [_without_times(run_json(capsys, *argv)) for argv in reversed(runs)]
+    assert again[::-1] == first
+    assert [r["command"] for r in first] == [argv[0] for argv in runs]
 
 
 def test_json_reports_round_trip(capsys, paw_file):

@@ -183,6 +183,34 @@ def test_wedge_blocks_bound_the_working_memory():
     assert peak < 8 * wedges  # one int64 array over every wedge would reach it alone
 
 
+@pytest.mark.parametrize("gather", [3, 50, exact._GATHER])
+def test_common_neighbour_counts_match_set_intersections(monkeypatch, gather):
+    monkeypatch.setattr(exact, "_GATHER", gather)
+    rng = np.random.default_rng(53)
+    for g in (gnp_graph(120, 0.1, rng), chung_lu_graph(400, 2000, rng), hub_graph(200, 0.05, 150, rng)):
+        runs = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+        live = np.flatnonzero(g.degrees > 0)
+        rows = np.repeat(np.arange(g.n), g.degrees)
+        a = np.concatenate([rows, rng.choice(live, 500)])  # every edge, then any pairs
+        b = np.concatenate([g.indices, rng.choice(live, 500)])
+        want = [len(runs[i] & runs[j]) for i, j in zip(a.tolist(), b.tolist())]
+        assert exact.common_neighbour_counts(g, a, b).tolist() == want
+
+
+def test_edge_filter_passes_few_non_edges():
+    # G(n, m): about 20 000 distinct random pairs on 2 000 vertices.
+    rng = np.random.default_rng(59)
+    n = 2_000
+    keys = np.unique(rng.integers(0, n, size=(40_000, 2)) @ [n, 1])
+    lo, hi = np.divmod(rng.permutation(keys[keys // n < keys % n])[:20_000], n)
+    g = Graph.from_edges(np.stack([lo, hi], axis=1), n=n)
+    a, b = rng.integers(0, n, size=(2, 200_000))
+    probe = np.minimum(a, b) * n + np.maximum(a, b)
+    probe = probe[(a != b) & ~np.isin(probe, lo * n + hi)]
+    assert len(probe) > 190_000
+    assert g.edge_filter.may_hold(probe).mean() <= 0.15  # about 9% for a random hash
+
+
 def test_per_vertex_matches_networkx_with_a_hub():
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(59)

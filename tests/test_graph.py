@@ -1,6 +1,7 @@
 import gc
 import io
 import logging
+import tracemalloc
 import warnings
 from unittest.mock import patch
 
@@ -20,7 +21,7 @@ from trisample import (
     write_edge_list,
 )
 
-from conftest import gnp_graph, stream_pairs
+from conftest import chung_lu_graph, gnp_graph, stream_pairs
 from trisample.graph import _edge_records, _plain_ids
 from trial_reference import has_edge
 
@@ -194,6 +195,66 @@ def test_edge_array_lists_each_edge_once_in_order(paw):
     assert Graph.from_edges([], n=3).edge_array().shape == (0, 2)
 
 
+def test_edge_array_holds_no_adjacency_sized_temporaries():
+    g = chung_lu_graph(5_000, 50_000, np.random.default_rng(41))
+    g.edge_keys  # held by every built graph; not part of the call
+    tracemalloc.start()
+    try:
+        edges = g.edge_array()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == g.m > 40_000
+    # The result, one m-long index array and one m-long gather at a time,
+    # plus a few n-long arrays; a 2m-long row array and mask reach 3x.
+    assert peak < 2.5 * edges.nbytes
+
+
+def _canonical_keys(g):
+    """``min * n + max`` of every adjacency entry: each edge in both orientations."""
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    return np.minimum(rows, g.indices) * g.n + np.maximum(rows, g.indices)
+
+
+def _filter_cases():
+    rng = np.random.default_rng(43)
+    yield Graph.from_edges([], n=5)
+    yield Graph.from_edges([(3, 1)])
+    yield Graph.from_edges([(0, j) for j in range(1, 3000)])  # a star: one hub
+    yield gnp_graph(300, 0.05, rng)
+    yield chung_lu_graph(2_000, 10_000, rng)
+    yield load_edge_list(["5 2", "2 5", "7 7", "0 9", "9 0", "4 2"])  # repeats and a loop
+
+
+def test_edge_filter_passes_every_edge_in_both_orientations():
+    for g in _filter_cases():
+        assert g.edge_filter.may_hold(_canonical_keys(g)).all(), g
+        assert len(g.edge_filter.table) >= 8 * g.m
+
+
+def test_edge_filter_passes_keys_near_the_int64_limit():
+    n = graph._MAX_N
+    rng = np.random.default_rng(47)
+    hi = n - 1 - rng.integers(0, 2000, size=1000)
+    lo = hi - 1 - rng.integers(0, 2000, size=1000)
+    keys = np.unique(lo * n + hi)
+    assert keys.min() > 2**63 - 2**44  # every key shares its top 19 bits with 2**63 - 1
+    edge_filter = graph.EdgeFilter.of(keys, len(keys))
+    assert edge_filter.may_hold(keys).all()
+    others = np.setdiff1d(keys - 1, keys)
+    assert edge_filter.may_hold(others).mean() <= 0.15
+
+
+def test_built_graphs_keep_their_keys_and_filter():
+    for g in _filter_cases():
+        assert "edge_keys" in vars(g) and "edge_filter" in vars(g)  # held, not recomputed
+        assert np.array_equal(g.edge_keys, Graph.edge_keys.func(g))
+        assert np.array_equal(g.edge_filter.table, Graph.edge_filter.func(g).table)
+    lazy = Graph(n=3, m=1, indptr=np.array([0, 1, 1, 2]), indices=np.array([2, 0]))
+    assert lazy.edge_keys.tolist() == [2, 6]
+    assert lazy.edge_filter.may_hold(np.array([2])).all()
+
+
 def test_has_edge(paw, k3):
     assert has_edge(k3, 0, 1)
     assert not has_edge(k3, 0, 0)
@@ -320,9 +381,10 @@ def test_abandoned_file_passes_close_their_file(tmp_path):
 
 
 def test_plain_chunks_may_end_their_lines_with_crlf():
-    assert _plain_ids(b"1 2\n3 4\n") == 4
-    assert _plain_ids(b"1 2\r\n3 4\r\n") == 4
-    assert _plain_ids(b"1 2\r\n\r\n3\t4 \r\n") == 4
+    assert _plain_ids(b"1 2\n3 4\n") == (4, 2)
+    assert _plain_ids(b"1 2\r\n3 4\r\n") == (4, 2)
+    assert _plain_ids(b"1 2\r\n\r\n3\t4 \r\n") == (4, 3)
+    assert _plain_ids(b"\n1 2\n\n3 4") == (4, 3)  # the (ids, line ends) of a last chunk
     # a lone \r ends a line in text mode, so these take the line path
     assert _plain_ids(b"1 2\r3 4\n") is None
     assert _plain_ids(b"1 2\r\r\n") is None

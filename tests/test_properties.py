@@ -86,6 +86,18 @@ def test_write_then_load_round_trips(graph):
 
 
 @SETTINGS
+@given(streams(), st.integers(0, 5))
+def test_edge_array_and_edge_filter_agree_with_the_csr_arrays(graph, isolated):
+    n, edges = graph
+    g = Graph.from_edges(edges, n=n + isolated)
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    upper = rows < g.indices
+    assert np.array_equal(g.edge_array(), np.stack([rows[upper], g.indices[upper]], axis=1))
+    keys = np.minimum(rows, g.indices) * g.n + np.maximum(rows, g.indices)
+    assert g.edge_filter.may_hold(keys).all()  # every edge, in both orientations
+
+
+@SETTINGS
 @given(streams(), st.data())
 def test_load_drops_exactly_the_extra_copies_and_the_loops(graph, data):
     n, edges = graph
@@ -97,6 +109,7 @@ def test_load_drops_exactly_the_extra_copies_and_the_loops(graph, data):
     with patch.object(graph_module.log, "warning") as warning:
         g = load_edge_list([f"# n={n}", *(f"{u} {v}" for u, v in rows)])
     assert g == Graph.from_edges(edges, n=n)
+    assert np.array_equal(g.edge_keys, Graph.edge_keys.func(g))  # the keys it was built from
     logged = [call.args[0] % call.args[1:] for call in warning.call_args_list]
     extra = sum(copies) - len(edges)
     assert logged == [
