@@ -1,8 +1,9 @@
 # Estimating triangles from an edge stream in two passes.
 #
-# Pass 1 marks the neighborhoods of the sampled vertices in bit vectors;
-# pass 2 counts, for every stream edge, the sampled vertices adjacent to
-# both endpoints.  If the vertex count is unknown an extra counting pass
+# Pass 1 marks the neighborhoods of the sampled vertices in one bit row
+# per vertex, a bit per sample slot; pass 2 counts, for every stream
+# edge, the sampled vertices adjacent to both endpoints: the bits set in
+# both endpoints' rows.  If the vertex count is unknown an extra counting pass
 # runs first.  State is O(s * n) and the result is bit-identical to the
 # in-memory "qopt-uniform" estimator under the same seed.
 

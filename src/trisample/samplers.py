@@ -21,10 +21,10 @@ contributes a zero-valued trial and consumes no second-stage variate.
 
 ``draw_vertices`` and ``second_stage`` make a whole batch of draws and
 consume each substream exactly as that many one-trial draws would.
-:func:`weighted_pick` is the package's one weighted draw: the qopt
-second stage and the stream finalize both pick through it.  The
-one-trial draw path they are checked against lives with the tests, in
-``tests/trial_reference.py``.
+:func:`weighted_pick` is the package's one weighted draw: the weighted
+first stage, the qopt second stage and the stream finalize pick through
+it.  The one-trial draw path they are checked against lives with the
+tests, in ``tests/trial_reference.py``.
 """
 
 from __future__ import annotations
@@ -50,8 +50,11 @@ _DEGREE_P_KINDS = frozenset({QOPT_DEGREE, EDGE_DEGREE})
 
 
 def _check_ids(g: Graph, vertices) -> np.ndarray:
-    """``vertices`` as an int64 array; IndexError if an id is outside [0, n)."""
-    vertices = np.asarray(vertices, dtype=np.int64)
+    """``vertices`` as an int64 array; ValueError unless integers, IndexError outside [0, n)."""
+    vertices = np.asarray(vertices)
+    if vertices.size and vertices.dtype.kind not in "iu":
+        raise ValueError("vertex ids must be integers")
+    vertices = vertices.astype(np.int64, copy=False)
     if ((vertices < 0) | (vertices >= g.n)).any():
         raise IndexError(f"vertex ids out of range [0,{g.n})")
     return vertices
@@ -70,8 +73,7 @@ class SamplerSpec:
     graph: Graph
     profile: TriangleProfile | None = None
     _p_weights: np.ndarray | None = None  # first-stage integer weights (int64)
-    _p_cum: np.ndarray | None = None  # their running sums
-    _p_total: int = 0
+    _p_total: int = 0  # their sum
 
     def p(self, i: int) -> float:
         """First-stage probability of vertex ``i``."""
@@ -147,22 +149,22 @@ def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) ->
         weights = g.degrees
     else:
         return SamplerSpec(kind=kind, graph=g, profile=oracle)
-    cum = np.cumsum(weights)
     return SamplerSpec(
-        kind=kind, graph=g, profile=oracle, _p_weights=weights, _p_cum=cum, _p_total=int(cum[-1])
+        kind=kind, graph=g, profile=oracle, _p_weights=weights, _p_total=int(weights.sum())
     )
 
 
-def draw_vertices(spec: SamplerSpec, rng: np.random.Generator, size: int | None = None):
-    """First-stage draws: ``size`` vertices (one when None) distributed per p.
+def draw_vertices(spec: SamplerSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """First-stage draws: ``size`` vertices distributed per p.
 
-    Each vertex costs one integer variate, uniform on [0, n) or on
-    [0, total weight) and then located in the running sums, so a batch
+    Each vertex costs one integer variate: uniform on [0, n), or one
+    :func:`weighted_pick` from the run of all n weights.  So a batch
     consumes ``rng`` exactly as that many single draws do.
     """
-    if spec._p_cum is None:
+    if spec._p_weights is None:
         return rng.integers(spec.graph.n, size=size)
-    return spec._p_cum.searchsorted(rng.integers(spec._p_total, size=size), side="right")
+    runs = np.zeros(size, dtype=np.int64)
+    return weighted_pick(spec._p_weights, runs, runs + spec.graph.n, rng)[1]
 
 
 def weighted_pick(

@@ -4,17 +4,17 @@ Uniform first-stage sampling with variance-minimizing second stage,
 reorganized for sequential edge access:
 
   * pass 0 (only when the vertex count is unknown): find n.
-  * pass 1: for each sampled vertex, mark its neighbors in a bit vector.
-  * pass 2: for every stream edge {j, d} with both endpoints marked for a
-    sampled vertex i, a triangle {i, j, d} is found; the per-edge
-    counters for j and d and the per-vertex tally all advance by one.
+  * pass 1: set bit t of vertex v's row when v neighbours sampled vertex t.
+  * pass 2: for every stream edge {j, d}, each bit t set in both rows j
+    and d is a triangle at sampled vertex t; its counters for j and d
+    and its tally advance by one.
 
 After the passes every sampled vertex knows its exact local triangle
 structure.  The finalize picks every trial's partner j from its
 counters with the in-memory engine's :func:`~trisample.samplers.weighted_pick`
 and values the trials with its :func:`~trisample.estimator.fold_trials`,
-over the non-zero counters only.  State is one bit vector and one
-counter vector of length n per sampled vertex: O(s*n) overall.
+over the non-zero counters only.  State is n bit rows of ceil(s/8)
+bytes and s counter rows of length n: O(s*n) overall.
 
 Every pass reads the stream as the ``(k, 2)`` int64 blocks of
 :meth:`~trisample.graph.EdgeStreamSource.blocks`, at most
@@ -64,16 +64,16 @@ class StreamFormatError(ValueError):
 class StreamState:
     """Per-sampled-vertex counters accumulated over the passes.
 
-    Row ``t`` belongs to the t-th sampled vertex: ``neighbor_bits[t]`` is
-    its bit-packed neighborhood vector, ``edge_counts[t, j]`` the number
-    of triangles found through edge {sampled[t], j}, and
-    ``vertex_count[t]`` its local triangle tally.  ``m`` is the number of
-    stream edges pass 1 read.
+    Bit ``t & 7`` of ``neighbor_bits[v, t >> 3]`` is set when v neighbours
+    ``sampled[t]``.  ``edge_counts[t, j]`` is the number of triangles
+    found through edge {sampled[t], j}, and ``vertex_count[t]`` the local
+    triangle tally of ``sampled[t]``.  ``m`` is the number of stream
+    edges pass 1 read.
     """
 
     sampled: list[int]
     n: int
-    neighbor_bits: np.ndarray = field(repr=False)  # (s, ceil(n/8)) uint8
+    neighbor_bits: np.ndarray = field(repr=False)  # (n, ceil(s/8)) uint8
     edge_counts: np.ndarray = field(repr=False)  # (s, n) narrowest uint >= n
     vertex_count: np.ndarray = field(repr=False)  # (s,) int64
     pass_phase: str = PHASE_PASS1
@@ -137,7 +137,7 @@ def _check_endpoints(u: int, v: int, n: int) -> None:
 def pass1_neighborhoods(
     source: EdgeStreamSource, sampled: list[int], n: int, strict: bool = False
 ) -> StreamState:
-    """First pass: set the neighborhood bit vectors of the sampled vertices.
+    """First pass: set the neighbour bit rows of the sampled vertices.
 
     A bit that is already set means the same undirected edge appeared
     twice, which the counting pass would double-count; this catches
@@ -148,9 +148,9 @@ def pass1_neighborhoods(
     incidences at sampled vertices are listed in stream order (edge,
     then the direction u->v before v->u), checked for bits already set
     or repeated within the block, and set at once.  The first error
-    raised is the one an edge-by-edge pass would raise.  A vertex sampled
-    more than once is marked in its first slot only, and its other rows
-    are copied from that one after the pass.
+    raised is the one an edge-by-edge pass would raise.  Each distinct
+    sampled vertex has one row of slot bits, the slots it was drawn in,
+    and an incidence at it sets all of them in its neighbour's row.
     """
     sampled = [int(i) for i in sampled]
     for i in sampled:
@@ -160,16 +160,17 @@ def pass1_neighborhoods(
     state = StreamState(
         sampled=sampled,
         n=n,
-        neighbor_bits=np.zeros((s, (n + 7) // 8), dtype=np.uint8),
+        neighbor_bits=np.zeros((n, (s + 7) // 8), dtype=np.uint8),
         edge_counts=np.zeros((s, n), dtype=np.min_scalar_type(n)),
         vertex_count=np.zeros(s, dtype=np.int64),
     )
     bits = state.neighbor_bits
-    ids, first, inverse = np.unique(
-        np.array(sampled, dtype=np.int64), return_index=True, return_inverse=True
-    )
-    slot_of = np.full(n, -1, dtype=np.int64)  # a sampled vertex's first slot
-    slot_of[ids] = first
+    ids, inverse = np.unique(np.array(sampled, dtype=np.int64), return_inverse=True)
+    slot_bits = np.zeros((len(ids), bits.shape[1]), dtype=np.uint8)  # row r: slots of ids[r]
+    t = np.arange(s)
+    np.bitwise_or.at(slot_bits, (inverse, t >> 3), (1 << (t & 7)).astype(np.uint8))
+    row_of = np.full(n, -1, dtype=np.int64)  # a sampled vertex's row of slot_bits
+    row_of[ids] = np.arange(len(ids))
     seen: set[tuple[int, int]] | None = set() if strict else None
     for block in _edge_blocks(source, n):
         state.m += len(block)
@@ -183,35 +184,31 @@ def pass1_neighborhoods(
                 seen.add(key)
         # incidence k of the block: vertex ends[k] sees neighbour others[k]
         ends, others = block.ravel(), block[:, ::-1].ravel()
-        slot = slot_of[ends]
-        at = np.flatnonzero(slot >= 0)
-        slot, other = slot[at], others[at]
-        byte, mask = other >> 3, (1 << (other & 7)).astype(np.uint8)
-        dup = np.ones(len(slot), dtype=bool)  # set by an earlier incidence of the block...
-        dup[np.unique(slot * n + other, return_index=True)[1]] = False
-        dup |= (bits[slot, byte] & mask) != 0  # ...or by an earlier block
+        row = row_of[ends]
+        at = np.flatnonzero(row >= 0)
+        row, other = row[at], others[at]
+        dup = np.ones(len(row), dtype=bool)  # set by an earlier incidence of the block...
+        dup[np.unique(row * n + other, return_index=True)[1]] = False
+        dup |= (bits[other] & slot_bits[row]).any(axis=1)  # ...or by an earlier block
         if dup.any():
             k = at[int(dup.argmax())]
             u, v = block[k >> 1].tolist()
             raise StreamFormatError(
                 f"duplicate edge {{{u},{v}}} detected at sampled vertex {int(ends[k])}"
             )
-        np.bitwise_or.at(bits, (slot, byte), mask)
-    marked = first[inverse]  # the row each sampled vertex was marked in
-    copies = np.flatnonzero(marked != np.arange(s))
-    bits[copies] = bits[marked[copies]]
+        np.bitwise_or.at(bits, other, slot_bits[row])
     return state
 
 
 def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamState:
     """Second pass: count triangles through each sampled vertex.
 
-    For a stream edge {j, d}, every sampled vertex adjacent to both
-    endpoints closes a triangle.  An edge incident to the sampled vertex
-    itself never fires because its own bit is never set (no self-loops).
-    A block's edges with both endpoints in some sampled neighbourhood
-    make one ``(s, edges)`` hit matrix, gathered from the packed bits;
-    its hits are added into the counters at once.  A
+    For a stream edge {j, d}, the set bits of ``neighbor_bits[j] &
+    neighbor_bits[d]`` are the slots of the sampled vertices that close a
+    triangle.  A sampled vertex's own bit is never set (no self-loops), so
+    an edge incident to it never fires.  A block's edges with both
+    endpoints near some sampled vertex are ANDed at once; the rows that
+    hit are unpacked to an ``(edges, s)`` matrix added into the counters.  A
     pass that reads a different number of edges than pass 1 means the
     stream changed in between, and raises.
 
@@ -225,25 +222,25 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
         raise RuntimeError(f"pass 2 requires completed pass 1, state is {state.pass_phase!r}")
     bits, counts, tally = state.neighbor_bits, state.edge_counts, state.vertex_count
     m = 0
-    near = np.bitwise_or.reduce(bits, axis=0)  # the neighbours of any sampled vertex
+    near = bits.any(axis=1)  # the neighbours of any sampled vertex
     closing: set[tuple[int, int]] = set()  # canonical keys of the edges that hit
     for block in _edge_blocks(source, state.n):
         m += len(block)
         j, d = block[:, 0], block[:, 1]
-        both = (near[j >> 3] & (1 << (j & 7)).astype(np.uint8)) != 0
-        both &= (near[d >> 3] & (1 << (d & 7)).astype(np.uint8)) != 0
+        both = near[j] & near[d]
         j, d = j[both], d[both]
-        hit = (bits[:, j >> 3] & (1 << (j & 7)).astype(np.uint8)) != 0
-        hit &= (bits[:, d >> 3] & (1 << (d & 7)).astype(np.uint8)) != 0
-        at = hit.any(axis=0)
-        for key in zip(np.minimum(j, d)[at].tolist(), np.maximum(j, d)[at].tolist()):
+        hit = bits[j] & bits[d]
+        at = hit.any(axis=1)
+        j, d = j[at], d[at]
+        for key in zip(np.minimum(j, d).tolist(), np.maximum(j, d).tolist()):
             if key in closing:
                 raise StreamFormatError(f"duplicate edge {{{key[0]},{key[1]}}} in stream")
             closing.add(key)
-        t, r = np.nonzero(hit)
+        hit = np.unpackbits(hit[at], axis=1, count=len(tally), bitorder="little")
+        r, t = np.nonzero(hit)
         np.add.at(counts, (t, j[r]), 1)
         np.add.at(counts, (t, d[r]), 1)
-        tally += hit.sum(axis=1)
+        tally += hit.sum(axis=0, dtype=np.int64)
     if m != state.m:
         raise StreamFormatError(
             f"stream changed between passes: pass 1 read {state.m} edges, pass 2 read {m}"

@@ -140,6 +140,28 @@ def test_accessors_refuse_ids_outside_the_graph(paw, kind):
             spec.p(bad)
 
 
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_accessors_refuse_ids_that_are_not_integers(paw, kind):
+    for oracle in (count_exact(paw), None):
+        if kind == "optimal" and oracle is None:
+            continue
+        spec = build_sampler(paw, kind, oracle)
+        calls = (
+            lambda: spec.p(1.7),
+            lambda: spec.q(1.9, 2.2),
+            lambda: spec.q(1, 2.0),
+            lambda: spec.p_of(np.array([0.0, 1.5])),
+            lambda: spec.q_of(np.array([1]), np.array([2.5])),
+            lambda: spec.q_of(np.array(["1"]), np.array([2])),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^vertex ids must be integers$"):
+                call()
+        assert spec.p(1) == spec.p_of(np.array([1], dtype=np.uint8))[0]
+        assert spec.p_of(np.array([])).shape == (0,)
+        assert spec.q_of(np.array([]), np.array([])).shape == (0,)
+
+
 def test_qopt_q_matches_oracle_exactly():
     rng = np.random.default_rng(41)
     g = gnp_graph(18, 0.35, rng)

@@ -15,6 +15,8 @@ from trisample import (
     pass2_local_counts,
     pass_count_n,
     StreamState,
+    estimator,
+    seed_streams,
     stream_estimate,
     streaming,
 )
@@ -27,7 +29,7 @@ from trisample import Graph
 def _bits_set(state, slot):
     out = []
     for j in range(state.n):
-        if state.neighbor_bits[slot, j >> 3] & (1 << (j & 7)):
+        if state.neighbor_bits[j, slot >> 3] & (1 << (slot & 7)):
             out.append(j)
     return out
 
@@ -46,7 +48,7 @@ def test_pass1_neighborhoods():
     state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [3], 4)
     assert _bits_set(state, 0) == [2]
     empty = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [], 4)
-    assert empty.neighbor_bits.shape == (0, 1)
+    assert empty.neighbor_bits.shape == (4, 0)
 
 
 def test_pass1_rejects_out_of_universe_and_self_loops():
@@ -255,7 +257,7 @@ def _reference_pass1(source, sampled, n, strict=False):
     state = StreamState(
         sampled=sampled,
         n=n,
-        neighbor_bits=np.zeros((s, (n + 7) // 8), dtype=np.uint8),
+        neighbor_bits=np.zeros((n, (s + 7) // 8), dtype=np.uint8),
         edge_counts=np.zeros((s, n), dtype=np.min_scalar_type(n)),
         vertex_count=np.zeros(s, dtype=np.int64),
     )
@@ -274,22 +276,23 @@ def _reference_pass1(source, sampled, n, strict=False):
             seen.add(key)
         for i, other in ((u, v), (v, u)):
             for t in slots_of.get(i, ()):
-                byte, mask = other >> 3, 1 << (other & 7)
-                if bits[t, byte] & mask:
+                byte, mask = t >> 3, 1 << (t & 7)
+                if bits[other, byte] & mask:
                     raise StreamFormatError(
                         f"duplicate edge {{{u},{v}}} detected at sampled vertex {i}"
                     )
-                bits[t, byte] |= mask
+                bits[other, byte] |= mask
     return state
 
 
 def _reference_pass2(source, state):
     bits, counts, tally = state.neighbor_bits, state.edge_counts, state.vertex_count
+    t = np.arange(len(state.sampled))
     closing = set()
     for j, d in stream_pairs(source):
         _check_endpoints(j, d, state.n)
-        hit = (bits[:, j >> 3] & (1 << (j & 7))) != 0
-        hit &= (bits[:, d >> 3] & (1 << (d & 7))) != 0
+        hit = (bits[j, t >> 3] & (1 << (t & 7))) != 0
+        hit &= (bits[d, t >> 3] & (1 << (t & 7))) != 0
         if hit.any():
             key = (min(j, d), max(j, d))
             if key in closing:
@@ -412,6 +415,41 @@ def test_block_passes_match_the_edge_by_edge_passes(block):
             pass2_local_counts(MemoryEdgeStream(edges), got)
             _reference_pass2(MemoryEdgeStream(edges), want)
             _same_state(got, want)
+
+
+@pytest.mark.parametrize("block", [3, 4096])
+def test_slots_that_span_two_bytes(block):
+    # s = 13 takes two bytes per bit row; one vertex holds 9 of the
+    # slots, in shuffled positions, so its marks and hits cross a byte.
+    rng = np.random.default_rng(109)
+    s = 13
+    with patch.object(streaming, "_STREAM_BLOCK", block):
+        for _ in range(4):
+            n = int(rng.integers(12, 30))
+            edges = gnp_edges(n, 0.4, rng)
+            g = Graph.from_edges(edges, n=n)
+            prof = count_exact(g)
+            hub = int(g.degrees.argmax())
+            assert prof.per_vertex[hub] > 0
+            sampled = [hub] * 9 + rng.integers(n, size=s - 9).tolist()
+            rng.shuffle(sampled)
+            for _order in range(2):
+                rng.shuffle(edges)
+                got = pass1_neighborhoods(MemoryEdgeStream(edges), sampled, n)
+                want = _reference_pass1(MemoryEdgeStream(edges), sampled, n)
+                _same_state(got, want)
+                assert got.state_bytes == n * ((s + 7) // 8) + got.edge_counts.nbytes + 8 * s
+                pass2_local_counts(MemoryEdgeStream(edges), got)
+                _reference_pass2(MemoryEdgeStream(edges), want)
+                _same_state(got, want)
+                for t, i in enumerate(sampled):
+                    assert int(got.vertex_count[t]) == int(prof.per_vertex[i])
+                    assert got.edge_counts[t].tolist() == [prof.edge_count(i, j) for j in range(n)]
+                # The in-memory engine, given the same first stage.
+                seed = int(rng.integers(1 << 30))
+                streamed = finalize_stream_estimate(got, seed_streams(seed).pairs, seed)
+                with patch.object(estimator, "draw_vertices", lambda *_: np.array(sampled)):
+                    assert streamed == estimate(g, "qopt-uniform", s, seed=seed)
 
 
 @pytest.mark.parametrize("block", [1, 3, 4096])

@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from trisample import Graph, SampleStreams
-from trisample.samplers import OPTIMAL, _Q_OPTIMAL_KINDS, SamplerSpec, draw_vertices
+from trisample.samplers import EDGE_DEGREE, OPTIMAL, QOPT_DEGREE, _Q_OPTIMAL_KINDS, SamplerSpec
 
 
 @dataclass(slots=True)
@@ -93,8 +93,17 @@ def local_edge_count(g: Graph, i: int, j: int) -> int:
 
 
 def draw_vertex(spec: SamplerSpec, rng: np.random.Generator) -> int:
-    """First-stage draw: i distributed per the strategy's p."""
-    return int(draw_vertices(spec, rng))
+    """First-stage draw: i distributed per the strategy's p, with
+    :func:`weighted_choice` over the T_i or the degrees of the vertices
+    for a weighted kind, else one uniform integer in [0, n)."""
+    g = spec.graph
+    if spec.kind == OPTIMAL:
+        weights = spec.profile.per_vertex
+    elif spec.kind in (QOPT_DEGREE, EDGE_DEGREE):
+        weights = g.degrees
+    else:
+        return int(rng.integers(g.n))
+    return weighted_choice(range(g.n), weights, rng)[0]
 
 
 def draw_given_i(spec: SamplerSpec, i: int, rng: np.random.Generator) -> TrialDraw:
