@@ -1,8 +1,8 @@
 """Randomized triangle counting for simple undirected graphs.
 
-Exact counting by adjacency intersection, five two-stage sampling
-estimators with closed-form variance analytics and tail-bound sample
-planning, and a two-pass variant for edge streams.
+Exact counting by closing degree-ordered wedges, five two-stage sampling
+estimators summed exactly, with closed-form variance analytics and
+tail-bound sample planning, and a two-pass variant for edge streams.
 """
 
 from .analytics import (

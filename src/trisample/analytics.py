@@ -94,10 +94,10 @@ def variance_from_probabilities(
     live = np.flatnonzero(profile.edge_counts)
     c = profile.edge_counts[live]
     i, j = profile.edges[live].T
-    # Every (i, j) with i < j, then every (j, i): each half probes the
-    # sorted edge keys in ascending order.
-    a, b = np.concatenate([i, j]), np.concatenate([j, i])
-    pq = (p_of(a) * q_of(a, b)).reshape(2, -1)
+    # Every (i, j) with i < j, then every (j, i), one half at a time to
+    # halve the accessors' temporaries.  Only the first half is in
+    # ascending key order; the accessors sort the pairs they look up.
+    pq = np.stack([p_of(i) * q_of(i, j), p_of(j) * q_of(j, i)])
     bad = pq <= 0.0
     if bad.any():
         k = int(bad.any(axis=0).argmax())

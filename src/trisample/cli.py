@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -84,15 +85,23 @@ def _digest(path: str, g: Graph) -> dict:
     return {"path": path, "n": g.n, "m": g.m}
 
 
+_Z95 = 1.959963984540054  # the standard normal's 97.5% quantile
+
+
 def _estimate_fields(est: Estimate) -> dict:
-    """The :class:`Estimate` fields that ``estimate`` and ``stream`` report;
-    :func:`main` fills ``elapsed_ms`` with the run's one clock reading."""
+    """The :class:`Estimate` fields that ``estimate`` and ``stream`` report,
+    with the standard error ``sqrt(empirical_variance)`` and the normal 95%
+    interval it gives; :func:`main` fills ``elapsed_ms`` with the run's one
+    clock reading."""
+    std_error = math.sqrt(est.empirical_variance)
     return {
         "estimate": est.value,
         "s": est.trials,
         "sampler": est.kind,
         "seed": est.seed,
         "empirical_variance": est.empirical_variance,
+        "std_error": std_error,
+        "ci95": [est.value - _Z95 * std_error, est.value + _Z95 * std_error],
         "degenerate_trials": est.degenerate_trials,
         "elapsed_ms": None,
     }

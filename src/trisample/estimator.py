@@ -8,16 +8,34 @@ where T_{ij} is the number of triangles through {i, j}.  The estimate is
 the mean of ``s`` independent trials; it is unbiased for the triangle
 count under every built-in strategy.
 
-:func:`run_trials` draws, values and folds trials in chunks of array
+Every p_i is w_i / W, an integer first-stage weight over its total W
+(1 over n, deg(i) over 2m, T_i over 3T), and every q_{j|i} is a ratio of
+integers too.  So each trial is worth (W / 6) * num / den for integers
+num and den, which :func:`_trial_terms` gives reduced by their common
+factor:
+
+    optimal       num = 2                den = 1       (2 T_i / T_i)
+    qopt-uniform  num = 2 T_i            den = 1
+    qopt-degree   num = 2 T_i            den = deg(i)
+    edge-uniform  num = T_ij deg(i)      den = 1
+    edge-degree   num = T_ij             den = 1       (T_ij deg(i) / deg(i))
+
+:func:`fold_trials` sums num and num^2 per denominator in integers, and
+:class:`Moments` keeps the sums exactly, so they do not depend on the
+order or the chunking of the trials.  :func:`finalize_estimate` rounds
+every reported float once from the exact rational.
+
+:func:`run_trials` draws and values trials in chunks of array
 operations.  It consumes the seed's substreams exactly as a loop of
-single draws does and folds the values in trial order, so its result
-equals, bit for bit, that of the one-trial loop kept as the reference in
-``tests/trial_reference.py``.  :func:`fold_trials` is the one valuation:
-the in-memory trials and the stream finalize both go through it.
+single draws does, so it makes the draws of the one-trial loop kept as
+the reference in ``tests/trial_reference.py``, and its result is that
+loop's exact sum, rounded once.  The in-memory trials and the stream
+finalize both fold through :func:`fold_trials`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,64 +43,77 @@ import numpy as np
 from .exact import TriangleProfile, count_exact
 from .graph import Graph
 from .rng import seed_streams
-from .samplers import OPTIMAL, SamplerSpec, build_sampler, draw_vertices, second_stage
+from .samplers import (
+    EDGE_DEGREE,
+    EDGE_UNIFORM,
+    OPTIMAL,
+    QOPT_DEGREE,
+    SamplerSpec,
+    build_sampler,
+    draw_vertices,
+    second_stage,
+)
 
 _CHUNK = 4096  # trials drawn and folded at once; bounds the per-chunk arrays
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class Moments:
-    """Streaming first/second moments of trial values.
+    """Exact first and second moments of trial values (W / 6) * num / den.
 
-    The first moment uses Kahan-compensated summation so that long runs
-    (s > 1e5) do not drift; memory stays O(1) regardless of trial count.
-    Values are added one at a time in order, so the sums do not depend
-    on how a run is split into batches.
+    ``sums[den]`` holds the sums of num and of num^2 over the folded
+    trials with denominator ``den``, as Python ints, and ``count`` the
+    trials folded, zero-valued ones included.  Memory is one entry per
+    distinct denominator, whatever the trial count.
     """
 
-    __slots__ = ("count", "sum_sq", "_sum", "_comp")
+    __slots__ = ("scale", "count", "sums")
 
-    def __init__(self) -> None:
+    def __init__(self, scale: int) -> None:
+        self.scale = scale  # W, the first-stage weight total
         self.count = 0
-        self.sum_sq = 0.0
-        self._sum = 0.0
-        self._comp = 0.0
+        self.sums: dict[int, list[int]] = {}
 
-    def fold(self, values: list[float]) -> None:
-        """Add ``values`` in order."""
-        total, comp, sum_sq = self._sum, self._comp, self.sum_sq
-        for x in values:
-            y = x - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            sum_sq += x * x
-        self._sum, self._comp, self.sum_sq = total, comp, sum_sq
-        self.count += len(values)
-
-    @property
-    def total(self) -> float:
-        return self._sum
-
-    def empirical_variance(self) -> float:
-        """Unbiased sample variance of the trials, divided by the trial count."""
-        s = self.count
-        if s < 2:
-            return 0.0
-        spread = self.sum_sq - self._sum * (self._sum / s)
-        return max(spread, 0.0) / (s - 1) / s
+    def exact(self) -> tuple[int, int, int]:
+        """``(a, b, d)``: the values sum to (W / 6) * a / d and their squares
+        to (W / 6)^2 * b / d^2, with d the least common denominator."""
+        d = math.lcm(*self.sums)
+        a = b = 0
+        for den, (s1, s2) in self.sums.items():
+            f = d // den
+            a += s1 * f
+            b += s2 * f * f
+        return a, b, d
 
 
-def fold_trials(moments: Moments, live: np.ndarray, local: np.ndarray, p, q) -> np.ndarray:
-    """Value a batch of trials and fold them into ``moments`` in order.
+def fold_trials(moments: Moments, trials: int, num: np.ndarray, den: np.ndarray | int = 1) -> None:
+    """Fold a batch of ``trials`` trials into ``moments``.
 
-    ``local``, ``p`` and ``q`` belong to the live trials: each is worth
-    T_ij / (6 p q); the other trials are degenerate and worth 0.
-    Returns the values of the whole batch.
+    ``num`` and ``den`` belong to the batch's live trials, each worth
+    (W / 6) * num / den; the other trials are worth 0.  ``den`` is an
+    array, or one int that every live trial shares.  Each denominator's
+    num and num^2 are summed in int64, or in Python ints when a chunk's
+    largest num could overflow a sum of squares.
     """
-    values = np.zeros(len(live))
-    values[live] = local / (6.0 * p * q)
-    moments.fold(values.tolist())
-    return values
+    moments.count += trials
+    if not len(num):
+        return
+    if int(num.max()) > math.isqrt(_INT64_MAX // len(num)):
+        num = num.astype(object)
+    if np.ndim(den) == 0:
+        dens, s1, s2 = [int(den)], [int(num.sum())], [int((num * num).sum())]
+    else:
+        order = np.argsort(den)
+        den, num = den[order], num[order]
+        starts = np.flatnonzero(np.diff(den, prepend=-1))
+        dens = den[starts].tolist()
+        s1 = np.add.reduceat(num, starts).tolist()
+        s2 = np.add.reduceat(num * num, starts).tolist()
+    sums = moments.sums
+    for d, a, b in zip(dens, s1, s2):
+        acc = sums.setdefault(d, [0, 0])
+        acc[0] += a
+        acc[1] += b
 
 
 @dataclass(frozen=True)
@@ -107,16 +138,25 @@ def finalize_estimate(
     degenerate_trials: int,
     trial_values: np.ndarray | None = None,
 ) -> Estimate:
-    """Package accumulated moments; shared by in-memory and stream paths."""
+    """Package accumulated moments; shared by in-memory and stream paths.
+
+    ``sum_beta``, ``sum_beta_sq`` and ``empirical_variance`` (the unbiased
+    sample variance of the trials over the trial count) are each rounded
+    once from their exact rational; ``value`` is ``sum_beta / trials``.
+    """
     s = moments.count
     if s == 0:
         raise ValueError("no trials to estimate from")
+    a, b, d = moments.exact()
+    w = moments.scale
+    sum_beta = w * a / (6 * d)  # int / int: correctly rounded
+    spread = w * w * (s * b - a * a)  # 36 d^2 s times the squared deviations summed
     return Estimate(
-        value=moments.total / s,
+        value=sum_beta / s,
         trials=s,
-        sum_beta=moments.total,
-        sum_beta_sq=moments.sum_sq,
-        empirical_variance=moments.empirical_variance(),
+        sum_beta=sum_beta,
+        sum_beta_sq=w * w * b / (36 * d * d),
+        empirical_variance=spread / (36 * d * d * s * s * (s - 1)) if s > 1 else 0.0,
         kind=kind,
         seed=seed,
         degenerate_trials=degenerate_trials,
@@ -137,7 +177,7 @@ def estimate(
     Deterministic given (graph, kind, s, seed).  The "optimal" strategy
     needs the exact profile and computes it when not supplied -- by
     design it costs as much as exact counting.  ``keep_trials`` retains
-    the per-trial values for diagnostics (O(s) memory instead of O(1)).
+    the per-trial values for diagnostics, at O(s) memory.
     """
     if s < 1:
         raise ValueError("trial count must be at least 1")
@@ -147,18 +187,40 @@ def estimate(
     return run_trials(spec, s, seed, keep_trials=keep_trials)
 
 
+def _trial_terms(
+    spec: SamplerSpec, i: np.ndarray, local: np.ndarray, q_den: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | int]:
+    """``(num, den)`` of the live trials of first-stage vertices ``i``, local
+    counts ``local`` and q-denominators ``q_den``: each is worth
+    (W / 6) * num / den, in the reduced forms of the module table."""
+    if spec.kind == OPTIMAL:
+        return np.full(len(i), 2, dtype=np.int64), 1
+    if spec.kind == QOPT_DEGREE:
+        return q_den, spec.graph.degrees[i]
+    if spec.kind == EDGE_UNIFORM:
+        return local * q_den, 1
+    if spec.kind == EDGE_DEGREE:
+        return local, 1
+    return q_den, 1  # qopt-uniform
+
+
 def run_trials(spec: SamplerSpec, s: int, seed: int, keep_trials: bool = False) -> Estimate:
-    """Trials of a prebuilt sampler, in chunks; bit-reproducible from the seed."""
+    """Trials of a prebuilt sampler, in chunks; bit-reproducible from the seed.
+
+    ``keep_trials`` retains each trial's value, (W * num) / (6 * den) in
+    floats: correctly rounded while W * num stays below 2^53.
+    """
     streams = seed_streams(seed)
     pairs = second_stage(spec)
-    moments = Moments()
+    moments = Moments(spec._p_total)
     degenerate = 0
-    retained = np.empty(s, dtype=np.float64) if keep_trials else None
+    retained = np.zeros(s) if keep_trials else None
     for start in range(0, s, _CHUNK):
         vertices = draw_vertices(spec, streams.vertices, min(_CHUNK, s - start))
-        live, _, local, q = pairs(vertices, streams.pairs)
-        values = fold_trials(moments, live, local, spec.p_of(vertices[live]), q)
+        live, _, local, q_den = pairs(vertices, streams.pairs)
+        num, den = _trial_terms(spec, vertices[live], local, q_den)
+        fold_trials(moments, len(vertices), num, den)
         degenerate += len(vertices) - len(local)
         if retained is not None:
-            retained[start : start + len(values)] = values
+            retained[start : start + len(vertices)][live] = num * float(spec._p_total) / (6.0 * den)
     return finalize_estimate(moments, spec.kind, seed, degenerate, retained)

@@ -21,10 +21,12 @@ contributes a zero-valued trial and consumes no second-stage variate.
 
 ``draw_vertices`` and ``second_stage`` make a whole batch of draws and
 consume each substream exactly as that many one-trial draws would.
-:func:`weighted_pick` is the package's one weighted draw: the weighted
+:func:`weighted_pick` is the package's one weighted draw: the optimal
 first stage, the qopt second stage and the stream finalize pick through
-it.  The one-trial draw path they are checked against lives with the
-tests, in ``tests/trial_reference.py``.
+it.  The degree kinds' first stage needs no search: it draws a uniform
+adjacency slot and takes its row (see :func:`draw_vertices`).  The
+one-trial draw path they are checked against lives with the tests, in
+``tests/trial_reference.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import TriangleProfile, _lookup, _run_positions, common_neighbour_counts, local_counts_into
+from .exact import (
+    TriangleProfile,
+    _lookup,
+    _run_positions,
+    _sort_indexed,
+    common_neighbour_counts,
+    local_counts_into,
+)
 from .graph import Graph
 
 OPTIMAL = "optimal"
@@ -52,6 +61,11 @@ _DEGREE_P_KINDS = frozenset({QOPT_DEGREE, EDGE_DEGREE})
 def _check_ids(g: Graph, vertices) -> np.ndarray:
     """``vertices`` as an int64 array; ValueError unless integers, IndexError outside [0, n)."""
     vertices = np.asarray(vertices)
+    if vertices.dtype == object and all(type(v) is int for v in vertices.flat):
+        # Python ints beyond int64 make an object array: out of range too.
+        if not all(0 <= v < g.n for v in vertices.flat):
+            raise IndexError(f"vertex ids out of range [0,{g.n})")
+        vertices = vertices.astype(np.int64)
     if vertices.size and vertices.dtype.kind not in "iu":
         raise ValueError("vertex ids must be integers")
     vertices = vertices.astype(np.int64, copy=False)
@@ -73,7 +87,7 @@ class SamplerSpec:
     graph: Graph
     profile: TriangleProfile | None = None
     _p_weights: np.ndarray | None = None  # first-stage integer weights (int64)
-    _p_total: int = 0  # their sum
+    _p_total: int = 0  # W, their sum: n for the uniform kinds, whose weights are all 1
 
     def p(self, i: int) -> float:
         """First-stage probability of vertex ``i``."""
@@ -105,7 +119,7 @@ class SamplerSpec:
         g = self.graph
         a, b = _check_ids(g, a), _check_ids(g, b)
         if self.kind not in _Q_OPTIMAL_KINDS:
-            _, adjacent = _lookup(g.edge_keys, a * g.n + b)
+            _, adjacent = _find_pairs(g, a, b)
             return np.divide(1.0, g.degrees[a], out=np.zeros(len(a)), where=adjacent)
         if self.profile is not None:
             delta_i = self.profile.per_vertex[a]
@@ -117,10 +131,24 @@ class SamplerSpec:
             bounds, positions = _run_positions(g, distinct)
             running = np.concatenate(([0], np.cumsum(counts[positions])))
             delta_i = ((running[bounds[1:]] - running[bounds[:-1]]) // 2)[which]
-            at, adjacent = _lookup(g.edge_keys, a * g.n + b)  # at: b's entry in a's run
+            at, adjacent = _find_pairs(g, a, b)  # at: b's entry in a's run
             delta_ij = np.zeros(len(a), dtype=np.int64)
             delta_ij[adjacent] = counts[at[adjacent]]
         return np.divide(delta_ij, 2 * delta_i, out=np.zeros(len(a)), where=delta_i > 0)
+
+
+def _find_pairs(g: Graph, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each ordered pair (a_t, b_t) sits in :attr:`Graph.edge_keys`,
+    and whether it is there.
+
+    The keys ``a * n + b`` are sorted before the search, as
+    ``exact._find_edges`` sorts its probes, so that they walk the search
+    tree in order; the answers come back in pair order.
+    """
+    keys, order = _sort_indexed(a * g.n + b, g.n * g.n)
+    at, hit = np.empty_like(keys), np.empty(len(keys), dtype=bool)
+    at[order], hit[order] = _lookup(g.edge_keys, keys)
+    return at, hit
 
 
 def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) -> SamplerSpec:
@@ -148,7 +176,7 @@ def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) ->
             raise ValueError(f"{kind} sampling is undefined on an edgeless graph (2m = 0)")
         weights = g.degrees
     else:
-        return SamplerSpec(kind=kind, graph=g, profile=oracle)
+        return SamplerSpec(kind=kind, graph=g, profile=oracle, _p_total=g.n)
     return SamplerSpec(
         kind=kind, graph=g, profile=oracle, _p_weights=weights, _p_total=int(weights.sum())
     )
@@ -157,14 +185,21 @@ def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) ->
 def draw_vertices(spec: SamplerSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     """First-stage draws: ``size`` vertices distributed per p.
 
-    Each vertex costs one integer variate: uniform on [0, n), or one
-    :func:`weighted_pick` from the run of all n weights.  So a batch
-    consumes ``rng`` exactly as that many single draws do.
+    Each vertex costs one integer variate: uniform on [0, n); for the
+    degree kinds, a uniform adjacency slot in [0, 2m) whose row is the
+    vertex; for optimal, one :func:`weighted_pick` from the run of all n
+    weights.  The slot's row is the vertex that :func:`weighted_pick`
+    over the degrees picks from the same variate, since the slots of
+    vertex i are the deg(i) positions after those of the vertices below
+    it.  So a batch consumes ``rng`` exactly as that many single draws do.
     """
+    g = spec.graph
     if spec._p_weights is None:
-        return rng.integers(spec.graph.n, size=size)
+        return rng.integers(g.n, size=size)
+    if spec.kind in _DEGREE_P_KINDS:
+        return g.edge_keys[rng.integers(0, 2 * g.m, size)] // g.n
     runs = np.zeros(size, dtype=np.int64)
-    return weighted_pick(spec._p_weights, runs, runs + spec.graph.n, rng)[1]
+    return weighted_pick(spec._p_weights, runs, runs + g.n, rng)[1]
 
 
 def weighted_pick(
@@ -193,7 +228,7 @@ def weighted_pick(
     return live, running.searchsorted(u, side="right") - 1, totals
 
 
-# (first-stage vertices, pairs substream) -> (live, j, local counts, q); see second_stage
+# (vertices, pairs substream) -> (live, j, local counts, q-denominators); see second_stage
 PairDraws = Callable[
     [np.ndarray, np.random.Generator], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 ]
@@ -205,10 +240,12 @@ def second_stage(spec: SamplerSpec) -> PairDraws:
     The returned function takes a batch of first-stage vertices and the
     pairs substream.  It returns the mask of the live (non-degenerate)
     trials and, for the live trials in order, the drawn vertex j, the
-    local count T_ij of the pair and its conditional probability
-    q_{j|i}.  It draws one integer variate per live trial, in trial
-    order, so batches consume the substream exactly as one-trial draws
-    do.
+    local count T_ij of the pair and the integer denominator of its
+    conditional probability q_{j|i}: the run total 2 T_i of the qopt
+    kinds, whose q is T_ij / 2 T_i, or deg(i) for the edge kinds, whose
+    q is 1 / deg(i).  It draws one integer variate per live trial, in
+    trial order, so batches consume the substream exactly as one-trial
+    draws do.
 
     The qopt family keeps one int64 table of T_ij in CSR order per run.
     It fills a vertex's run of the table when the vertex is first drawn,
@@ -226,7 +263,7 @@ def second_stage(spec: SamplerSpec) -> PairDraws:
             live = deg > 0
             i, deg = vertices[live], deg[live]
             j = g.indices[g.indptr[i] + rng.integers(0, deg)]
-            return live, j, common_neighbour_counts(g, i, j), 1.0 / deg
+            return live, j, common_neighbour_counts(g, i, j), deg
 
         return edge_pairs
 
@@ -241,6 +278,6 @@ def second_stage(spec: SamplerSpec) -> PairDraws:
         bounds, positions = _run_positions(g, distinct)
         weights = counts[positions]  # the distinct vertices' runs back to back
         live, picked, totals = weighted_pick(weights, bounds[which], bounds[which + 1], rng)
-        return live, g.indices[positions[picked]], weights[picked], weights[picked] / totals
+        return live, g.indices[positions[picked]], weights[picked], totals
 
     return qopt_pairs

@@ -11,9 +11,9 @@ reorganized for sequential edge access:
 
 After the passes every sampled vertex knows its exact local triangle
 structure.  The finalize picks every trial's partner j from its
-counters with the in-memory engine's :func:`~trisample.samplers.weighted_pick`
-and values the trials with its :func:`~trisample.estimator.fold_trials`,
-over the non-zero counters only.  State is n bit rows of ceil(s/8)
+counters with the in-memory engine's :func:`~trisample.samplers.weighted_pick`,
+over the non-zero counters only, and sums the trials exactly with its
+:func:`~trisample.estimator.fold_trials`.  State is n bit rows of ceil(s/8)
 bytes and s counter rows of length n: O(s*n) overall.
 
 Every pass reads the stream as the ``(k, 2)`` int64 blocks of
@@ -29,7 +29,8 @@ only sees under ``strict`` but which would be counted twice.
 Sampled vertices are drawn with replacement; duplicates keep independent
 counters, matching the i.i.d. trial model of the in-memory estimator.
 Given the same seed, the final estimate equals the in-memory
-"qopt-uniform" estimate bit for bit.
+"qopt-uniform" estimate bit for bit: both are the same exact integer
+sums, rounded once.
 """
 
 from __future__ import annotations
@@ -257,9 +258,9 @@ def finalize_stream_estimate(
     Each sampled vertex is one trial.  Its partner j is picked in
     proportion to the per-edge counters of its row, by one
     :func:`~trisample.samplers.weighted_pick` over the non-zero counters
-    of all rows, and the trial is valued as the in-memory qopt-uniform
-    engine values it.  Vertices with no local triangles are degenerate
-    zero trials.
+    of all rows, and the trial is folded as the in-memory qopt-uniform
+    engine folds it: worth (n / 6) * 2 T_i, its row's total.  Vertices
+    with no local triangles are degenerate zero trials.
     """
     if state.pass_phase != PHASE_PASS2:
         raise RuntimeError(f"finalize requires completed pass 2, state is {state.pass_phase!r}")
@@ -267,12 +268,11 @@ def finalize_stream_estimate(
     cells = np.flatnonzero(counts)  # row by row, so each row's cells are one run
     weights = counts[cells]
     bounds = cells.searchsorted(np.arange(len(state.sampled) + 1) * state.n)
-    live, picked, totals = weighted_pick(weights, bounds[:-1], bounds[1:], rng)
-    local = weights[picked]
-    moments = Moments()
-    fold_trials(moments, live, local, 1.0 / state.n, local / totals)
+    live, _, totals = weighted_pick(weights, bounds[:-1], bounds[1:], rng)
+    moments = Moments(state.n)
+    fold_trials(moments, len(live), totals)  # a live trial is worth (n / 6) * 2 T_i
     state.pass_phase = PHASE_DONE
-    return finalize_estimate(moments, QOPT_UNIFORM, seed, len(live) - len(local))
+    return finalize_estimate(moments, QOPT_UNIFORM, seed, len(live) - len(totals))
 
 
 def stream_estimate(

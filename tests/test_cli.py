@@ -130,10 +130,13 @@ def test_estimate_optimal_k4(capsys, k4_file):
         "sampler",
         "seed",
         "empirical_variance",
+        "std_error",
+        "ci95",
         "degenerate_trials",
         "elapsed_ms",
     }
     assert result["estimate"] == 4.0
+    assert (result["empirical_variance"], result["std_error"], result["ci95"]) == (0.0, 0.0, [4.0, 4.0])
     assert result["degenerate_trials"] == 0
     assert result["s"] == 3
     assert result["seed"] == 7
@@ -149,6 +152,18 @@ def test_estimate_paw_qopt_band(capsys, paw_file):
         capsys, "estimate", paw_file, "--sampler", "qopt-uniform", "--samples", "100000", "--seed", "1"
     )
     assert 0.97 <= report["result"]["estimate"] <= 1.03
+
+
+@pytest.mark.parametrize("command", ["estimate", "stream"])
+def test_estimate_and_stream_report_a_standard_error_and_interval(capsys, paw_file, command):
+    argv = [command, paw_file, "--samples", "2000", "--seed", "3"]
+    result = run_json(capsys, *argv, *(["--sampler", "qopt-uniform"] if command == "estimate" else []))["result"]
+    value, std_error = result["estimate"], result["std_error"]
+    assert std_error == math.sqrt(result["empirical_variance"]) > 0.0
+    assert result["ci95"] == [value - 1.959963984540054 * std_error, value + 1.959963984540054 * std_error]
+    assert result["ci95"][0] < 1.0 < result["ci95"][1]  # the paw's one triangle
+    # Var of one qopt-uniform trial on the paw is 1/3 (n * sum T_i^2 / 9 - T^2).
+    assert std_error == pytest.approx(math.sqrt(1 / 3 / 2000), rel=0.1)
 
 
 def test_estimate_optimal_triangle_free_fails(capsys, path3_file):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from trisample import (
     seed_streams,
     variance_closed_form,
 )
+from trisample.estimator import Moments, finalize_estimate, fold_trials
 from trisample.samplers import draw_vertices
 
 from conftest import PAW_EDGES, gnp_graph, hub_graph
-from trial_reference import TrialDraw, draw, trial_value
+from trial_reference import TrialDraw, draw, exact_trial_value, trial_value
 
 
 def test_trial_value_optimal_is_always_truth(k4):
@@ -58,7 +60,15 @@ def test_estimate_on_triangle_free_is_zero(path3):
 def test_estimate_optimal_is_exact(k4):
     est = estimate(k4, "optimal", 5, seed=123)
     assert est.value == 4.0
-    assert est.empirical_variance <= 1e-20
+    assert est.empirical_variance == 0.0
+    # Every optimal trial is worth T; a float product 6 p q would miss it
+    # by an ulp on most of these graphs.
+    rng = np.random.default_rng(19)
+    for _ in range(4):
+        g = gnp_graph(40, 0.3, rng)
+        prof = count_exact(g)
+        est = estimate(g, "optimal", 300, seed=1, oracle=prof)
+        assert (est.value, est.sum_beta, est.empirical_variance) == (prof.total, 300 * prof.total, 0.0)
 
 
 def test_estimate_paw_within_variance_band(paw):
@@ -154,24 +164,20 @@ def test_single_trial_variance_matches_analytics(paw):
 def _per_trial_reference(spec, s, seed):
     """The one-trial-at-a-time loop that the batched engine replaced.
 
-    Kahan-sums ``trial_value(g, draw(spec, streams))`` over ``s`` draws and
-    returns the fields of the Estimate it gave, plus the trial values.
+    Sums ``exact_trial_value(spec, draw(spec, streams))`` over ``s`` draws
+    as Fractions and returns the fields of the Estimate they give, each
+    rounded once, plus the trial values.
     """
     streams = seed_streams(seed)
-    total = comp = sum_sq = 0.0
     values, degenerate = [], 0
     for _ in range(s):
         d = draw(spec, streams)
-        x = trial_value(spec.graph, d)
+        values.append(exact_trial_value(spec, d))
         degenerate += d.degenerate
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        sum_sq += x * x
-        values.append(x)
-    variance = max(sum_sq - total * (total / s), 0.0) / (s - 1) / s if s > 1 else 0.0
-    return total / s, total, sum_sq, variance, degenerate, values
+    total, sum_sq = sum(values, Fraction(0)), sum(v * v for v in values)
+    variance = (sum_sq - total * total / s) / (s - 1) / s if s > 1 else 0
+    values = list(map(float, values))
+    return float(total) / s, float(total), float(sum_sq), float(variance), degenerate, values
 
 
 def _parity_graphs():
@@ -252,3 +258,52 @@ def test_run_trials_matches_the_per_trial_loop_with_a_hub_and_full_rounds(
     assert sorted(np.concatenate(given).tolist()) == np.unique(drawn).tolist()
     if s == 5000:
         assert len(given[0]) > 2 * trisample.exact._ROUND and 0 in drawn
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_chunking_does_not_change_the_estimate(monkeypatch, kind):
+    # The sums are exact integers, so no chunk size can move a bit.
+    rng = np.random.default_rng(29)
+    graphs = [Graph.from_edges(PAW_EDGES), gnp_graph(30, 0.3, rng), hub_graph(120, 0.08, 60, rng)]
+    for g in graphs:
+        prof = count_exact(g)
+        spec = build_sampler(g, kind, prof if kind == "optimal" else None)
+        results = []
+        for chunk in (1, 37, 4096):
+            monkeypatch.setattr(trisample.estimator, "_CHUNK", chunk)
+            results.append(run_trials(spec, 500, seed=3, keep_trials=True))
+        assert results[0] == results[1] == results[2]
+        assert results[0].trial_values.tolist() == results[2].trial_values.tolist()
+
+
+def _fraction_moments(scale, trials, num, den):
+    """(sum_beta, sum_beta_sq, empirical_variance) of the trial values
+    (scale / 6) * num / den, padded with zero trials, each rounded once."""
+    values = [Fraction(scale * a, 6 * b) for a, b in zip(num, den)]
+    total, sum_sq = sum(values, Fraction(0)), sum(v * v for v in values)
+    variance = (sum_sq - total * total / trials) / (trials - 1) / trials
+    return float(total), float(sum_sq), float(variance)
+
+
+@pytest.mark.parametrize("shared_den", [True, False])
+def test_fold_sums_exactly_past_int64(shared_den):
+    rng = np.random.default_rng(31)
+    limit = math.isqrt(trisample.estimator._INT64_MAX // 4096)  # a full chunk's int64 bound
+    for low, high in ((0, limit + 1), (limit, limit + 2), (1 << 30, 1 << 33), (1 << 40, 1 << 50)):
+        scale = int(rng.integers(1, 1 << 40))
+        moments = Moments(scale)
+        nums, dens = [], []
+        for size in (4096, 4096, 1000):
+            num = rng.integers(low, high, size=size)
+            num[0] = high - 1  # the largest value of the range is in every chunk
+            den = 7 if shared_den else rng.integers(1, 60, size=size)
+            live = size - 3  # three zero-valued trials per chunk
+            fold_trials(moments, size, num[:live], den if shared_den else den[:live])
+            nums += num[:live].tolist()
+            dens += [7] * live if shared_den else den[:live].tolist()
+        est = finalize_estimate(moments, "edge-uniform", 0, 9)
+        assert est.trials == 9192
+        assert (est.sum_beta, est.sum_beta_sq, est.empirical_variance) == _fraction_moments(
+            scale, 9192, nums, dens
+        )
+        assert est.value == est.sum_beta / est.trials

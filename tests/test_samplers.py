@@ -117,6 +117,8 @@ def test_array_accessors_match_the_scalar_ones():
         g = gnp_graph(n, 0.4, rng)
         prof = count_exact(g)
         a, b = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+        shuffle = rng.permutation(len(a))  # pairs out of key order
+        a, b = a[shuffle], b[shuffle]
         for kind in SAMPLER_KINDS:
             for oracle in (prof, None):
                 if kind == "optimal" and (oracle is None or prof.total == 0):
@@ -138,6 +140,24 @@ def test_accessors_refuse_ids_outside_the_graph(paw, kind):
             spec.p_of(np.array([0, bad]))
         with pytest.raises(IndexError, match=r"^vertex ids out of range \[0,4\)$"):
             spec.p(bad)
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_accessors_refuse_ids_beyond_int64(paw, kind):
+    # numpy holds such ids as Python ints in an object array; they are
+    # integers outside [0, n) like any other.
+    spec = build_sampler(paw, kind, count_exact(paw))
+    calls = (
+        lambda: spec.p(1 << 70),
+        lambda: spec.p(-(1 << 70)),
+        lambda: spec.q(0, 1 << 70),
+        lambda: spec.p_of(np.array([0, 1 << 64])),
+        lambda: spec.p_of(np.array([(1 << 64) - 1])),  # a uint64 array
+    )
+    for call in calls:
+        with pytest.raises(IndexError, match=r"^vertex ids out of range \[0,4\)$"):
+            call()
+    assert spec.p_of(np.array([1, 2], dtype=object)).tolist() == spec.p_of(np.array([1, 2])).tolist()
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
@@ -218,12 +238,12 @@ def test_second_stage_draws_the_reference_pairs(kind):
         streams, ref = seed_streams(7), seed_streams(7)
         for size in (1, 9, 40):  # several batches of one run
             vertices = draw_vertices(spec, streams.vertices, size)
-            live, j, local, q = pairs(vertices, streams.pairs)
+            live, j, local, q_total = pairs(vertices, streams.pairs)
             want = [draw(spec, ref) for _ in range(size)]
             assert vertices.tolist() == [d.i for d in want]
             assert live.tolist() == [not d.degenerate for d in want]
             assert j.tolist() == [d.j for d in want if not d.degenerate]
-            assert q.tolist() == [d.q_j_given_i for d in want if not d.degenerate]
+            assert q_total.tolist() == [d.q_total for d in want if not d.degenerate]
             assert local.tolist() == [prof.edge_count(d.i, d.j) for d in want if not d.degenerate]
 
 

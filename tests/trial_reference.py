@@ -2,16 +2,18 @@
 
 A trial is drawn one variate at a time, with plain Python lists and
 scalar generator calls, and valued with its own arithmetic.
-``run_trials`` and the stream finalize must agree with a loop over
-``trial_value(g, draw(spec, streams))`` bit for bit, and
-``weighted_pick`` with :func:`weighted_choice` pick for pick.  Nothing
-here is used by the library.
+``run_trials`` and the stream finalize must make the draws of a loop
+over ``draw(spec, streams)``, and report the sums of
+:func:`exact_trial_value` over them, as Fractions, each rounded once;
+``weighted_pick`` must agree with :func:`weighted_choice` pick for pick.
+Nothing here is used by the library.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -25,7 +27,9 @@ class TrialDraw:
     """One (i, j) draw with the probabilities that produced it.
 
     ``degenerate`` marks draws whose chosen ``i`` admits no valid ``j``;
-    such trials are worth zero and carry ``j=None, q=0``.
+    such trials are worth zero and carry ``j=None, q=0``.  ``q_total`` is
+    the integer denominator of q: the total of the second-stage weights
+    (qopt kinds) or deg(i) (edge kinds).
     """
 
     i: int
@@ -33,6 +37,7 @@ class TrialDraw:
     p_i: float
     q_j_given_i: float
     degenerate: bool = False
+    q_total: int = 0
 
 
 def weighted_choice(values, weights, rng: np.random.Generator):
@@ -97,13 +102,29 @@ def draw_vertex(spec: SamplerSpec, rng: np.random.Generator) -> int:
     :func:`weighted_choice` over the T_i or the degrees of the vertices
     for a weighted kind, else one uniform integer in [0, n)."""
     g = spec.graph
-    if spec.kind == OPTIMAL:
-        weights = spec.profile.per_vertex
-    elif spec.kind in (QOPT_DEGREE, EDGE_DEGREE):
-        weights = g.degrees
-    else:
+    weights = _first_stage_weights(spec)
+    if weights is None:
         return int(rng.integers(g.n))
     return weighted_choice(range(g.n), weights, rng)[0]
+
+
+def _first_stage_weights(spec: SamplerSpec) -> list[int] | None:
+    """The integer weights w_i of p_i = w_i / sum(w): T_i or deg(i); None for
+    the uniform kinds, whose weights are all 1."""
+    if spec.kind == OPTIMAL:
+        return spec.profile.per_vertex.tolist()
+    if spec.kind in (QOPT_DEGREE, EDGE_DEGREE):
+        return spec.graph.degrees.tolist()
+    return None
+
+
+def _second_stage_weights(spec: SamplerSpec, i: int) -> list[int]:
+    """The qopt kinds' second-stage weights T_ij, over the neighbours of ``i``."""
+    g = spec.graph
+    nb = g.neighbors(i).tolist()
+    if spec.kind == OPTIMAL:
+        return [spec.profile.edge_count(i, j) for j in nb]
+    return [_intersection_size(nb, g.neighbors(j).tolist()) for j in nb]
 
 
 def draw_given_i(spec: SamplerSpec, i: int, rng: np.random.Generator) -> TrialDraw:
@@ -112,19 +133,16 @@ def draw_given_i(spec: SamplerSpec, i: int, rng: np.random.Generator) -> TrialDr
     p_i = spec.p(i)
     nb = g.neighbors(i).tolist()
     if spec.kind in _Q_OPTIMAL_KINDS:
-        if spec.kind == OPTIMAL:
-            weights = [spec.profile.edge_count(i, j) for j in nb]
-        else:
-            weights = [_intersection_size(nb, g.neighbors(j).tolist()) for j in nb]
+        weights = _second_stage_weights(spec, i)
         if not any(weights):
             return TrialDraw(i=i, j=None, p_i=p_i, q_j_given_i=0.0, degenerate=True)
         j, w, total = weighted_choice(nb, weights, rng)
-        return TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=w / total)
+        return TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=w / total, q_total=total)
     deg = len(nb)
     if deg == 0:
         return TrialDraw(i=i, j=None, p_i=p_i, q_j_given_i=0.0, degenerate=True)
     j = nb[int(rng.integers(deg))]
-    return TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=1.0 / deg)
+    return TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=1.0 / deg, q_total=deg)
 
 
 def draw(spec: SamplerSpec, streams: SampleStreams) -> TrialDraw:
@@ -151,3 +169,19 @@ def trial_value(g: Graph, d: TrialDraw) -> float:
     if d.degenerate:
         return 0.0
     return beta_value(local_edge_count(g, d.i, d.j), d.p_i, d.q_j_given_i)
+
+
+def exact_trial_value(spec: SamplerSpec, d: TrialDraw) -> Fraction:
+    """T_ij / (6 p q) of one recorded draw, exactly: p and q as Fractions of
+    the integer weights that the draw picked from."""
+    if d.degenerate:
+        return Fraction(0)
+    g = spec.graph
+    weights = _first_stage_weights(spec)
+    p = Fraction(1, g.n) if weights is None else Fraction(weights[d.i], sum(weights))
+    local = local_edge_count(g, d.i, d.j)
+    if spec.kind in _Q_OPTIMAL_KINDS:
+        q = Fraction(_second_stage_weights(spec, d.i)[g.neighbors(d.i).tolist().index(d.j)], d.q_total)
+    else:
+        q = Fraction(1, d.q_total)
+    return local / (6 * p * q)
