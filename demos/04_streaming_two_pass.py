@@ -4,8 +4,9 @@
 # per vertex, a bit per sample slot; pass 2 counts, for every stream
 # edge, the sampled vertices adjacent to both endpoints: the bits set in
 # both endpoints' rows.  If the vertex count is unknown an extra counting pass
-# runs first.  State is O(s * n) and the result is bit-identical to the
-# in-memory "qopt-uniform" estimator under the same seed.
+# runs first.  State is n * ceil(s/8) + 8 s bytes (a bit row per vertex and
+# a tally per sample) and the result is bit-identical to the in-memory
+# "qopt-uniform" estimator under the same seed.
 
 from trisample import Graph, MemoryEdgeStream, estimate, stream_estimate
 
@@ -16,7 +17,7 @@ source = MemoryEdgeStream(edges)
 run = stream_estimate(source, s=64, seed=7, n=4)
 print("estimate:", run.estimate.value)
 print("passes used:", run.passes_used)
-print("state bytes:", run.state.state_bytes, f"({run.state.state_bytes / (64 * 4):.2f} per s*n cell)")
+print("state bytes:", run.state.state_bytes, "= n * ceil(s/8) + 8 s =", 4 * 8 + 8 * 64)
 
 # Without n, a counting pass runs first.
 run3 = stream_estimate(MemoryEdgeStream(edges), s=64, seed=7)

@@ -11,8 +11,8 @@ count under every built-in strategy.
 Every p_i is w_i / W, an integer first-stage weight over its total W
 (1 over n, deg(i) over 2m, T_i over 3T), and every q_{j|i} is a ratio of
 integers too.  So each trial is worth (W / 6) * num / den for integers
-num and den, which :func:`_trial_terms` gives reduced by their common
-factor:
+num and den, which :func:`~trisample.samplers.second_stage` gives
+reduced by their common factor:
 
     optimal       num = 2                den = 1       (2 T_i / T_i)
     qopt-uniform  num = 2 T_i            den = 1
@@ -26,10 +26,11 @@ order or the chunking of the trials.  :func:`finalize_estimate` rounds
 every reported float once from the exact rational.
 
 :func:`run_trials` draws and values trials in chunks of array
-operations.  It consumes the seed's substreams exactly as a loop of
-single draws does, so it makes the draws of the one-trial loop kept as
-the reference in ``tests/trial_reference.py``, and its result is that
-loop's exact sum, rounded once.  The in-memory trials and the stream
+operations.  It draws the first stage, and the edge kinds' j, from the
+seed's substreams exactly as a loop of single draws does; the q-optimal
+kinds' values do not depend on j, which it leaves undrawn.  So its
+result is the exact sum of the one-trial loop kept as the reference in
+``tests/trial_reference.py``, rounded once.  The in-memory trials and the stream
 finalize both fold through :func:`fold_trials`.
 """
 
@@ -43,16 +44,7 @@ import numpy as np
 from .exact import TriangleProfile, count_exact
 from .graph import Graph
 from .rng import seed_streams
-from .samplers import (
-    EDGE_DEGREE,
-    EDGE_UNIFORM,
-    OPTIMAL,
-    QOPT_DEGREE,
-    SamplerSpec,
-    build_sampler,
-    draw_vertices,
-    second_stage,
-)
+from .samplers import OPTIMAL, SamplerSpec, build_sampler, draw_vertices, second_stage
 
 _CHUNK = 4096  # trials drawn and folded at once; bounds the per-chunk arrays
 _INT64_MAX = np.iinfo(np.int64).max
@@ -187,23 +179,6 @@ def estimate(
     return run_trials(spec, s, seed, keep_trials=keep_trials)
 
 
-def _trial_terms(
-    spec: SamplerSpec, i: np.ndarray, local: np.ndarray, q_den: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | int]:
-    """``(num, den)`` of the live trials of first-stage vertices ``i``, local
-    counts ``local`` and q-denominators ``q_den``: each is worth
-    (W / 6) * num / den, in the reduced forms of the module table."""
-    if spec.kind == OPTIMAL:
-        return np.full(len(i), 2, dtype=np.int64), 1
-    if spec.kind == QOPT_DEGREE:
-        return q_den, spec.graph.degrees[i]
-    if spec.kind == EDGE_UNIFORM:
-        return local * q_den, 1
-    if spec.kind == EDGE_DEGREE:
-        return local, 1
-    return q_den, 1  # qopt-uniform
-
-
 def run_trials(spec: SamplerSpec, s: int, seed: int, keep_trials: bool = False) -> Estimate:
     """Trials of a prebuilt sampler, in chunks; bit-reproducible from the seed.
 
@@ -211,16 +186,15 @@ def run_trials(spec: SamplerSpec, s: int, seed: int, keep_trials: bool = False) 
     floats: correctly rounded while W * num stays below 2^53.
     """
     streams = seed_streams(seed)
-    pairs = second_stage(spec)
+    terms = second_stage(spec)
     moments = Moments(spec._p_total)
     degenerate = 0
     retained = np.zeros(s) if keep_trials else None
     for start in range(0, s, _CHUNK):
         vertices = draw_vertices(spec, streams.vertices, min(_CHUNK, s - start))
-        live, _, local, q_den = pairs(vertices, streams.pairs)
-        num, den = _trial_terms(spec, vertices[live], local, q_den)
+        live, num, den = terms(vertices, streams.pairs)
         fold_trials(moments, len(vertices), num, den)
-        degenerate += len(vertices) - len(local)
+        degenerate += len(vertices) - len(num)
         if retained is not None:
             retained[start : start + len(vertices)][live] = num * float(spec._p_total) / (6.0 * den)
     return finalize_estimate(moments, spec.kind, seed, degenerate, retained)

@@ -2,9 +2,10 @@
 
 Every randomized run in this package is driven by a single integer seed,
 split into two independent substreams: one for first-stage vertex draws,
-one for second-stage neighbor draws.  The in-memory estimator and the
-edge-stream estimator consume the substreams in the same order, which is
-what makes their results comparable bit for bit.
+one for second-stage neighbor draws.  The q-optimal kinds and the
+edge-stream estimator draw no neighbours; the in-memory estimator and the
+edge-stream estimator draw their vertices from the same substream in the
+same order, which is what makes their results comparable bit for bit.
 """
 
 from __future__ import annotations

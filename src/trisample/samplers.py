@@ -11,22 +11,24 @@ second vertex ``j`` with conditional probability ``q_{j|i}``:
 
 where T, T_i, T_{ij} are the total, per-vertex, and per-edge triangle
 counts.  "optimal" needs the exact profile up front and has zero
-estimator variance; the qopt kinds compute the second-stage weights T_ij
-of a first-stage vertex when it is first drawn; the edge kinds draw a
-uniform neighbour and need no triangle counts to draw.
+estimator variance; the edge kinds draw a uniform neighbour and need no
+triangle counts to draw.  Under q_{j|i} = T_{ij} / (2 T_i) a trial is
+worth the same whatever j is, so the q-optimal kinds value it from T_i
+and draw no j (see :func:`second_stage`); ``q`` and ``q_of`` still give
+their second stage, which the variance analytics read.
 
 A draw whose first-stage vertex admits no valid second stage (no local
 triangles for qopt, degree zero for edge-uniform) is *degenerate*: it
 contributes a zero-valued trial and consumes no second-stage variate.
 
 ``draw_vertices`` and ``second_stage`` make a whole batch of draws and
-consume each substream exactly as that many one-trial draws would.
+consume each substream exactly as that many one-trial draws would, bar
+the j of the q-optimal kinds, which is not drawn.
 :func:`weighted_pick` is the package's one weighted draw: the optimal
-first stage, the qopt second stage and the stream finalize pick through
-it.  The degree kinds' first stage needs no search: it draws a uniform
-adjacency slot and takes its row (see :func:`draw_vertices`).  The
-one-trial draw path they are checked against lives with the tests, in
-``tests/trial_reference.py``.
+first stage picks through it.  The degree kinds' first stage needs no
+search: it draws a uniform adjacency slot and takes its row (see
+:func:`draw_vertices`).  The one-trial draw path they are checked
+against lives with the tests, in ``tests/trial_reference.py``.
 """
 
 from __future__ import annotations
@@ -127,14 +129,24 @@ class SamplerSpec:
         else:
             distinct, which = np.unique(a, return_inverse=True)
             counts = np.zeros(len(g.indices), dtype=np.int64)
-            local_counts_into(g, distinct, counts)
-            bounds, positions = _run_positions(g, distinct)
-            running = np.concatenate(([0], np.cumsum(counts[positions])))
-            delta_i = ((running[bounds[1:]] - running[bounds[:-1]]) // 2)[which]
+            delta_i = _local_totals(g, distinct, counts)[which]
             at, adjacent = _find_pairs(g, a, b)  # at: b's entry in a's run
             delta_ij = np.zeros(len(a), dtype=np.int64)
             delta_ij[adjacent] = counts[at[adjacent]]
         return np.divide(delta_ij, 2 * delta_i, out=np.zeros(len(a)), where=delta_i > 0)
+
+
+def _local_totals(g: Graph, vertices: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """T_v of each of the distinct ``vertices``.
+
+    Fills their runs of ``counts``, an int64 table in CSR order, with T_vj
+    (:func:`local_counts_into`); T_v is half its run's sum, since each
+    triangle at v meets two of v's edges.
+    """
+    local_counts_into(g, vertices, counts)
+    bounds, positions = _run_positions(g, vertices)
+    running = np.concatenate(([0], np.cumsum(counts[positions])))
+    return (running[bounds[1:]] - running[bounds[:-1]]) // 2
 
 
 def _find_pairs(g: Graph, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,56 +240,59 @@ def weighted_pick(
     return live, running.searchsorted(u, side="right") - 1, totals
 
 
-# (vertices, pairs substream) -> (live, j, local counts, q-denominators); see second_stage
-PairDraws = Callable[
-    [np.ndarray, np.random.Generator], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# (vertices, pairs substream) -> (live, num, den); see second_stage
+TrialTerms = Callable[
+    [np.ndarray, np.random.Generator], tuple[np.ndarray, np.ndarray, np.ndarray | int]
 ]
 
 
-def second_stage(spec: SamplerSpec) -> PairDraws:
-    """Batched second-stage draws for one run of trials.
+def second_stage(spec: SamplerSpec) -> TrialTerms:
+    """Batched second stages for one run of trials, valued in integers.
 
     The returned function takes a batch of first-stage vertices and the
     pairs substream.  It returns the mask of the live (non-degenerate)
-    trials and, for the live trials in order, the drawn vertex j, the
-    local count T_ij of the pair and the integer denominator of its
-    conditional probability q_{j|i}: the run total 2 T_i of the qopt
-    kinds, whose q is T_ij / 2 T_i, or deg(i) for the edge kinds, whose
-    q is 1 / deg(i).  It draws one integer variate per live trial, in
-    trial order, so batches consume the substream exactly as one-trial
-    draws do.
+    trials and, for the live trials in order, the integers num and den
+    of the module table of :mod:`~trisample.estimator`: each trial is
+    worth (W / 6) * num / den.
 
-    The qopt family keeps one int64 table of T_ij in CSR order per run.
-    It fills a vertex's run of the table when the vertex is first drawn,
-    with one :func:`local_counts_into` call per batch for all its new
-    vertices (at most 2m counts in all), and picks j in proportion to
-    T_ij with :func:`weighted_pick`, so the picked weight is the local
-    count.  The edge family draws a uniform neighbour and counts its
-    common neighbours.
+    Under q_{j|i} = T_ij / 2 T_i, a trial is worth T_ij / (6 p_i q_{j|i}) =
+    2 T_i / (6 p_i) whatever j is, so the q-optimal kinds draw no j and
+    consume no variate.  Optimal draws only vertices with T_i > 0, and
+    each of its trials is worth (W / 6) * 2.  The qopt kinds count T_i of
+    a vertex when it is first drawn, for all the batch's new vertices at
+    once, and a trial is live when T_i > 0.  The edge kinds draw a uniform
+    neighbour j of each vertex of positive degree, one integer variate per
+    live trial in trial order, so batches consume the substream exactly
+    as one-trial draws do, and count the common neighbours T_ij.
     """
     g = spec.graph
-    if spec.kind not in _Q_OPTIMAL_KINDS:
+    if spec.kind == OPTIMAL:
+        return lambda vertices, rng: (
+            np.ones(len(vertices), dtype=bool),
+            np.full(len(vertices), 2, dtype=np.int64),
+            1,
+        )
 
-        def edge_pairs(vertices, rng):
-            deg = g.degrees[vertices]
-            live = deg > 0
-            i, deg = vertices[live], deg[live]
-            j = g.indices[g.indptr[i] + rng.integers(0, deg)]
-            return live, j, common_neighbour_counts(g, i, j), deg
+    if spec.kind in _Q_OPTIMAL_KINDS:
+        counts = np.zeros(len(g.indices), dtype=np.int64)  # scratch for _local_totals
+        triangles = np.full(g.n, -1, dtype=np.int64)  # T_v, or -1 until v is drawn
 
-        return edge_pairs
+        def qopt_terms(vertices, rng):
+            distinct = np.unique(vertices)
+            new = distinct[triangles[distinct] < 0]
+            triangles[new] = _local_totals(g, new, counts)
+            t = triangles[vertices]
+            live = t > 0
+            return live, 2 * t[live], g.degrees[vertices[live]] if spec.kind == QOPT_DEGREE else 1
 
-    counts = np.zeros(len(g.indices), dtype=np.int64)  # T_ij in CSR order
-    counted = np.zeros(g.n, dtype=bool)  # vertices whose run of counts is filled
+        return qopt_terms
 
-    def qopt_pairs(vertices, rng):
-        distinct, which = np.unique(vertices, return_inverse=True)
-        new = distinct[~counted[distinct]]
-        local_counts_into(g, new, counts)
-        counted[new] = True
-        bounds, positions = _run_positions(g, distinct)
-        weights = counts[positions]  # the distinct vertices' runs back to back
-        live, picked, totals = weighted_pick(weights, bounds[which], bounds[which + 1], rng)
-        return live, g.indices[positions[picked]], weights[picked], totals
+    def edge_terms(vertices, rng):
+        deg = g.degrees[vertices]
+        live = deg > 0
+        i, deg = vertices[live], deg[live]
+        j = g.indices[g.indptr[i] + rng.integers(0, deg)]
+        local = common_neighbour_counts(g, i, j)
+        return live, local * deg if spec.kind == EDGE_UNIFORM else local, 1
 
-    return qopt_pairs
+    return edge_terms

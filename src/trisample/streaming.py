@@ -6,15 +6,15 @@ reorganized for sequential edge access:
   * pass 0 (only when the vertex count is unknown): find n.
   * pass 1: set bit t of vertex v's row when v neighbours sampled vertex t.
   * pass 2: for every stream edge {j, d}, each bit t set in both rows j
-    and d is a triangle at sampled vertex t; its counters for j and d
-    and its tally advance by one.
+    and d is a triangle at sampled vertex t; its tally advances by one.
 
-After the passes every sampled vertex knows its exact local triangle
-structure.  The finalize picks every trial's partner j from its
-counters with the in-memory engine's :func:`~trisample.samplers.weighted_pick`,
-over the non-zero counters only, and sums the trials exactly with its
-:func:`~trisample.estimator.fold_trials`.  State is n bit rows of ceil(s/8)
-bytes and s counter rows of length n: O(s*n) overall.
+After the passes every sampled vertex knows its local triangle count
+T_i.  Under the q-optimal second stage a trial is worth (n / 6) * 2 T_i
+whatever partner j it would draw, so the finalize draws none and sums
+the trials exactly with the in-memory engine's
+:func:`~trisample.estimator.fold_trials`.  State is n bit rows of
+ceil(s/8) bytes and one int64 tally per sample: n * ceil(s/8) + 8 s
+bytes, known before pass 1.
 
 Every pass reads the stream as the ``(k, 2)`` int64 blocks of
 :meth:`~trisample.graph.EdgeStreamSource.blocks`, at most
@@ -27,7 +27,7 @@ Pass 2 also refuses a repeated edge that closes a triangle, which pass 1
 only sees under ``strict`` but which would be counted twice.
 
 Sampled vertices are drawn with replacement; duplicates keep independent
-counters, matching the i.i.d. trial model of the in-memory estimator.
+bits and tallies, matching the i.i.d. trial model of the in-memory estimator.
 Given the same seed, the final estimate equals the in-memory
 "qopt-uniform" estimate bit for bit: both are the same exact integer
 sums, rounded once.
@@ -43,7 +43,7 @@ import numpy as np
 from .estimator import Estimate, Moments, finalize_estimate, fold_trials
 from .graph import EdgeStreamSource
 from .rng import seed_streams
-from .samplers import QOPT_UNIFORM, weighted_pick
+from .samplers import QOPT_UNIFORM
 
 PHASE_PASS1 = "pass1"
 PHASE_PASS2 = "pass2"
@@ -63,27 +63,24 @@ class StreamFormatError(ValueError):
 
 @dataclass(eq=False)
 class StreamState:
-    """Per-sampled-vertex counters accumulated over the passes.
+    """Per-sampled-vertex bits and tallies accumulated over the passes.
 
     Bit ``t & 7`` of ``neighbor_bits[v, t >> 3]`` is set when v neighbours
-    ``sampled[t]``.  ``edge_counts[t, j]`` is the number of triangles
-    found through edge {sampled[t], j}, and ``vertex_count[t]`` the local
-    triangle tally of ``sampled[t]``.  ``m`` is the number of stream
-    edges pass 1 read.
+    ``sampled[t]``, and ``vertex_count[t]`` is the local triangle tally
+    of ``sampled[t]``.  ``m`` is the number of stream edges pass 1 read.
     """
 
     sampled: list[int]
     n: int
     neighbor_bits: np.ndarray = field(repr=False)  # (n, ceil(s/8)) uint8
-    edge_counts: np.ndarray = field(repr=False)  # (s, n) narrowest uint >= n
     vertex_count: np.ndarray = field(repr=False)  # (s,) int64
     pass_phase: str = PHASE_PASS1
     m: int = 0  # pass 2 must read as many edges
 
     @property
     def state_bytes(self) -> int:
-        """Bytes held by the pass counters; the O(s*n) figure under test."""
-        return self.neighbor_bits.nbytes + self.edge_counts.nbytes + self.vertex_count.nbytes
+        """Bytes held by the pass state: n * ceil(s/8) + 8 s."""
+        return self.neighbor_bits.nbytes + self.vertex_count.nbytes
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,6 @@ def pass1_neighborhoods(
         sampled=sampled,
         n=n,
         neighbor_bits=np.zeros((n, (s + 7) // 8), dtype=np.uint8),
-        edge_counts=np.zeros((s, n), dtype=np.min_scalar_type(n)),
         vertex_count=np.zeros(s, dtype=np.int64),
     )
     bits = state.neighbor_bits
@@ -209,7 +205,7 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
     triangle.  A sampled vertex's own bit is never set (no self-loops), so
     an edge incident to it never fires.  A block's edges with both
     endpoints near some sampled vertex are ANDed at once; the rows that
-    hit are unpacked to an ``(edges, s)`` matrix added into the counters.  A
+    hit are unpacked to an ``(edges, s)`` matrix summed into the tallies.  A
     pass that reads a different number of edges than pass 1 means the
     stream changed in between, and raises.
 
@@ -221,7 +217,7 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
     """
     if state.pass_phase != PHASE_PASS1:
         raise RuntimeError(f"pass 2 requires completed pass 1, state is {state.pass_phase!r}")
-    bits, counts, tally = state.neighbor_bits, state.edge_counts, state.vertex_count
+    bits, tally = state.neighbor_bits, state.vertex_count
     m = 0
     near = bits.any(axis=1)  # the neighbours of any sampled vertex
     closing: set[tuple[int, int]] = set()  # canonical keys of the edges that hit
@@ -238,9 +234,6 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
                 raise StreamFormatError(f"duplicate edge {{{key[0]},{key[1]}}} in stream")
             closing.add(key)
         hit = np.unpackbits(hit[at], axis=1, count=len(tally), bitorder="little")
-        r, t = np.nonzero(hit)
-        np.add.at(counts, (t, j[r]), 1)
-        np.add.at(counts, (t, d[r]), 1)
         tally += hit.sum(axis=0, dtype=np.int64)
     if m != state.m:
         raise StreamFormatError(
@@ -250,29 +243,21 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
     return state
 
 
-def finalize_stream_estimate(
-    state: StreamState, rng: np.random.Generator, seed: int = 0
-) -> Estimate:
-    """Turn the accumulated counters into the final estimate.
+def finalize_stream_estimate(state: StreamState, *, seed: int = 0) -> Estimate:
+    """Turn the accumulated tallies into the final estimate.
 
-    Each sampled vertex is one trial.  Its partner j is picked in
-    proportion to the per-edge counters of its row, by one
-    :func:`~trisample.samplers.weighted_pick` over the non-zero counters
-    of all rows, and the trial is folded as the in-memory qopt-uniform
-    engine folds it: worth (n / 6) * 2 T_i, its row's total.  Vertices
-    with no local triangles are degenerate zero trials.
+    Each sampled vertex is one trial, folded as the in-memory
+    qopt-uniform engine folds it: worth (n / 6) * 2 T_i, twice its tally.
+    Vertices with no local triangles are degenerate zero trials.
     """
     if state.pass_phase != PHASE_PASS2:
         raise RuntimeError(f"finalize requires completed pass 2, state is {state.pass_phase!r}")
-    counts = state.edge_counts.ravel()
-    cells = np.flatnonzero(counts)  # row by row, so each row's cells are one run
-    weights = counts[cells]
-    bounds = cells.searchsorted(np.arange(len(state.sampled) + 1) * state.n)
-    live, _, totals = weighted_pick(weights, bounds[:-1], bounds[1:], rng)
+    tally = state.vertex_count
+    num = 2 * tally[tally > 0]
     moments = Moments(state.n)
-    fold_trials(moments, len(live), totals)  # a live trial is worth (n / 6) * 2 T_i
+    fold_trials(moments, len(tally), num)
     state.pass_phase = PHASE_DONE
-    return finalize_estimate(moments, QOPT_UNIFORM, seed, len(live) - len(totals))
+    return finalize_estimate(moments, QOPT_UNIFORM, seed, len(tally) - len(num))
 
 
 def stream_estimate(
@@ -296,9 +281,8 @@ def stream_estimate(
         n = pass_count_n(source)
     elif n < 1:
         raise ValueError("vertex count must be positive")
-    streams = seed_streams(seed)
-    sampled = streams.vertices.integers(n, size=s).tolist()
+    sampled = seed_streams(seed).vertices.integers(n, size=s).tolist()
     state = pass1_neighborhoods(source, sampled, n, strict=strict)
     pass2_local_counts(source, state)
-    est = finalize_stream_estimate(state, streams.pairs, seed)
+    est = finalize_stream_estimate(state, seed=seed)
     return StreamRun(estimate=est, state=state, passes_used=source.passes - passes_before)

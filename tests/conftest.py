@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from trisample import Graph
+from trisample import Graph, SampleStreams
 
 PAW_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3)]
 K3_EDGES = [(0, 1), (0, 2), (1, 2)]
@@ -29,6 +29,17 @@ def k4() -> Graph:
 @pytest.fixture
 def path3() -> Graph:
     return Graph.from_edges(PATH3_EDGES)
+
+
+def without_pairs_draws(seed_streams):
+    """``seed_streams`` whose pairs substream fails any draw: for checking
+    that a run's estimate does not depend on it."""
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"the pairs substream was used: {name}")
+
+    return lambda seed: SampleStreams(seed_streams(seed).vertices, NoDraws())
 
 
 def stream_pairs(source, size: int = 1024):

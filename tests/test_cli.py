@@ -228,7 +228,7 @@ def test_plan_triangle_free_fails(capsys, path3_file):
 def test_stream_passes(capsys, paw_file, k3_file):
     report = run_json(capsys, "stream", paw_file, "--samples", "4", "--seed", "2", "--n", "4")
     assert report["result"]["passes_used"] == 2
-    assert report["result"]["peak_state_bytes"] > 0
+    assert report["result"]["peak_state_bytes"] == 4 * 1 + 8 * 4  # n * ceil(s/8) + 8 s
     report = run_json(capsys, "stream", paw_file, "--samples", "4", "--seed", "2")
     assert report["result"]["passes_used"] == 3
     report = run_json(capsys, "stream", k3_file, "--samples", "1", "--seed", "0")

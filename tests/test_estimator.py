@@ -20,7 +20,7 @@ from trisample import (
 from trisample.estimator import Moments, finalize_estimate, fold_trials
 from trisample.samplers import draw_vertices
 
-from conftest import PAW_EDGES, gnp_graph, hub_graph
+from conftest import PAW_EDGES, gnp_graph, hub_graph, without_pairs_draws
 from trial_reference import TrialDraw, draw, exact_trial_value, trial_value
 
 
@@ -253,6 +253,9 @@ def test_run_trials_matches_the_per_trial_loop_with_a_hub_and_full_rounds(
     assert (est.value, est.sum_beta, est.sum_beta_sq) == (value, sum_beta, sum_sq)
     assert (est.empirical_variance, est.degenerate_trials) == (variance, degenerate)
     assert est.trial_values.tolist() == values
+    if kind == "optimal":  # every trial is worth 2 W / 6: nothing to count
+        assert given == []
+        return
     # Each distinct first-stage vertex is counted once per run.
     drawn = draw_vertices(spec, seed_streams(seed).vertices, s)
     assert sorted(np.concatenate(given).tolist()) == np.unique(drawn).tolist()
@@ -274,6 +277,34 @@ def test_chunking_does_not_change_the_estimate(monkeypatch, kind):
             results.append(run_trials(spec, 500, seed=3, keep_trials=True))
         assert results[0] == results[1] == results[2]
         assert results[0].trial_values.tolist() == results[2].trial_values.tolist()
+
+
+@pytest.mark.parametrize("kind", ["optimal", "qopt-uniform", "qopt-degree"])
+def test_q_optimal_trials_draw_no_partner(monkeypatch, kind):
+    # A q-optimal trial is worth (W / 6) * 2 T_i / w_i whatever j is.
+    rng = np.random.default_rng(37)
+    graphs = [Graph.from_edges(PAW_EDGES), gnp_graph(30, 0.3, rng), hub_graph(120, 0.08, 60, rng)]
+    for g in graphs:
+        prof = count_exact(g)
+        spec = build_sampler(g, kind, prof if kind == "optimal" else None)
+        want = run_trials(spec, 500, seed=5, keep_trials=True)
+        with monkeypatch.context() as patched:
+            patched.setattr(trisample.estimator, "seed_streams", without_pairs_draws(seed_streams))
+            got = run_trials(spec, 500, seed=5, keep_trials=True)
+        assert got == want
+        assert got.trial_values.tolist() == want.trial_values.tolist()
+
+
+def test_optimal_trials_count_no_local_triangles(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("optimal trials need no local counts")
+
+    monkeypatch.setattr(trisample.samplers, "local_counts_into", refuse)
+    rng = np.random.default_rng(23)
+    for g in (Graph.from_edges(PAW_EDGES), hub_graph(120, 0.08, 60, rng)):
+        prof = count_exact(g)
+        est = estimate(g, "optimal", 300, seed=2, oracle=prof)
+        assert (est.value, est.empirical_variance) == (prof.total, 0.0)
 
 
 def _fraction_moments(scale, trials, num, den):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from trisample import (
     seed_streams,
     variance_from_probabilities,
 )
-from trisample.samplers import draw_vertices, second_stage
+from trisample import samplers
+from trisample.samplers import _Q_OPTIMAL_KINDS, draw_vertices, second_stage
 
 from conftest import gnp_graph
-from trial_reference import draw, draw_given_i
+from trial_reference import _first_stage_weights, draw, draw_given_i, exact_trial_value
 
 
 def test_optimal_probabilities_on_k3(k3):
@@ -225,8 +227,22 @@ def test_degenerate_draws_skip_second_stage(paw):
     assert g_before.bit_generator.state == state0  # no variate consumed
 
 
+def _record_partners(monkeypatch):
+    """The j of every trial the engine counts T_ij for, batch by batch: the
+    edge kinds pass them to ``common_neighbour_counts``."""
+    partners, count = [], samplers.common_neighbour_counts
+
+    def recording(g, a, b):
+        partners.append(np.array(b))
+        return count(g, a, b)
+
+    monkeypatch.setattr(samplers, "common_neighbour_counts", recording)
+    return partners
+
+
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_second_stage_draws_the_reference_pairs(kind):
+def test_second_stage_draws_the_reference_pairs(monkeypatch, kind):
+    partners = _record_partners(monkeypatch)
     rng = np.random.default_rng(43)
     for _ in range(5):
         g = gnp_graph(int(rng.integers(6, 25)), 0.3, rng)
@@ -234,26 +250,48 @@ def test_second_stage_draws_the_reference_pairs(kind):
         if g.m == 0 or (kind == "optimal" and prof.total == 0):
             continue
         spec = build_sampler(g, kind, prof if kind == "optimal" else None)
-        pairs = second_stage(spec)
+        weights = _first_stage_weights(spec) or [1] * g.n
+        terms = second_stage(spec)
         streams, ref = seed_streams(7), seed_streams(7)
         for size in (1, 9, 40):  # several batches of one run
+            partners.clear()
             vertices = draw_vertices(spec, streams.vertices, size)
-            live, j, local, q_total = pairs(vertices, streams.pairs)
+            live, num, den = terms(vertices, streams.pairs)
             want = [draw(spec, ref) for _ in range(size)]
+            kept = [d for d in want if not d.degenerate]
             assert vertices.tolist() == [d.i for d in want]
             assert live.tolist() == [not d.degenerate for d in want]
-            assert j.tolist() == [d.j for d in want if not d.degenerate]
-            assert q_total.tolist() == [d.q_total for d in want if not d.degenerate]
-            assert local.tolist() == [prof.edge_count(d.i, d.j) for d in want if not d.degenerate]
+            den = np.broadcast_to(den, num.shape)
+            # Each trial is worth (W / 6) * num / den.
+            got = [Fraction(int(a), int(b)) for a, b in zip(num, den)]
+            assert got == [exact_trial_value(spec, d) * 6 / spec._p_total for d in kept]
+            if kind in ("edge-uniform", "edge-degree"):
+                j = np.concatenate(partners)
+                assert j.tolist() == [d.j for d in kept]
+                local = [prof.edge_count(d.i, d.j) for d in kept]
+                if kind == "edge-uniform":
+                    assert num.tolist() == [t * d.q_total for t, d in zip(local, kept)]
+                else:
+                    assert num.tolist() == local
+            else:
+                # Worth 2 T_i / w_i whatever j the reference drew: its q_total is 2 T_i.
+                assert partners == []
+                assert got == [Fraction(d.q_total, weights[d.i]) for d in kept]
 
 
-def _frequency_check(spec, g, draws, seed):
+def _frequency_check(spec, g, draws, seed, partners):
     # One batch of the engine's draws; a degenerate trial counts as (i, None).
+    # The q-optimal kinds draw no j, so only their first stage and their
+    # degenerate trials are counted; their q is pinned exactly by
+    # test_qopt_q_matches_oracle_exactly and the variance tests.
     streams = seed_streams(seed)
     vertices = draw_vertices(spec, streams.vertices, draws)
-    live, partners, _, _ = second_stage(spec)(vertices, streams.pairs)
-    drawn = np.full(draws, g.n)  # g.n stands for None
-    drawn[live] = partners
+    partners.clear()
+    live, _, _ = second_stage(spec)(vertices, streams.pairs)
+    pairs_drawn = spec.kind not in _Q_OPTIMAL_KINDS
+    drawn = np.full(draws, g.n)  # g.n stands for None, or for an undrawn j
+    if pairs_drawn:
+        drawn[live] = np.concatenate(partners)
     keys, counts = np.unique(vertices * (g.n + 1) + drawn, return_counts=True)
     firsts, seconds = np.divmod(keys, g.n + 1)
     pair_counts = {
@@ -262,21 +300,24 @@ def _frequency_check(spec, g, draws, seed):
     }
     for i in range(g.n):
         p_i = spec.p(i)
-        outcomes = [(j, spec.q(i, j)) for j in range(g.n)] + [(None, 0.0)]
-        degenerate_mass = 1.0 if all(q == 0.0 for _, q in outcomes[:-1]) else 0.0
-        for j, q in outcomes:
-            prob = p_i * (degenerate_mass if j is None else q)
+        q = [spec.q(i, j) for j in range(g.n)]
+        degenerate = not any(q)
+        assert (live[vertices == i] != degenerate).all(), i
+        outcomes = list(enumerate(q)) + [(None, float(degenerate))] if pairs_drawn else [(None, 1.0)]
+        for j, q_j in outcomes:
+            prob = p_i * q_j
             observed = pair_counts.get((i, j), 0)
             sigma = math.sqrt(draws * prob * (1.0 - prob))
             assert abs(observed - draws * prob) <= 4.0 * sigma + 1e-9, (i, j)
 
 
-def test_empirical_frequencies_match_accessors(paw):
+def test_empirical_frequencies_match_accessors(monkeypatch, paw):
+    partners = _record_partners(monkeypatch)
     prof = count_exact(paw)
     sizes = {"qopt-degree": 1_000_000, "edge-uniform": 1_000_000}
     for seed, kind in enumerate(SAMPLER_KINDS):
         spec = build_sampler(paw, kind, prof if kind == "optimal" else None)
-        _frequency_check(spec, paw, sizes.get(kind, 200_000), seed)
+        _frequency_check(spec, paw, sizes.get(kind, 200_000), seed, partners)
 
 
 def test_qopt_second_stage_beats_perturbed_alternatives(paw):

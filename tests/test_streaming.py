@@ -22,7 +22,7 @@ from trisample import (
 )
 from trisample.streaming import PHASE_DONE, PHASE_PASS2, _check_endpoints
 
-from conftest import PAW_EDGES, PATH3_EDGES, gnp_edges, stream_pairs
+from conftest import PAW_EDGES, PATH3_EDGES, gnp_edges, stream_pairs, without_pairs_draws
 from trisample import Graph
 
 
@@ -64,7 +64,7 @@ def test_pass2_counts_on_paw():
     state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [2], 4)
     pass2_local_counts(MemoryEdgeStream(PAW_EDGES), state)
     assert int(state.vertex_count[0]) == 1
-    assert state.edge_counts[0].tolist() == [1, 1, 0, 0]
+    assert _bits_set(state, 0) == [0, 1, 3]
 
     state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [3], 4)
     pass2_local_counts(MemoryEdgeStream(PAW_EDGES), state)
@@ -77,32 +77,30 @@ def test_pass2_counts_on_paw():
 
 def test_pass2_requires_pass1_order():
     state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [2], 4)
-    rng = np.random.default_rng(0)
     with pytest.raises(RuntimeError, match="finalize requires completed pass 2"):
-        finalize_stream_estimate(state, rng)
+        finalize_stream_estimate(state)
     pass2_local_counts(MemoryEdgeStream(PAW_EDGES), state)
     with pytest.raises(RuntimeError, match="pass 2 requires completed pass 1"):
         pass2_local_counts(MemoryEdgeStream(PAW_EDGES), state)
 
 
 def test_finalize_examples():
-    rng = np.random.default_rng(0)
     state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [2], 4)
     pass2_local_counts(MemoryEdgeStream(PAW_EDGES), state)
-    est = finalize_stream_estimate(state, rng)
+    est = finalize_stream_estimate(state)
     assert est.value == pytest.approx(4 / 3, rel=1e-12)
     assert state.pass_phase == PHASE_DONE
     assert est.degenerate_trials == 0
 
     state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [3], 4)
     pass2_local_counts(MemoryEdgeStream(PAW_EDGES), state)
-    est = finalize_stream_estimate(state, rng)
+    est = finalize_stream_estimate(state)
     assert est.value == 0.0
     assert est.degenerate_trials == 1
 
     state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [0, 1, 2, 3], 4)
     pass2_local_counts(MemoryEdgeStream(PAW_EDGES), state)
-    est = finalize_stream_estimate(state, rng)
+    est = finalize_stream_estimate(state)
     assert est.value == 1.0
 
 
@@ -123,9 +121,17 @@ def test_counters_match_oracle_after_pass2():
             pass2_local_counts(MemoryEdgeStream(perm), state)
             for t, i in enumerate(sampled):
                 assert int(state.vertex_count[t]) == int(prof.per_vertex[i])
-                for j in range(n):
-                    assert int(state.edge_counts[t, j]) == prof.edge_count(i, j)
-                assert int(state.edge_counts[t].sum()) == 2 * int(state.vertex_count[t])
+                assert _bits_set(state, t) == g.neighbors(i).tolist()
+
+
+def test_the_finalize_draws_nothing(monkeypatch):
+    # A trial is worth (n / 6) * 2 T_i whatever j is: no generator is needed.
+    run = stream_estimate(MemoryEdgeStream(PAW_EDGES), 16, seed=3, n=4)
+    monkeypatch.setattr(streaming, "seed_streams", without_pairs_draws(seed_streams))
+    assert stream_estimate(MemoryEdgeStream(PAW_EDGES), 16, seed=3, n=4).estimate == run.estimate
+    state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), run.state.sampled, 4)
+    pass2_local_counts(MemoryEdgeStream(PAW_EDGES), state)
+    assert finalize_stream_estimate(state, seed=3) == run.estimate
 
 
 def test_pass_budget_two_with_n_three_without():
@@ -238,7 +244,7 @@ def test_finalize_without_sampled_vertices_is_a_clear_error():
     state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [], 4)
     pass2_local_counts(MemoryEdgeStream(PAW_EDGES), state)
     with pytest.raises(ValueError, match="no trials"):
-        finalize_stream_estimate(state, np.random.default_rng(0))
+        finalize_stream_estimate(state)
 
 
 def test_stream_estimate_validates_inputs():
@@ -258,7 +264,6 @@ def _reference_pass1(source, sampled, n, strict=False):
         sampled=sampled,
         n=n,
         neighbor_bits=np.zeros((n, (s + 7) // 8), dtype=np.uint8),
-        edge_counts=np.zeros((s, n), dtype=np.min_scalar_type(n)),
         vertex_count=np.zeros(s, dtype=np.int64),
     )
     slots_of = {}
@@ -286,7 +291,7 @@ def _reference_pass1(source, sampled, n, strict=False):
 
 
 def _reference_pass2(source, state):
-    bits, counts, tally = state.neighbor_bits, state.edge_counts, state.vertex_count
+    bits, tally = state.neighbor_bits, state.vertex_count
     t = np.arange(len(state.sampled))
     closing = set()
     for j, d in stream_pairs(source):
@@ -298,8 +303,6 @@ def _reference_pass2(source, state):
             if key in closing:
                 raise StreamFormatError(f"duplicate edge {{{key[0]},{key[1]}}} in stream")
             closing.add(key)
-            counts[hit, j] += 1
-            counts[hit, d] += 1
             tally[hit] += 1
     state.pass_phase = PHASE_PASS2
     return state
@@ -322,8 +325,6 @@ def _on_stream(fn, edges, *args):
 def _same_state(a, b):
     assert a.m == b.m
     assert np.array_equal(a.neighbor_bits, b.neighbor_bits)
-    assert a.edge_counts.dtype == b.edge_counts.dtype
-    assert np.array_equal(a.edge_counts, b.edge_counts)
     assert np.array_equal(a.vertex_count, b.vertex_count)
 
 
@@ -438,16 +439,16 @@ def test_slots_that_span_two_bytes(block):
                 got = pass1_neighborhoods(MemoryEdgeStream(edges), sampled, n)
                 want = _reference_pass1(MemoryEdgeStream(edges), sampled, n)
                 _same_state(got, want)
-                assert got.state_bytes == n * ((s + 7) // 8) + got.edge_counts.nbytes + 8 * s
+                assert got.state_bytes == n * ((s + 7) // 8) + 8 * s
                 pass2_local_counts(MemoryEdgeStream(edges), got)
                 _reference_pass2(MemoryEdgeStream(edges), want)
                 _same_state(got, want)
                 for t, i in enumerate(sampled):
                     assert int(got.vertex_count[t]) == int(prof.per_vertex[i])
-                    assert got.edge_counts[t].tolist() == [prof.edge_count(i, j) for j in range(n)]
+                    assert _bits_set(got, t) == g.neighbors(i).tolist()
                 # The in-memory engine, given the same first stage.
                 seed = int(rng.integers(1 << 30))
-                streamed = finalize_stream_estimate(got, seed_streams(seed).pairs, seed)
+                streamed = finalize_stream_estimate(got, seed=seed)
                 with patch.object(estimator, "draw_vertices", lambda *_: np.array(sampled)):
                     assert streamed == estimate(g, "qopt-uniform", s, seed=seed)
 

@@ -1,12 +1,14 @@
 """The one-trial draw path: the reference the batched engine is checked against.
 
 A trial is drawn one variate at a time, with plain Python lists and
-scalar generator calls, and valued with its own arithmetic.
-``run_trials`` and the stream finalize must make the draws of a loop
-over ``draw(spec, streams)``, and report the sums of
-:func:`exact_trial_value` over them, as Fractions, each rounded once;
-``weighted_pick`` must agree with :func:`weighted_choice` pick for pick.
-Nothing here is used by the library.
+scalar generator calls, and valued with its own arithmetic.  It draws j
+for every kind.  ``run_trials`` must make the first-stage draws of a
+loop over ``draw(spec, streams)``, and the edge kinds' j, and report the
+sums of :func:`exact_trial_value` over them, as Fractions, each rounded
+once.  A q-optimal draw is worth the same whatever its j, which
+``run_trials`` and the stream finalize do not draw.  ``weighted_pick``
+must agree with :func:`weighted_choice` pick for pick.  Nothing here is
+used by the library.
 """
 
 from __future__ import annotations
