@@ -13,7 +13,6 @@ from .analytics import (
     chernoff_sample_size,
     make_plan,
     plan_from_profile,
-    scaled_trial_statistic,
     variance_closed_form,
     variance_from_probabilities,
     variance_generic,
@@ -89,7 +88,6 @@ __all__ = [
     "pass_count_n",
     "plan_from_profile",
     "run_trials",
-    "scaled_trial_statistic",
     "seed_streams",
     "stream_estimate",
     "variance_closed_form",

@@ -232,20 +232,3 @@ def plan_from_profile(
     ub = derived_upper if upper_bound is None else float(upper_bound)
     return make_plan(epsilon, c, g.n, ub, average, bound_kind)
 
-
-def scaled_trial_statistic(beta_t: float, scale: float) -> float:
-    """Normalize a trial value into [0, 1] for the tail-bound argument.
-
-    ``scale`` is n * ub for vertex bounds or m * ub for edge bounds; the
-    estimate is recovered as (scale / s) * sum of the statistics.  A
-    result above 1 means the supplied bound was not actually a bound.
-    """
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    x = beta_t / scale
-    if x > 1.0:
-        raise ValueError(
-            f"scaled statistic {x} exceeds 1: the supplied upper bound is not "
-            "an upper bound on the local counts"
-        )
-    return x

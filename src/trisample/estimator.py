@@ -28,7 +28,9 @@ every reported float once from the exact rational.
 :func:`run_trials` draws and values trials in chunks of array
 operations.  It draws the first stage, and the edge kinds' j, from the
 seed's substreams exactly as a loop of single draws does; the q-optimal
-kinds' values do not depend on j, which it leaves undrawn.  So its
+kinds' values do not depend on j, which it leaves undrawn: they read
+T_i, which the qopt kinds count once per run for each distinct
+first-stage vertex (:func:`~trisample.exact.local_triangles`).  So its
 result is the exact sum of the one-trial loop kept as the reference in
 ``tests/trial_reference.py``, rounded once.  The in-memory trials and the stream
 finalize both fold through :func:`fold_trials`.

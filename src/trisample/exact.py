@@ -6,12 +6,12 @@ tested against these numbers.  :func:`count_exact` closes each wedge of
 the degree-ordered orientation once, so that every triangle is counted
 once, and keeps the per-edge counts as an int64 array aligned with
 :meth:`Graph.edge_array`, so the analytics reduce them with array
-operations.  The samplers count T_ij for the pairs they draw: the edge
-kinds with :func:`common_neighbour_counts`, the qopt kinds around their
-first-stage vertices with :func:`local_counts_into`.  The edge-key
-lookups of :func:`count_exact` and :func:`common_neighbour_counts` go
-through the graph's hashed edge filter first, and only the keys it
-passes are searched for.
+operations.  The samplers count what their trials are worth: the edge
+kinds T_ij for the pairs they draw, with :func:`common_neighbour_counts`,
+the qopt kinds T_i of their first-stage vertices, with
+:func:`local_triangles`.  The edge-key lookups of :func:`count_exact`
+and :func:`common_neighbour_counts` go through the graph's hashed edge
+filter first, and only the keys it passes are searched for.
 """
 
 from __future__ import annotations
@@ -115,19 +115,7 @@ def _gathered_runs(g: Graph, rows: np.ndarray) -> Iterator[tuple[int, int, np.nd
         yield r0, r1, cuts, g.indices[positions]
 
 
-def _run_positions(g: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR positions of the neighbour runs of ``vertices``, back to back.
-
-    Returns ``(bounds, positions)``: the run of ``vertices[k]`` is
-    ``positions[bounds[k]:bounds[k + 1]]``.
-    """
-    bounds = np.zeros(len(vertices) + 1, dtype=np.int64)
-    np.cumsum(g.degrees[vertices], out=bounds[1:])
-    positions = (g.indptr[vertices] - bounds[:-1]).repeat(np.diff(bounds)) + np.arange(bounds[-1])
-    return bounds, positions
-
-
-# First-stage vertices whose neighbourhoods one round of local_counts_into
+# First-stage vertices whose neighbourhoods one round of local_triangles
 # marks: the round's t-th vertex owns bit t of a uint64 word.
 _ROUND = 64
 # Vertices that gather more entries than this (the degrees of their
@@ -138,47 +126,48 @@ _ROUND = 64
 _HUB_LOAD = 4096
 
 
-def local_counts_into(g: Graph, vertices: np.ndarray, out: np.ndarray) -> None:
-    """Write T_vj = |N(v) ∩ N(j)| for every neighbour j of each of the
-    distinct ``vertices`` into ``out[indptr[v]:indptr[v + 1]]``.
+def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
+    """T_v of each of the distinct ``vertices``, in their order.
 
-    ``out`` is an int64 table in CSR order (one entry per adjacency
-    entry); its other entries are left as they are.  A vertex's load is
-    the number of entries in its neighbours' runs.  Vertices of load at
-    most ``_HUB_LOAD`` share rounds of at most ``_ROUND`` vertices and
-    ``_GATHER`` gathered entries: the round's t-th vertex sets bit t of a
-    uint64 word at each of its neighbours, and each entry k of a
-    neighbour j's run adds bit t of word k to T_vj.  A vertex of higher
-    load marks its neighbours alone, in a boolean mask.
+    T_v is half the sum of T_vj = |N(v) ∩ N(j)| over v's neighbours j.  A
+    vertex's load is the number of entries in its neighbours' runs.
+    Vertices of load at most ``_HUB_LOAD`` share rounds of at most
+    ``_ROUND`` vertices and ``_GATHER`` gathered entries: the round's t-th
+    vertex sets bit t of a uint64 word at each of its neighbours, and each
+    entry k of a neighbour j's run adds bit t of word k to T_vj.  A vertex
+    of higher load marks its neighbours alone, in a boolean mask, and
+    counts the marked entries of their runs.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    vertices = vertices[g.degrees[vertices] > 0]
-    if not len(vertices):
-        return
-    bounds, positions = _run_positions(g, vertices)
-    neighbours = g.indices[positions]
+    triangles = np.zeros(len(vertices), dtype=np.int64)
+    touched = np.flatnonzero(g.degrees[vertices] > 0)
+    if not len(touched):
+        return triangles
+    vertices = vertices[touched]
+    deg = g.degrees[vertices]
+    # The neighbours of vertices[k] are neighbours[bounds[k]:bounds[k + 1]].
+    bounds = np.zeros(len(vertices) + 1, dtype=np.int64)
+    np.cumsum(deg, out=bounds[1:])
+    neighbours = g.indices[(g.indptr[vertices] - bounds[:-1]).repeat(deg) + np.arange(bounds[-1])]
     loads = np.add.reduceat(g.degrees[neighbours], bounds[:-1])
     light = loads <= _HUB_LOAD
+    twice = np.zeros(len(vertices), dtype=np.int64)  # 2 T_v: each triangle at v meets two of its edges
 
     mask = np.zeros(g.n, dtype=bool)
     for k in np.flatnonzero(~light).tolist():
-        run = slice(bounds[k], bounds[k + 1])
-        rows = neighbours[run]
-        counts = np.zeros(len(rows), dtype=np.int64)
+        rows = neighbours[bounds[k] : bounds[k + 1]]
         mask[rows] = True
-        for r0, r1, cuts, entries in _gathered_runs(g, rows):
-            counts[r0:r1] += np.add.reduceat(mask[entries], cuts[:-1], dtype=np.int64)
+        for _, _, _, entries in _gathered_runs(g, rows):
+            twice[k] += np.count_nonzero(mask[entries])
         mask[rows] = False
-        out[positions[run]] = counts
 
-    # The light vertices' entries, back to back in the same order: the
-    # k-th one's run is starts[k]:starts[k + 1], and the first k of them
+    # The light vertices' neighbours, back to back in the same order: the
+    # k-th one's are starts[k]:starts[k + 1], and the first k of them
     # gather running[k] entries.
-    deg = np.diff(bounds)
-    on_light = light.repeat(deg)
-    positions, neighbours, deg = positions[on_light], neighbours[on_light], deg[light]
+    neighbours, deg = neighbours[light.repeat(deg)], deg[light]
     starts = np.concatenate(([0], np.cumsum(deg)))
     running = np.concatenate(([0], np.cumsum(loads[light])))
+    light_twice = np.zeros(len(deg), dtype=np.int64)
     words = np.zeros(g.n, dtype=np.uint64)
     k0 = 0
     while k0 < len(deg):
@@ -187,15 +176,18 @@ def local_counts_into(g: Graph, vertices: np.ndarray, out: np.ndarray) -> None:
         rows = neighbours[starts[k0] : starts[k1]]
         slots = np.arange(k1 - k0, dtype=np.uint64).repeat(deg[k0:k1])
         np.bitwise_or.at(words, rows, np.left_shift(np.uint64(1), slots))
-        counts = np.zeros(len(rows), dtype=np.int64)
+        counts = np.zeros(len(rows), dtype=np.int64)  # T_vj of each row j
         for r0, r1, cuts, entries in _gathered_runs(g, rows):
             hits = words[entries]
             hits >>= slots[r0:r1].repeat(cuts[1:] - cuts[:-1])
             hits &= np.uint64(1)
             counts[r0:r1] += np.add.reduceat(hits, cuts[:-1], dtype=np.int64)
         words[rows] = 0
-        out[positions[starts[k0] : starts[k1]]] = counts
+        light_twice[k0:k1] = np.add.reduceat(counts, starts[k0:k1] - starts[k0])
         k0 = k1
+    twice[light] = light_twice
+    triangles[touched] = twice // 2
+    return triangles
 
 
 def common_neighbour_counts(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarray:

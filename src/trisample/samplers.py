@@ -15,7 +15,7 @@ estimator variance; the edge kinds draw a uniform neighbour and need no
 triangle counts to draw.  Under q_{j|i} = T_{ij} / (2 T_i) a trial is
 worth the same whatever j is, so the q-optimal kinds value it from T_i
 and draw no j (see :func:`second_stage`); ``q`` and ``q_of`` still give
-their second stage, which the variance analytics read.
+their second stage from the exact profile, for the variance analytics.
 
 A draw whose first-stage vertex admits no valid second stage (no local
 triangles for qopt, degree zero for edge-uniform) is *degenerate*: it
@@ -23,17 +23,18 @@ contributes a zero-valued trial and consumes no second-stage variate.
 
 ``draw_vertices`` and ``second_stage`` make a whole batch of draws and
 consume each substream exactly as that many one-trial draws would, bar
-the j of the q-optimal kinds, which is not drawn.
-:func:`weighted_pick` is the package's one weighted draw: the optimal
-first stage picks through it.  The degree kinds' first stage needs no
-search: it draws a uniform adjacency slot and takes its row (see
-:func:`draw_vertices`).  The one-trial draw path they are checked
-against lives with the tests, in ``tests/trial_reference.py``.
+the j of the q-optimal kinds, which is not drawn.  The optimal first
+stage is the package's one weighted draw, a search of the running sum of
+the T_i; the degree kinds' first stage needs no search: it draws a
+uniform adjacency slot and takes its row (see :func:`draw_vertices`).
+The one-trial draw path they are checked against lives with the tests,
+in ``tests/trial_reference.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -41,10 +42,10 @@ import numpy as np
 from .exact import (
     TriangleProfile,
     _lookup,
-    _run_positions,
     _sort_indexed,
     common_neighbour_counts,
-    local_counts_into,
+    count_exact,
+    local_triangles,
 )
 from .graph import Graph
 
@@ -113,54 +114,33 @@ class SamplerSpec:
 
     def q_of(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Conditional probabilities q_{b_t|a_t} of the equal-length vertex
-        arrays, each equal to ``q``'s.
-
-        Without a profile, the qopt kinds count the local triangles of
-        each distinct vertex of ``a`` here.
-        """
+        arrays, each equal to ``q``'s."""
         g = self.graph
         a, b = _check_ids(g, a), _check_ids(g, b)
         if self.kind not in _Q_OPTIMAL_KINDS:
-            _, adjacent = _find_pairs(g, a, b)
-            return np.divide(1.0, g.degrees[a], out=np.zeros(len(a)), where=adjacent)
-        if self.profile is not None:
-            delta_i = self.profile.per_vertex[a]
-            delta_ij = self.profile.edge_counts_of(a, b)
-        else:
-            distinct, which = np.unique(a, return_inverse=True)
-            counts = np.zeros(len(g.indices), dtype=np.int64)
-            delta_i = _local_totals(g, distinct, counts)[which]
-            at, adjacent = _find_pairs(g, a, b)  # at: b's entry in a's run
-            delta_ij = np.zeros(len(a), dtype=np.int64)
-            delta_ij[adjacent] = counts[at[adjacent]]
+            return np.divide(1.0, g.degrees[a], out=np.zeros(len(a)), where=_find_pairs(g, a, b))
+        profile = self._q_profile
+        delta_i, delta_ij = profile.per_vertex[a], profile.edge_counts_of(a, b)
         return np.divide(delta_ij, 2 * delta_i, out=np.zeros(len(a)), where=delta_i > 0)
 
-
-def _local_totals(g: Graph, vertices: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """T_v of each of the distinct ``vertices``.
-
-    Fills their runs of ``counts``, an int64 table in CSR order, with T_vj
-    (:func:`local_counts_into`); T_v is half its run's sum, since each
-    triangle at v meets two of v's edges.
-    """
-    local_counts_into(g, vertices, counts)
-    bounds, positions = _run_positions(g, vertices)
-    running = np.concatenate(([0], np.cumsum(counts[positions])))
-    return (running[bounds[1:]] - running[bounds[:-1]]) // 2
+    @cached_property
+    def _q_profile(self) -> TriangleProfile:
+        """The profile the q-optimal ``q_of`` reads: the one given to
+        :func:`build_sampler`, or else :func:`count_exact`'s, counted once."""
+        return self.profile if self.profile is not None else count_exact(self.graph)
 
 
-def _find_pairs(g: Graph, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each ordered pair (a_t, b_t) sits in :attr:`Graph.edge_keys`,
-    and whether it is there.
+def _find_pairs(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each ordered pair (a_t, b_t) is in :attr:`Graph.edge_keys`.
 
     The keys ``a * n + b`` are sorted before the search, as
     ``exact._find_edges`` sorts its probes, so that they walk the search
     tree in order; the answers come back in pair order.
     """
     keys, order = _sort_indexed(a * g.n + b, g.n * g.n)
-    at, hit = np.empty_like(keys), np.empty(len(keys), dtype=bool)
-    at[order], hit[order] = _lookup(g.edge_keys, keys)
-    return at, hit
+    hit = np.empty(len(keys), dtype=bool)
+    hit[order] = _lookup(g.edge_keys, keys)[1]
+    return hit
 
 
 def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) -> SamplerSpec:
@@ -197,47 +177,24 @@ def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) ->
 def draw_vertices(spec: SamplerSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     """First-stage draws: ``size`` vertices distributed per p.
 
-    Each vertex costs one integer variate: uniform on [0, n); for the
-    degree kinds, a uniform adjacency slot in [0, 2m) whose row is the
-    vertex; for optimal, one :func:`weighted_pick` from the run of all n
-    weights.  The slot's row is the vertex that :func:`weighted_pick`
-    over the degrees picks from the same variate, since the slots of
-    vertex i are the deg(i) positions after those of the vertices below
-    it.  So a batch consumes ``rng`` exactly as that many single draws do.
+    Each vertex costs one integer variate ``u``: uniform on [0, n); for
+    the degree kinds, a uniform adjacency slot in [0, 2m) whose row is the
+    vertex; for optimal, one in [0, W), and the vertex is the first whose
+    running sum of weights exceeds ``u``, so each vertex is drawn with
+    probability w_i / W.  A zero weight repeats the running sum before
+    it: it is never drawn and moves no other draw.  The slot's row is the
+    vertex that the same search over the degrees gives, since the slots
+    of vertex i are the deg(i) positions after those of the vertices
+    below it.  So a batch consumes ``rng`` exactly as that many single
+    draws do.
     """
     g = spec.graph
     if spec._p_weights is None:
         return rng.integers(g.n, size=size)
     if spec.kind in _DEGREE_P_KINDS:
         return g.edge_keys[rng.integers(0, 2 * g.m, size)] // g.n
-    runs = np.zeros(size, dtype=np.int64)
-    return weighted_pick(spec._p_weights, runs, runs + g.n, rng)[1]
-
-
-def weighted_pick(
-    weights: np.ndarray, starts: np.ndarray, stops: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One weighted pick from each run ``weights[starts[k]:stops[k]]``.
-
-    Weights are nonnegative integers.  A run with a positive total is
-    live: it draws one integer variate ``u`` in ``[0, total)``, in run
-    order, and picks the position where its running sum first exceeds
-    ``u``, so each position is picked with probability weight / total.
-    A zero weight repeats the running sum before it: it is never picked
-    and moves no other pick.  Dead runs draw nothing, so splitting the
-    runs across calls consumes ``rng`` as one call does.
-
-    Returns the live mask, the picked positions (indices into
-    ``weights``) and the totals, both for the live runs in order.
-    """
-    running = np.zeros(len(weights) + 1, dtype=np.int64)
-    np.cumsum(weights, out=running[1:])
-    base = running[starts]
-    totals = running[stops] - base
-    live = totals > 0
-    totals = totals[live]
-    u = base[live] + rng.integers(0, totals)
-    return live, running.searchsorted(u, side="right") - 1, totals
+    u = rng.integers(0, spec._p_total, size)
+    return np.cumsum(spec._p_weights).searchsorted(u, side="right")
 
 
 # (vertices, pairs substream) -> (live, num, den); see second_stage
@@ -274,13 +231,12 @@ def second_stage(spec: SamplerSpec) -> TrialTerms:
         )
 
     if spec.kind in _Q_OPTIMAL_KINDS:
-        counts = np.zeros(len(g.indices), dtype=np.int64)  # scratch for _local_totals
         triangles = np.full(g.n, -1, dtype=np.int64)  # T_v, or -1 until v is drawn
 
         def qopt_terms(vertices, rng):
             distinct = np.unique(vertices)
             new = distinct[triangles[distinct] < 0]
-            triangles[new] = _local_totals(g, new, counts)
+            triangles[new] = local_triangles(g, new)
             t = triangles[vertices]
             live = t > 0
             return live, 2 * t[live], g.degrees[vertices[live]] if spec.kind == QOPT_DEGREE else 1

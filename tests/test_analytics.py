@@ -14,7 +14,6 @@ from trisample import (
     count_exact,
     make_plan,
     plan_from_profile,
-    scaled_trial_statistic,
     variance_closed_form,
     variance_from_probabilities,
     variance_generic,
@@ -245,18 +244,3 @@ def test_plan_rejects_triangle_free(path3):
 def test_make_plan_validates_bound_kind():
     with pytest.raises(ValueError, match="bound_kind"):
         make_plan(0.1, 1.0, 100, 2.0, 1.0, "wedge")
-
-
-def test_scaled_trial_statistic(paw):
-    n = 4
-    ub = 1.0  # max per-vertex local count on the paw
-    # a qopt-uniform trial at a vertex meeting the bound: beta = n*ub/3
-    beta = n * ub / 3
-    assert scaled_trial_statistic(beta, n * ub) == pytest.approx(1 / 3)
-    assert scaled_trial_statistic(0.0, n * ub) == 0.0
-    # edge-degree on K3, bound 1: beta = m*T_ij/3 = 1, scale = m*ub = 3
-    assert scaled_trial_statistic(1.0, 3.0) == pytest.approx(1 / 3)
-    with pytest.raises(ValueError, match="not .*upper bound"):
-        scaled_trial_statistic(5.0, 3.0)
-    with pytest.raises(ValueError, match="positive"):
-        scaled_trial_statistic(1.0, 0.0)

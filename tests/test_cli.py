@@ -1,10 +1,12 @@
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,14 @@ from trisample import SAMPLER_KINDS, count_exact, load_edge_list, write_edge_lis
 from trisample.cli import main
 
 from conftest import gnp_graph
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _run_module(*args, **kwargs):
+    """``python -m trisample *args`` in a child process that imports this checkout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "trisample", *args], env=env, **kwargs)
 
 
 @pytest.fixture
@@ -249,8 +259,8 @@ def test_stream_matches_in_memory_estimate(capsys, paw_file):
 
 
 def test_stream_from_stdin_requires_n():
-    proc = subprocess.run(
-        [sys.executable, "-m", "trisample", "stream", "-", "--samples", "2"],
+    proc = _run_module(
+        "stream", "-", "--samples", "2",
         input="0 1\n0 2\n1 2\n",
         capture_output=True,
         text=True,
@@ -260,8 +270,8 @@ def test_stream_from_stdin_requires_n():
 
 
 def test_stream_from_stdin_with_n():
-    proc = subprocess.run(
-        [sys.executable, "-m", "trisample", "stream", "-", "--samples", "4", "--n", "3", "--seed", "1"],
+    proc = _run_module(
+        "stream", "-", "--samples", "4", "--n", "3", "--seed", "1",
         input="0 1\n0 2\n1 2\n",
         capture_output=True,
         text=True,
@@ -429,9 +439,7 @@ def test_tsv_format(capsys, paw_file):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "trisample", "--help"], capture_output=True, text=True
-    )
+    proc = _run_module("--help", capture_output=True, text=True)
     assert proc.returncode == 0
     for command in ("exact", "estimate", "variance", "plan", "stream", "bench"):
         assert command in proc.stdout

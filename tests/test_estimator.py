@@ -240,13 +240,13 @@ def test_run_trials_matches_the_per_trial_loop_with_a_hub_and_full_rounds(
 ):
     g, prof = hub_spec_graph
     spec = build_sampler(g, kind, prof if kind == "optimal" else None)
-    kernel, given = trisample.samplers.local_counts_into, []
+    kernel, given = trisample.samplers.local_triangles, []
 
-    def recording(graph, vertices, out):
+    def recording(graph, vertices):
         given.append(np.array(vertices))
-        return kernel(graph, vertices, out)
+        return kernel(graph, vertices)
 
-    monkeypatch.setattr(trisample.samplers, "local_counts_into", recording)
+    monkeypatch.setattr(trisample.samplers, "local_triangles", recording)
     seed = 11 + s
     est = run_trials(spec, s, seed, keep_trials=True)
     value, sum_beta, sum_sq, variance, degenerate, values = _per_trial_reference(spec, s, seed)
@@ -299,7 +299,7 @@ def test_optimal_trials_count_no_local_triangles(monkeypatch):
     def refuse(*_):
         raise AssertionError("optimal trials need no local counts")
 
-    monkeypatch.setattr(trisample.samplers, "local_counts_into", refuse)
+    monkeypatch.setattr(trisample.samplers, "local_triangles", refuse)
     rng = np.random.default_rng(23)
     for g in (Graph.from_edges(PAW_EDGES), hub_graph(120, 0.08, 60, rng)):
         prof = count_exact(g)

@@ -228,17 +228,12 @@ def test_per_vertex_matches_networkx_with_a_hub():
     assert 3 * prof.total == sum(expected.values())
 
 
-def _oracle_table(g):
-    """T_ij of every adjacency entry, in CSR order, from the exact profile."""
-    rows = np.repeat(np.arange(g.n), g.degrees)
-    return count_exact(g).edge_counts_of(rows, g.indices)
-
-
-def _kernel_table(g, vertices):
-    """local_counts_into over ``vertices`` into a table of -1s."""
-    out = np.full(len(g.indices), -1, dtype=np.int64)
-    exact.local_counts_into(g, np.asarray(vertices, dtype=np.int64), out)
-    return out
+def _check_local_triangles(g, vertices):
+    """local_triangles over ``vertices`` equals the oracle's T_v, in their order."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    got = exact.local_triangles(g, vertices)
+    assert got.dtype == np.int64
+    assert got.tolist() == count_exact(g).per_vertex[vertices].tolist()
 
 
 def _loads(g):
@@ -256,7 +251,8 @@ def test_local_counts_cut_rounds_at_64_vertices():
     for g in _parity_cases(61):
         loads = _loads(g)
         assert ((loads > 0) & (loads <= exact._HUB_LOAD)).sum() > 2 * exact._ROUND
-        assert _kernel_table(g, np.arange(g.n)).tolist() == _oracle_table(g).tolist()
+        _check_local_triangles(g, np.arange(g.n))
+        _check_local_triangles(g, np.random.default_rng(62).permutation(g.n))
 
 
 @pytest.mark.parametrize("gather", [64, 500])
@@ -265,7 +261,7 @@ def test_local_counts_cut_rounds_by_gathered_entries(monkeypatch, gather):
     graphs = list(_parity_cases(67))
     for g in graphs:
         assert _loads(g).sum() > gather * (g.n // exact._ROUND + 1)  # more rounds than 64s
-        assert _kernel_table(g, np.arange(g.n)).tolist() == _oracle_table(g).tolist()
+        _check_local_triangles(g, np.arange(g.n))
     assert any(_loads(g).max() > gather for g in graphs)  # one vertex's runs span windows
 
 
@@ -273,28 +269,20 @@ def test_local_counts_of_hubs_beside_light_vertices():
     g = chung_lu_graph(600, 6000, np.random.default_rng(3))
     loads = _loads(g)
     assert 0 < (loads > exact._HUB_LOAD).sum() < g.n // 10
-    expected = _oracle_table(g)
-    assert _kernel_table(g, np.arange(g.n)).tolist() == expected.tolist()
+    _check_local_triangles(g, np.arange(g.n))
     # Hubs and light vertices interleaved, in any order, over several calls.
     order = np.random.default_rng(4).permutation(g.n)
-    out = np.full(len(g.indices), -1, dtype=np.int64)
     for part in np.array_split(order, 3):
-        exact.local_counts_into(g, part, out)
-    assert out.tolist() == expected.tolist()
+        assert (loads[part] > exact._HUB_LOAD).any() and (loads[part] <= exact._HUB_LOAD).any()
+        _check_local_triangles(g, part)
 
 
 def test_local_counts_with_isolated_and_triangle_free_vertices():
-    # A triangle, a pendant path off it and a 4-cycle: T_ij = 0 on most
-    # edges.  Vertices 9 to 11 are isolated.
+    # A triangle, a pendant path off it and a 4-cycle: T_v = 0 at most
+    # vertices.  Vertices 9 to 11 are isolated.
     edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5)]
     g = Graph.from_edges(edges, n=12)
-    expected = _oracle_table(g)
-    assert _kernel_table(g, np.arange(g.n)).tolist() == expected.tolist()
-    assert _kernel_table(g, [10, 11]).tolist() == [-1] * len(g.indices)
-    assert _kernel_table(g, []).tolist() == [-1] * len(g.indices)
-    # Only the given vertices' runs are written.
-    some = _kernel_table(g, [3, 11, 6])
-    for v in range(g.n):
-        run = slice(g.indptr[v], g.indptr[v + 1])
-        want = expected[run] if v in (3, 6) else [-1] * g.degree(v)
-        assert some[run].tolist() == list(want), v
+    _check_local_triangles(g, np.arange(g.n))
+    _check_local_triangles(g, [10, 11])
+    _check_local_triangles(g, [3, 11, 0, 6])
+    _check_local_triangles(g, [])

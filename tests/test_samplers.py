@@ -197,6 +197,33 @@ def test_qopt_q_matches_oracle_exactly():
             assert spec.q(i, int(j)) == prof.edge_count(i, int(j)) / (2 * d_i)
 
 
+@pytest.mark.parametrize("kind", ["qopt-uniform", "qopt-degree"])
+def test_qopt_q_counts_the_profile_once(monkeypatch, kind):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return count_exact(g)
+
+    monkeypatch.setattr(samplers, "count_exact", counting)
+    g = gnp_graph(18, 0.35, np.random.default_rng(47))
+    prof = count_exact(g)
+    rows = np.repeat(np.arange(g.n), g.degrees)
+    want = [
+        prof.edge_count(i, j) / (2 * prof.per_vertex[i]) if prof.per_vertex[i] else 0.0
+        for i, j in zip(rows.tolist(), g.indices.tolist())
+    ]
+    spec = build_sampler(g, kind)
+    assert calls == []  # nothing is counted until q is asked for
+    for _ in range(3):
+        assert spec.q_of(rows, g.indices).tolist() == want
+        assert [spec.q(i, j) for i, j in zip(rows.tolist(), g.indices.tolist())] == want
+    assert calls == [g]
+    given = build_sampler(g, kind, prof)  # the oracle passed in is read as it is
+    assert given.q_of(rows, g.indices).tolist() == want
+    assert calls == [g]
+
+
 def test_draw_examples(paw, k4):
     rng = np.random.default_rng(3)
     edge_spec = build_sampler(paw, "edge-uniform")

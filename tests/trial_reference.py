@@ -6,8 +6,7 @@ for every kind.  ``run_trials`` must make the first-stage draws of a
 loop over ``draw(spec, streams)``, and the edge kinds' j, and report the
 sums of :func:`exact_trial_value` over them, as Fractions, each rounded
 once.  A q-optimal draw is worth the same whatever its j, which
-``run_trials`` and the stream finalize do not draw.  ``weighted_pick``
-must agree with :func:`weighted_choice` pick for pick.  Nothing here is
+``run_trials`` and the stream finalize do not draw.  Nothing here is
 used by the library.
 """
 
@@ -125,7 +124,7 @@ def _second_stage_weights(spec: SamplerSpec, i: int) -> list[int]:
     g = spec.graph
     nb = g.neighbors(i).tolist()
     if spec.kind == OPTIMAL:
-        return [spec.profile.edge_count(i, j) for j in nb]
+        return spec.profile.edge_counts_of(np.full(len(nb), i), nb).tolist()
     return [_intersection_size(nb, g.neighbors(j).tolist()) for j in nb]
 
 
