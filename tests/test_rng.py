@@ -40,24 +40,41 @@ def test_weighted_choice_needs_positive_total():
 
 def _optimal_spec(weights):
     """An optimal sampler over integer first-stage weights (T_i), one per vertex."""
-    weights = np.asarray(weights, dtype=np.int64)
+    weights = np.asarray(weights)
     g = Graph.from_edges([], n=len(weights))
     return SamplerSpec(kind=OPTIMAL, graph=g, _p_weights=weights, _p_total=int(weights.sum()))
 
 
-def test_optimal_first_stage_equals_weighted_choice_pick_for_pick():
+def _random_weights(rng):
+    """1..39 weights in 0..4, about 30% zero, with a positive total."""
+    n = int(rng.integers(1, 40))
+    weights = rng.integers(0, 5, size=n) * (rng.random(n) < 0.7)
+    weights[rng.integers(n)] += 1
+    return weights
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.uint16])
+def test_weighted_pick_equals_weighted_choice_pick_for_pick(dtype):
+    # The weighted pick is optimal's first stage; a batch split over calls
+    # draws what single weighted_choice calls draw, whatever the weight type.
     rng = np.random.default_rng(5)
     for seed in range(100):
-        n = int(rng.integers(1, 40))
-        weights = rng.integers(0, 5, size=n) * (rng.random(n) < 0.7)
-        weights[rng.integers(n)] += 1  # a positive total
+        weights = _random_weights(rng).astype(dtype)
+        n = len(weights)
         mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         spec = _optimal_spec(weights)
         picked = np.concatenate([draw_vertices(spec, mine, size) for size in (1, 7, 30)])
         assert picked.tolist() == [weighted_choice(range(n), weights, ref)[0] for _ in range(38)]
         assert mine.bit_generator.state == ref.bit_generator.state
+
+
+def test_weighted_pick_ignores_interleaved_zero_weights():
+    rng = np.random.default_rng(6)
+    for seed in range(100):
+        weights = _random_weights(rng)
         # A zero before every weight moves vertex v to 2v + 1 and no pick.
-        padded = np.zeros(2 * n, dtype=np.int64)
+        padded = np.zeros(2 * len(weights), dtype=weights.dtype)
         padded[1::2] = weights
-        again = draw_vertices(_optimal_spec(padded), np.random.default_rng(seed), 38)
-        assert again.tolist() == (2 * picked + 1).tolist()
+        a = draw_vertices(_optimal_spec(weights), np.random.default_rng(seed), 38)
+        b = draw_vertices(_optimal_spec(padded), np.random.default_rng(seed), 38)
+        assert b.tolist() == (2 * a + 1).tolist()
