@@ -9,9 +9,12 @@ once, and keeps the per-edge counts as an int64 array aligned with
 operations.  The samplers count what their trials are worth: the edge
 kinds T_ij for the pairs they draw, with :func:`common_neighbour_counts`,
 the qopt kinds T_i of their first-stage vertices, with
-:func:`local_triangles`.  The edge-key lookups of :func:`count_exact`
-and :func:`common_neighbour_counts` go through the graph's hashed edge
-filter first, and only the keys it passes are searched for.
+:func:`local_triangles`, which marks N(v) and scans only the forward
+runs of v's neighbours (:attr:`Graph.forward_runs`), so that each edge
+inside N(v) is met once, from its lower-ranked end.  The edge-key
+lookups of :func:`count_exact` and :func:`common_neighbour_counts` go
+through the graph's hashed edge filter first, and only the keys it
+passes are searched for.
 """
 
 from __future__ import annotations
@@ -95,16 +98,20 @@ class TriangleProfile:
 _GATHER = 1 << 18
 
 
-def _gathered_runs(g: Graph, rows: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The neighbour runs of ``rows`` back to back, at most ``_GATHER`` entries at a time.
+def _gathered_runs(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The runs ``indices[indptr[r]:indptr[r + 1]]`` of ``rows`` back to
+    back, at most ``_GATHER`` entries at a time.
 
-    Every row must have at least one neighbour.  Yields ``(r0, r1, cuts,
+    Every row's run must hold at least one entry.  Yields ``(r0, r1, cuts,
     entries)`` per window: ``rows[r0:r1]`` are the rows whose runs meet
     the window, and row ``r0 + k`` has ``entries[cuts[k]:cuts[k + 1]]`` in it.
     """
+    first = indptr[rows]
     bounds = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.add.accumulate(g.degrees[rows], out=bounds[1:])
-    shift = g.indptr[rows] - bounds[:-1]  # CSR position minus gathered position
+    np.add.accumulate(indptr[rows + 1] - first, out=bounds[1:])
+    shift = first - bounds[:-1]  # run position minus gathered position
     total = int(bounds[-1])
     for lo in range(0, total, _GATHER):
         hi = min(lo + _GATHER, total)
@@ -112,81 +119,95 @@ def _gathered_runs(g: Graph, rows: np.ndarray) -> Iterator[tuple[int, int, np.nd
         r1 = int(bounds.searchsorted(hi))
         cuts = np.minimum(np.maximum(bounds[r0 : r1 + 1], lo), hi) - lo
         positions = shift[r0:r1].repeat(cuts[1:] - cuts[:-1]) + np.arange(lo, hi)
-        yield r0, r1, cuts, g.indices[positions]
+        yield r0, r1, cuts, indices[positions]
 
 
 # First-stage vertices whose neighbourhoods one round of local_triangles
 # marks: the round's t-th vertex owns bit t of a uint64 word.
 _ROUND = 64
-# Vertices that gather more entries than this (the degrees of their
-# neighbours summed) count alone, on a boolean mask.  A uint64 word shifted
-# by its slot costs more per gathered entry than a byte; on a Chung-Lu
-# graph (n = 5e3, m = 5e4), whose low-degree vertices mostly neighbour
-# hubs, it costs more than the rounds save per vertex.
+# Vertices that gather more entries than this (the forward degrees of
+# their neighbours summed) count alone, on a boolean mask.  A uint64 word
+# shifted by its slot costs more per gathered entry than a byte; on a
+# Chung-Lu graph (n = 5e3, m = 5e4), whose low-degree vertices mostly
+# neighbour hubs, it costs more than the rounds save per vertex.
 _HUB_LOAD = 4096
 
 
 def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
     """T_v of each of the distinct ``vertices``, in their order.
 
-    T_v is half the sum of T_vj = |N(v) ∩ N(j)| over v's neighbours j.  A
-    vertex's load is the number of entries in its neighbours' runs.
-    Vertices of load at most ``_HUB_LOAD`` share rounds of at most
-    ``_ROUND`` vertices and ``_GATHER`` gathered entries: the round's t-th
-    vertex sets bit t of a uint64 word at each of its neighbours, and each
-    entry k of a neighbour j's run adds bit t of word k to T_vj.  A vertex
-    of higher load marks its neighbours alone, in a boolean mask, and
-    counts the marked entries of their runs.
+    An edge {j, k} inside N(v) closes one triangle at v, and it is one
+    arc of :attr:`Graph.forward_runs`, in the forward run N⁺(j) of its
+    lower-ranked end j.  So T_v is the number of entries of the runs
+    N⁺(j), j ∈ N(v), that lie in N(v): each such edge is met exactly once.
+    A vertex's load is the number of those entries, Σ_{j∈N(v)} deg⁺(j);
+    a vertex of load 0 has T_v = 0.  Vertices of load at most
+    ``_HUB_LOAD`` share rounds of at most ``_ROUND`` vertices and
+    ``_GATHER`` gathered entries: the round's t-th vertex sets bit t of a
+    uint64 word at each of its neighbours, and each entry of a neighbour's
+    forward run adds bit t of its word to T_v.  A vertex of higher load
+    marks its neighbours alone, in a boolean mask, and counts the marked
+    entries of their forward runs.  Neighbours with an empty forward run
+    are marked but not scanned.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     triangles = np.zeros(len(vertices), dtype=np.int64)
     touched = np.flatnonzero(g.degrees[vertices] > 0)
     if not len(touched):
         return triangles
+    indptr, indices = g.forward_runs
     vertices = vertices[touched]
     deg = g.degrees[vertices]
     # The neighbours of vertices[k] are neighbours[bounds[k]:bounds[k + 1]].
     bounds = np.zeros(len(vertices) + 1, dtype=np.int64)
     np.cumsum(deg, out=bounds[1:])
     neighbours = g.indices[(g.indptr[vertices] - bounds[:-1]).repeat(deg) + np.arange(bounds[-1])]
-    loads = np.add.reduceat(g.degrees[neighbours], bounds[:-1])
-    light = loads <= _HUB_LOAD
-    twice = np.zeros(len(vertices), dtype=np.int64)  # 2 T_v: each triangle at v meets two of its edges
+    ahead = indptr[neighbours + 1] - indptr[neighbours]  # deg⁺ of each neighbour
+    loads = np.add.reduceat(ahead, bounds[:-1])
+    scanned = ahead > 0  # the neighbours whose forward runs are gathered
+    counts = np.zeros(len(vertices), dtype=np.int64)
 
     mask = np.zeros(g.n, dtype=bool)
-    for k in np.flatnonzero(~light).tolist():
-        rows = neighbours[bounds[k] : bounds[k + 1]]
-        mask[rows] = True
-        for _, _, _, entries in _gathered_runs(g, rows):
-            twice[k] += np.count_nonzero(mask[entries])
-        mask[rows] = False
+    for k in np.flatnonzero(loads > _HUB_LOAD).tolist():
+        span = slice(bounds[k], bounds[k + 1])
+        mask[neighbours[span]] = True
+        for _, _, _, entries in _gathered_runs(indptr, indices, neighbours[span][scanned[span]]):
+            counts[k] += np.count_nonzero(mask[entries])
+        mask[neighbours[span]] = False
 
     # The light vertices' neighbours, back to back in the same order: the
-    # k-th one's are starts[k]:starts[k + 1], and the first k of them
+    # k-th one's are marks[starts[k]:starts[k + 1]], and of those, the
+    # ones scanned are rows[firsts[k]:firsts[k + 1]].  The first k of them
     # gather running[k] entries.
-    neighbours, deg = neighbours[light.repeat(deg)], deg[light]
+    light = (loads > 0) & (loads <= _HUB_LOAD)
+    pick = light.repeat(deg)
+    marks, rows = neighbours[pick], neighbours[pick & scanned]
+    widths = np.add.reduceat(scanned, bounds[:-1], dtype=np.int64)[light]
+    deg = deg[light]
     starts = np.concatenate(([0], np.cumsum(deg)))
+    firsts = np.concatenate(([0], np.cumsum(widths)))
     running = np.concatenate(([0], np.cumsum(loads[light])))
-    light_twice = np.zeros(len(deg), dtype=np.int64)
+    light_counts = np.zeros(len(deg), dtype=np.int64)
     words = np.zeros(g.n, dtype=np.uint64)
     k0 = 0
     while k0 < len(deg):
         k1 = int(running.searchsorted(running[k0] + _GATHER, side="right")) - 1
         k1 = min(max(k1, k0 + 1), k0 + _ROUND)
-        rows = neighbours[starts[k0] : starts[k1]]
-        slots = np.arange(k1 - k0, dtype=np.uint64).repeat(deg[k0:k1])
-        np.bitwise_or.at(words, rows, np.left_shift(np.uint64(1), slots))
-        counts = np.zeros(len(rows), dtype=np.int64)  # T_vj of each row j
-        for r0, r1, cuts, entries in _gathered_runs(g, rows):
+        slot = np.arange(k1 - k0, dtype=np.uint64)
+        marked = marks[starts[k0] : starts[k1]]
+        np.bitwise_or.at(words, marked, np.left_shift(np.uint64(1), slot.repeat(deg[k0:k1])))
+        round_rows, slots = rows[firsts[k0] : firsts[k1]], slot.repeat(widths[k0:k1])
+        per_row = np.zeros(len(round_rows), dtype=np.int64)  # marked entries of each row's run
+        for r0, r1, cuts, entries in _gathered_runs(indptr, indices, round_rows):
             hits = words[entries]
             hits >>= slots[r0:r1].repeat(cuts[1:] - cuts[:-1])
             hits &= np.uint64(1)
-            counts[r0:r1] += np.add.reduceat(hits, cuts[:-1], dtype=np.int64)
-        words[rows] = 0
-        light_twice[k0:k1] = np.add.reduceat(counts, starts[k0:k1] - starts[k0])
+            per_row[r0:r1] += np.add.reduceat(hits, cuts[:-1], dtype=np.int64)
+        words[marked] = 0
+        light_counts[k0:k1] = np.add.reduceat(per_row, firsts[k0:k1] - firsts[k0])
         k0 = k1
-    twice[light] = light_twice
-    triangles[touched] = twice // 2
+    counts[light] = light_counts
+    triangles[touched] = counts
     return triangles
 
 
@@ -206,7 +227,7 @@ def common_neighbour_counts(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarra
     swap = g.degrees[a] > g.degrees[b]
     a, b = np.where(swap, b, a), np.where(swap, a, b)
     counts = np.zeros(len(a), dtype=np.int64)
-    for r0, r1, cuts, entries in _gathered_runs(g, a):
+    for r0, r1, cuts, entries in _gathered_runs(g.indptr, g.indices, a):
         other = b[r0:r1].repeat(cuts[1:] - cuts[:-1])
         probe = np.minimum(other, entries)
         probe *= g.n

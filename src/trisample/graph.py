@@ -3,11 +3,14 @@ r"""Simple undirected graphs in compressed adjacency form, plus edge streams.
 The graph is immutable after construction: vertex ids are dense
 ``0..n-1``, adjacency is stored CSR-style (``indptr``/``indices``) with
 each neighbor run sorted strictly ascending.  These two arrays are the
-graph's only representation; every reader, from the samplers to the
-exact oracle and the edge-list writer, goes through them.  Ids present
-nowhere in the edge list but below the maximum id (or below an explicit
-header count) are isolated vertices.  ``n`` is capped so that the edge
-keys ``i * n + j`` fit an int64.
+graph's representation; every reader, from the samplers to the exact
+oracle and the edge-list writer, goes through them or through an index
+derived from them and cached on the graph: :attr:`Graph.edge_keys`
+(2m int64 keys), :attr:`Graph.edge_filter` (a byte per slot, 8m to 16m
+bytes) and :attr:`Graph.forward_runs` (int64 arrays of n + 1 and m
+entries).  Ids present nowhere in the edge list but below the maximum
+id (or below an explicit header count) are isolated vertices.  ``n`` is
+capped so that the edge keys ``i * n + j`` fit an int64.
 
 Edges leave every reader as ``(k, 2)`` int64 arrays: an edge stream
 yields a pass as blocks, and :meth:`Graph.edge_array` gives all edges.
@@ -168,6 +171,21 @@ class Graph:
         """
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         return EdgeFilter.of(self.edge_keys[rows < self.indices], self.m)
+
+    @cached_property
+    def forward_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the degree-ordered orientation: each edge
+        once, as an arc from its end of lower (degree, id) to the other.
+
+        ``indices[indptr[i]:indptr[i+1]]`` is the ascending run N⁺(i) of
+        the neighbours that outrank ``i``; the arrays are int64, of ``n + 1``
+        and ``m`` entries.  Built from the CSR arrays when first read.
+        """
+        rank = self.degrees * self.n + np.arange(self.n)  # (degree, id), fits an int64
+        keep = rank[self.indices] > rank.repeat(self.degrees)
+        kept = np.zeros(len(keep) + 1, dtype=np.int64)  # kept[k]: arcs among the first k entries
+        np.cumsum(keep, out=kept[1:])
+        return kept[self.indptr], self.indices[keep]
 
     def edge_array(self) -> np.ndarray:
         """Each undirected edge once, as the rows (i, j) with i < j of an

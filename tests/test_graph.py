@@ -3,6 +3,7 @@ import io
 import logging
 import tracemalloc
 import warnings
+from functools import cached_property
 from unittest.mock import patch
 
 import numpy as np
@@ -253,6 +254,27 @@ def test_built_graphs_keep_their_keys_and_filter():
     lazy = Graph(n=3, m=1, indptr=np.array([0, 1, 1, 2]), indices=np.array([2, 0]))
     assert lazy.edge_keys.tolist() == [2, 6]
     assert lazy.edge_filter.may_hold(np.array([2])).all()
+
+
+def test_forward_runs_are_built_once_and_only_for_the_q_optimal_kinds(monkeypatch):
+    builds, build = [], Graph.forward_runs.func
+
+    def counted(g):
+        builds.append(g)
+        return build(g)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Graph, "forward_runs")
+    monkeypatch.setattr(Graph, "forward_runs", prop)
+    text = io.StringIO()
+    write_edge_list(chung_lu_graph(300, 1500, np.random.default_rng(5)), text)
+    g = load_edge_list(io.StringIO(text.getvalue()))
+    for kind in ("edge-uniform", "edge-degree"):
+        estimate(g, kind, 500, seed=1)
+    assert builds == [] and "forward_runs" not in vars(g)
+    for kind in ("qopt-uniform", "qopt-degree"):
+        estimate(g, kind, 500, seed=1)
+    assert len(builds) == 1 and builds[0] is g  # once, across both estimates
 
 
 def test_has_edge(paw, k3):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from trisample import (  # noqa: E402
@@ -21,6 +21,7 @@ from trisample import (  # noqa: E402
     MemoryEdgeStream,
     count_exact,
     estimate,
+    exact,
     load_edge_list,
     pass1_neighborhoods,
     pass2_local_counts,
@@ -96,6 +97,45 @@ def test_edge_array_and_edge_filter_agree_with_the_csr_arrays(graph, isolated):
     assert np.array_equal(g.edge_array(), np.stack([rows[upper], g.indices[upper]], axis=1))
     keys = np.minimum(rows, g.indices) * g.n + np.maximum(rows, g.indices)
     assert g.edge_filter.may_hold(keys).all()  # every edge, in both orientations
+    indptr, indices = g.forward_runs
+    assert indptr.dtype == indices.dtype == np.int64
+    assert (len(indptr), len(indices)) == (g.n + 1, g.m) and indptr[0] == 0
+    heads = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+    rank = g.degrees * g.n + np.arange(g.n)  # (degree, id)
+    assert (rank[heads] < rank[indices]).all()  # each arc leaves its lower-ranked end
+    assert (np.diff(heads * g.n + indices) > 0).all()  # ascending runs, each arc once
+    arcs = np.sort(np.stack([heads, indices], axis=1), axis=1)
+    assert np.array_equal(arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))], g.edge_array())  # every edge
+
+
+# Equal degrees, so the ranks tie on the id.
+K5 = (5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+# A hub on an 8-cycle: it outranks all its neighbours, so N⁺(0) is empty.
+WHEEL = (9, [(0, j) for j in range(1, 9)] + [(j, j % 8 + 1) for j in range(1, 9)])
+
+
+@SETTINGS
+@given(
+    streams(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3, 64]),
+    st.sampled_from([1, 2, 5, 4096]),
+    st.sampled_from([0, 1, 4, 16, 4096]),
+)
+@example(K5, 1, 2, 5, 8)  # loads 6 + v: vertices 0-2 light, 3 and 4 hubs
+@example(K5, 1, 64, 4096, 4096)
+@example(WHEEL, 1, 3, 2, 5)  # rim loads 3 to 5: the rims light, vertex 0 (load 16) a hub
+@example(WHEEL, 2, 64, 4096, 4096)
+def test_local_triangles_equal_the_oracle(graph, seed, rounds, gather, hub_load):
+    # Small rounds, windows and hub loads, so that light rounds, windows
+    # that split a run, and hubs all run on graphs of a few vertices.
+    n, edges = graph
+    g = Graph.from_edges(edges, n=n)
+    rng = np.random.default_rng(seed)
+    vertices = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+    with patch.multiple(exact, _ROUND=rounds, _GATHER=gather, _HUB_LOAD=hub_load):
+        got = exact.local_triangles(g, vertices)
+    assert got.tolist() == count_exact(g).per_vertex[vertices].tolist()
 
 
 @SETTINGS
