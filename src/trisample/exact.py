@@ -3,18 +3,19 @@
 Counts the total number of triangles together with the per-vertex and
 per-edge local counts; every randomized estimator in this package is
 tested against these numbers.  :func:`count_exact` closes each wedge of
-the degree-ordered orientation once, so that every triangle is counted
-once, and keeps the per-edge counts as an int64 array aligned with
-:meth:`Graph.edge_array`, so the analytics reduce them with array
-operations.  The samplers count what their trials are worth: the edge
-kinds T_ij for the pairs they draw, with :func:`common_neighbour_counts`,
-the qopt kinds T_i of their first-stage vertices, with
-:func:`local_triangles`, which marks N(v) and scans only the forward
-runs of v's neighbours (:attr:`Graph.forward_runs`), so that each edge
-inside N(v) is met once, from its lower-ranked end.  The edge-key
-lookups of :func:`count_exact` and :func:`common_neighbour_counts` go
-through the graph's hashed edge filter first, and only the keys it
-passes are searched for.
+the degree-ordered orientation (:attr:`Graph.forward_runs`) once, so
+that every triangle is counted once, and keeps the per-edge counts as an
+int64 array aligned with :meth:`Graph.edge_array`, so the analytics
+reduce them with array operations.  The samplers count what their trials
+are worth: the edge kinds T_ij for the pairs they draw, with
+:func:`common_neighbour_counts`, the qopt kinds T_i of their first-stage
+vertices, with :func:`local_triangles`, which marks N(v) and scans only
+the forward runs of v's neighbours, so that each edge inside N(v) is met
+once, from its lower-ranked end.  All three walk their runs in bounded
+windows of :func:`_gathered_runs`.  The edge-key lookups of
+:func:`count_exact` and :func:`common_neighbour_counts` go through the
+graph's hashed edge filter first, and only the keys it passes are
+searched for.
 """
 
 from __future__ import annotations
@@ -93,33 +94,37 @@ class TriangleProfile:
         return int(self.edge_counts.max()) if self.edge_counts.size else 0
 
 
-# Adjacency entries gathered into one temporary array by the array counts
-# below; bounds their working memory whatever the degrees.
+# Adjacency entries that the two sampling kernels below gather at a time
+# (their window of _gathered_runs); bounds their working memory whatever
+# the degrees.
 _GATHER = 1 << 18
 
 
 def _gathered_runs(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+    first: np.ndarray, last: np.ndarray, window: int
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The runs ``indices[indptr[r]:indptr[r + 1]]`` of ``rows`` back to
-    back, at most ``_GATHER`` entries at a time.
+    """The positions ``range(first[r], last[r])`` of the runs ``r`` back
+    to back, at most ``window`` at a time; ``first`` and ``last`` are let
+    go once read.
 
-    Every row's run must hold at least one entry.  Yields ``(r0, r1, cuts,
-    entries)`` per window: ``rows[r0:r1]`` are the rows whose runs meet
-    the window, and row ``r0 + k`` has ``entries[cuts[k]:cuts[k + 1]]`` in it.
+    Yields ``(r0, r1, cuts, positions)`` per window: runs ``r0:r1`` meet
+    the window, and run ``r0 + k`` has ``positions[cuts[k]:cuts[k + 1]]``
+    in it.  A run may be empty, so a caller that reduces over
+    ``cuts[:-1]`` with ``np.add.reduceat`` must pass non-empty runs only.
     """
-    first = indptr[rows]
-    bounds = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.add.accumulate(indptr[rows + 1] - first, out=bounds[1:])
+    bounds = np.zeros(len(first) + 1, dtype=np.int64)
+    np.subtract(last, first, out=bounds[1:])
+    del last
+    np.add.accumulate(bounds[1:], out=bounds[1:])
     shift = first - bounds[:-1]  # run position minus gathered position
+    del first
     total = int(bounds[-1])
-    for lo in range(0, total, _GATHER):
-        hi = min(lo + _GATHER, total)
+    for lo in range(0, total, window):
+        hi = min(lo + window, total)
         r0 = int(bounds.searchsorted(lo, side="right")) - 1
         r1 = int(bounds.searchsorted(hi))
         cuts = np.minimum(np.maximum(bounds[r0 : r1 + 1], lo), hi) - lo
-        positions = shift[r0:r1].repeat(cuts[1:] - cuts[:-1]) + np.arange(lo, hi)
-        yield r0, r1, cuts, indices[positions]
+        yield r0, r1, cuts, shift[r0:r1].repeat(cuts[1:] - cuts[:-1]) + np.arange(lo, hi)
 
 
 # First-stage vertices whose neighbourhoods one round of local_triangles
@@ -169,11 +174,11 @@ def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
 
     mask = np.zeros(g.n, dtype=bool)
     for k in np.flatnonzero(loads > _HUB_LOAD).tolist():
-        span = slice(bounds[k], bounds[k + 1])
-        mask[neighbours[span]] = True
-        for _, _, _, entries in _gathered_runs(indptr, indices, neighbours[span][scanned[span]]):
-            counts[k] += np.count_nonzero(mask[entries])
-        mask[neighbours[span]] = False
+        around = neighbours[bounds[k] : bounds[k + 1]]
+        mask[around] = True
+        for _, _, _, at in _gathered_runs(indptr[around], indptr[around + 1], _GATHER):
+            counts[k] += np.count_nonzero(mask[indices[at]])
+        mask[around] = False
 
     # The light vertices' neighbours, back to back in the same order: the
     # k-th one's are marks[starts[k]:starts[k + 1]], and of those, the
@@ -198,8 +203,8 @@ def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
         np.bitwise_or.at(words, marked, np.left_shift(np.uint64(1), slot.repeat(deg[k0:k1])))
         round_rows, slots = rows[firsts[k0] : firsts[k1]], slot.repeat(widths[k0:k1])
         per_row = np.zeros(len(round_rows), dtype=np.int64)  # marked entries of each row's run
-        for r0, r1, cuts, entries in _gathered_runs(indptr, indices, round_rows):
-            hits = words[entries]
+        for r0, r1, cuts, at in _gathered_runs(indptr[round_rows], indptr[round_rows + 1], _GATHER):
+            hits = words[indices[at]]
             hits >>= slots[r0:r1].repeat(cuts[1:] - cuts[:-1])
             hits &= np.uint64(1)
             per_row[r0:r1] += np.add.reduceat(hits, cuts[:-1], dtype=np.int64)
@@ -227,7 +232,8 @@ def common_neighbour_counts(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarra
     swap = g.degrees[a] > g.degrees[b]
     a, b = np.where(swap, b, a), np.where(swap, a, b)
     counts = np.zeros(len(a), dtype=np.int64)
-    for r0, r1, cuts, entries in _gathered_runs(g.indptr, g.indices, a):
+    for r0, r1, cuts, at in _gathered_runs(g.indptr[a], g.indptr[a + 1], _GATHER):
+        entries = g.indices[at]
         other = b[r0:r1].repeat(cuts[1:] - cuts[:-1])
         probe = np.minimum(other, entries)
         probe *= g.n
@@ -249,10 +255,11 @@ def _brute_force_total(g: Graph) -> int:
     return count
 
 
-# Wedges closed per block of count_exact.  A block holds a few int64
+# Wedges closed per window of count_exact.  A window holds a few int64
 # arrays of this length, so the working set stays bounded whatever the
 # degrees; 2**14 ran faster than 2**12 and 2**13 on a Chung-Lu graph
-# (n = 5e3, m = 5e4) and a G(n, m) graph (n = 2e4, m = 2e5).
+# (n = 5e3, m = 5e4) and a G(n, m) graph (n = 2e4, m = 2e5), and faster
+# than 2**18 (_GATHER) on the Chung-Lu graph.
 _WEDGE_BLOCK = 1 << 14
 
 
@@ -297,53 +304,41 @@ def _find_edges(g: Graph, keys: np.ndarray, probe: np.ndarray) -> tuple[np.ndarr
 def count_exact(g: Graph) -> TriangleProfile:
     """Exact total, per-vertex, and per-edge triangle counts.
 
-    Each edge is oriented away from its end of lower (degree, id), so
-    that every triangle is exactly one closed forward wedge: a source u
-    with forward neighbours v < w and the edge {v, w}.  The wedges of
-    each u are generated in blocks of at most ``_WEDGE_BLOCK``; the
-    closing keys ``v * n + w`` that :attr:`Graph.edge_filter` passes are
-    looked up in the edges' keys, and every closed wedge adds 1 to its
-    three edges in one int64 array aligned with :meth:`Graph.edge_array`;
-    the vertex and total counts are derived from them.  On small graphs (n <= 50) the total is
-    additionally cross-checked by direct triple enumeration.
+    In the degree-ordered orientation of :attr:`Graph.forward_runs`, every
+    triangle is exactly one closed forward wedge: an arc u -> v, a later
+    arc u -> w of the same run (so v < w), and the edge {v, w}.  One sort
+    of the arcs' canonical keys ``min * n + max`` gives the rows of
+    :meth:`Graph.edge_array` and the arc of each row.  The wedges come
+    from :func:`_gathered_runs`, ``_WEDGE_BLOCK`` at a time; the closing
+    keys ``v * n + w`` that :attr:`Graph.edge_filter` passes are looked up
+    in the edges' keys, and every closed wedge adds 1 to each of its three
+    arcs.  The vertex and total counts are derived from the edges' counts.
+    On small graphs (n <= 50) the total is cross-checked by direct triple
+    enumeration.
     """
-    edges = g.edge_array()
-    m, n = len(edges), g.n
-    upper = edges[:, 0] * n + edges[:, 1]
-    # Forward keys src * n + dst.  The row (i, j) has i < j, so i is the
-    # source unless its degree is higher.
-    keys = edges[:, 1] * n
-    keys += edges[:, 0]
-    np.copyto(keys, upper, where=g.degrees[edges[:, 0]] <= g.degrees[edges[:, 1]])
-    src, eid = _sort_indexed(keys, n * n)
-    del keys
-    dst = src % n
-    src //= n
-    # Forward entry k pairs with each later entry of its source's run.  A
-    # run is sorted by destination, so such a pair (v, w) has v < w and
-    # closes on the edge whose key is v * n + w.
-    later = np.cumsum(np.bincount(src, minlength=n))[src]
+    n = g.n
+    indptr, dst = g.forward_runs
+    m = len(dst)
+    ahead = np.diff(indptr)
+    src = np.arange(n, dtype=np.int64).repeat(ahead)
+    # The edges' keys, ascending, and the arc behind each.
+    upper, arc = _sort_indexed(np.minimum(src, dst) * n + np.maximum(src, dst), n * n)
     del src
-    later -= np.arange(1, m + 1)
-    wedge_start = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(later, out=wedge_start[1:])
-    del later
-
-    edge_counts = np.zeros(m, dtype=np.int64)
-    total_wedges = int(wedge_start[-1])
-    for lo in range(0, total_wedges, _WEDGE_BLOCK):
-        hi = min(lo + _WEDGE_BLOCK, total_wedges)
-        k0 = int(wedge_start.searchsorted(lo, side="right")) - 1
-        k1 = int(wedge_start.searchsorted(hi))
-        cuts = np.minimum(np.maximum(wedge_start[k0 : k1 + 1], lo), hi) - lo
-        first = np.arange(k0, k1).repeat(np.diff(cuts))
-        second = np.arange(lo + 1, hi + 1) - wedge_start[first] + first
+    # Arc k pairs with the arcs k + 1 up to the end of its run.
+    runs = _gathered_runs(np.arange(1, m + 1), indptr[1:].repeat(ahead), _WEDGE_BLOCK)
+    del ahead
+    arc_counts = np.zeros(m, dtype=np.int64)
+    for r0, r1, cuts, second in runs:
+        first = np.arange(r0, r1).repeat(np.diff(cuts))
         probe = dst[first] * n
         probe += dst[second]
         wedge, at = _find_edges(g, upper, probe)
-        # Each closed wedge is one triangle: 1 for each of its three edges.
-        for closed in (at, eid[first[wedge]], eid[second[wedge]]):
-            np.add.at(edge_counts, closed, 1)
+        # Each closed wedge is one triangle: 1 for each of its three arcs.
+        for closed in (arc[at], first[wedge], second[wedge]):
+            np.add.at(arc_counts, closed, 1)
+    edge_counts = arc_counts[arc]
+    del arc, arc_counts
+    edges = np.stack(np.divmod(upper, n), axis=1)
 
     per_vertex = np.zeros(g.n, dtype=np.int64)
     np.add.at(per_vertex, edges[:, 0], edge_counts)

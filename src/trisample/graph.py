@@ -8,9 +8,11 @@ oracle and the edge-list writer, goes through them or through an index
 derived from them and cached on the graph: :attr:`Graph.edge_keys`
 (2m int64 keys), :attr:`Graph.edge_filter` (a byte per slot, 8m to 16m
 bytes) and :attr:`Graph.forward_runs` (int64 arrays of n + 1 and m
-entries).  Ids present nowhere in the edge list but below the maximum
-id (or below an explicit header count) are isolated vertices.  ``n`` is
-capped so that the edge keys ``i * n + j`` fit an int64.
+entries: the one (degree, id) orientation, which both triangle
+counters of :mod:`trisample.exact` read).  Ids present nowhere in the
+edge list but below the maximum id (or below an explicit header count)
+are isolated vertices.  ``n`` is capped so that the edge keys
+``i * n + j`` fit an int64.
 
 Edges leave every reader as ``(k, 2)`` int64 arrays: an edge stream
 yields a pass as blocks, and :meth:`Graph.edge_array` gives all edges.
@@ -179,13 +181,12 @@ class Graph:
 
         ``indices[indptr[i]:indptr[i+1]]`` is the ascending run N⁺(i) of
         the neighbours that outrank ``i``; the arrays are int64, of ``n + 1``
-        and ``m`` entries.  Built from the CSR arrays when first read.
+        and ``m`` entries.  Built from the CSR arrays when first read, by
+        ``exact.count_exact`` or by the first ``exact.local_triangles``.
         """
         rank = self.degrees * self.n + np.arange(self.n)  # (degree, id), fits an int64
-        keep = rank[self.indices] > rank.repeat(self.degrees)
-        kept = np.zeros(len(keep) + 1, dtype=np.int64)  # kept[k]: arcs among the first k entries
-        np.cumsum(keep, out=kept[1:])
-        return kept[self.indptr], self.indices[keep]
+        kept = np.flatnonzero(rank[self.indices] > rank.repeat(self.degrees))  # the arcs' slots
+        return kept.searchsorted(self.indptr), self.indices[kept]
 
     def edge_array(self) -> np.ndarray:
         """Each undirected edge once, as the rows (i, j) with i < j of an

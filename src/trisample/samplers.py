@@ -234,8 +234,7 @@ def second_stage(spec: SamplerSpec) -> TrialTerms:
         triangles = np.full(g.n, -1, dtype=np.int64)  # T_v, or -1 until v is drawn
 
         def qopt_terms(vertices, rng):
-            distinct = np.unique(vertices)
-            new = distinct[triangles[distinct] < 0]
+            new = np.unique(vertices[triangles[vertices] < 0])
             triangles[new] = local_triangles(g, new)
             t = triangles[vertices]
             live = t > 0

@@ -183,6 +183,29 @@ def test_wedge_blocks_bound_the_working_memory():
     assert peak < 8 * wedges  # one int64 array over every wedge would reach it alone
 
 
+@pytest.mark.parametrize("window", [1, 2, 3, 7, 100])
+def test_gathered_runs_put_every_run_back_together(window):
+    rng = np.random.default_rng(29)
+    for case in range(60):
+        count = int(rng.integers(0, 25))
+        first = rng.integers(0, 50, count)
+        lengths = rng.integers(0, 6, count) * (rng.random(count) < 0.6)  # many empty runs
+        if case % 3 == 0:
+            lengths[:2] = lengths[-2:] = 0  # empty runs at the start and the end
+        last = first + lengths
+        pieces = [[] for _ in range(count)]
+        sizes = []
+        for r0, r1, cuts, positions in exact._gathered_runs(first, last, window):
+            assert len(cuts) == r1 - r0 + 1 and np.all(np.diff(cuts) >= 0)
+            assert cuts[0] == 0 and cuts[-1] == len(positions) <= window
+            for k in range(r1 - r0):
+                pieces[r0 + k] += positions[cuts[k] : cuts[k + 1]].tolist()
+            sizes.append(len(positions))
+        assert pieces == [list(range(a, b)) for a, b in zip(first.tolist(), last.tolist())]
+        assert all(size == window for size in sizes[:-1]) and sum(sizes) == lengths.sum()
+        assert np.array_equal(last, first + lengths)  # the arguments are read, not written
+
+
 @pytest.mark.parametrize("gather", [3, 50, exact._GATHER])
 def test_common_neighbour_counts_match_set_intersections(monkeypatch, gather):
     monkeypatch.setattr(exact, "_GATHER", gather)

@@ -14,6 +14,7 @@ from trisample import (
     MemoryEdgeStream,
     FileEdgeStream,
     ParseError,
+    count_exact,
     estimate,
     graph,
     load_edge_list,
@@ -275,6 +276,15 @@ def test_forward_runs_are_built_once_and_only_for_the_q_optimal_kinds(monkeypatc
     for kind in ("qopt-uniform", "qopt-degree"):
         estimate(g, kind, 500, seed=1)
     assert len(builds) == 1 and builds[0] is g  # once, across both estimates
+    estimate(g, "optimal", 500, seed=1, oracle=count_exact(g))
+    assert len(builds) == 1  # the oracle reads the index the kernel built
+    fresh = load_edge_list(io.StringIO(text.getvalue()))
+    assert len(builds) == 1 and "forward_runs" not in vars(fresh)
+    count_exact(fresh)
+    assert len(builds) == 2 and builds[1] is fresh  # the oracle builds it once
+    for kind in ("edge-uniform", "qopt-uniform", "qopt-degree"):
+        estimate(fresh, kind, 500, seed=1)
+    assert len(builds) == 2
 
 
 def test_has_edge(paw, k3):
