@@ -12,7 +12,9 @@ are worth: the edge kinds T_ij for the pairs they draw, with
 vertices, with :func:`local_triangles`, which marks N(v) and scans only
 the forward runs of v's neighbours, so that each edge inside N(v) is met
 once, from its lower-ranked end.  All three walk their runs in bounded
-windows of :func:`_gathered_runs`.  The edge-key lookups of
+windows of :func:`_gathered_runs`, each of which gives every gathered
+position with the run it lies in; a light round of
+:func:`local_triangles` is one such window.  The edge-key lookups of
 :func:`count_exact` and :func:`common_neighbour_counts` go through the
 graph's hashed edge filter first, and only the keys it passes are
 searched for.
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -94,23 +95,24 @@ class TriangleProfile:
         return int(self.edge_counts.max()) if self.edge_counts.size else 0
 
 
-# Adjacency entries that the two sampling kernels below gather at a time
-# (their window of _gathered_runs); bounds their working memory whatever
-# the degrees.
+# Adjacency entries that common_neighbour_counts and the hub path of
+# local_triangles gather at a time (their window of _gathered_runs); a
+# light round of local_triangles is one window of at most this many, or
+# of one vertex's load.  Bounds their working memory whatever the degrees.
 _GATHER = 1 << 18
 
 
 def _gathered_runs(
     first: np.ndarray, last: np.ndarray, window: int
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The positions ``range(first[r], last[r])`` of the runs ``r`` back
     to back, at most ``window`` at a time; ``first`` and ``last`` are let
     go once read.
 
-    Yields ``(r0, r1, cuts, positions)`` per window: runs ``r0:r1`` meet
-    the window, and run ``r0 + k`` has ``positions[cuts[k]:cuts[k + 1]]``
-    in it.  A run may be empty, so a caller that reduces over
-    ``cuts[:-1]`` with ``np.add.reduceat`` must pass non-empty runs only.
+    Yields ``(runs, positions)`` per window: ``positions[t]`` lies in run
+    ``runs[t]``, so ``runs`` is non-decreasing.  Every window but the
+    last holds ``window`` positions.  A run may be empty; it then shows
+    in no window.
     """
     bounds = np.zeros(len(first) + 1, dtype=np.int64)
     np.subtract(last, first, out=bounds[1:])
@@ -123,8 +125,11 @@ def _gathered_runs(
         hi = min(lo + window, total)
         r0 = int(bounds.searchsorted(lo, side="right")) - 1
         r1 = int(bounds.searchsorted(hi))
-        cuts = np.minimum(np.maximum(bounds[r0 : r1 + 1], lo), hi) - lo
-        yield r0, r1, cuts, shift[r0:r1].repeat(cuts[1:] - cuts[:-1]) + np.arange(lo, hi)
+        cuts = np.minimum(np.maximum(bounds[r0 : r1 + 1], lo), hi)
+        runs = np.arange(r0, r1).repeat(np.diff(cuts))
+        positions = shift[runs]
+        positions += np.arange(lo, hi)  # in place: one window-sized array less
+        yield runs, positions
 
 
 # First-stage vertices whose neighbourhoods one round of local_triangles
@@ -148,12 +153,12 @@ def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
     A vertex's load is the number of those entries, Σ_{j∈N(v)} deg⁺(j);
     a vertex of load 0 has T_v = 0.  Vertices of load at most
     ``_HUB_LOAD`` share rounds of at most ``_ROUND`` vertices and
-    ``_GATHER`` gathered entries: the round's t-th vertex sets bit t of a
-    uint64 word at each of its neighbours, and each entry of a neighbour's
-    forward run adds bit t of its word to T_v.  A vertex of higher load
-    marks its neighbours alone, in a boolean mask, and counts the marked
-    entries of their forward runs.  Neighbours with an empty forward run
-    are marked but not scanned.
+    ``_GATHER`` gathered entries, or one vertex alone: the round's t-th
+    vertex sets bit t of a uint64 word at each of its neighbours, the
+    round's whole load is gathered as one window, and each entry adds
+    bit t of its word to T_v.  A vertex of higher load marks its
+    neighbours alone, in a boolean mask, and counts the marked entries of
+    their forward runs.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     triangles = np.zeros(len(vertices), dtype=np.int64)
@@ -169,29 +174,24 @@ def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
     neighbours = g.indices[(g.indptr[vertices] - bounds[:-1]).repeat(deg) + np.arange(bounds[-1])]
     ahead = indptr[neighbours + 1] - indptr[neighbours]  # deg⁺ of each neighbour
     loads = np.add.reduceat(ahead, bounds[:-1])
-    scanned = ahead > 0  # the neighbours whose forward runs are gathered
     counts = np.zeros(len(vertices), dtype=np.int64)
 
     mask = np.zeros(g.n, dtype=bool)
     for k in np.flatnonzero(loads > _HUB_LOAD).tolist():
         around = neighbours[bounds[k] : bounds[k + 1]]
         mask[around] = True
-        for _, _, _, at in _gathered_runs(indptr[around], indptr[around + 1], _GATHER):
+        for _, at in _gathered_runs(indptr[around], indptr[around + 1], _GATHER):
             counts[k] += np.count_nonzero(mask[indices[at]])
         mask[around] = False
 
     # The light vertices' neighbours, back to back in the same order: the
-    # k-th one's are marks[starts[k]:starts[k + 1]], and of those, the
-    # ones scanned are rows[firsts[k]:firsts[k + 1]].  The first k of them
-    # gather running[k] entries.
+    # k-th one's are marks[starts[k]:starts[k + 1]], and the first k of
+    # them gather running[k] entries.
     light = (loads > 0) & (loads <= _HUB_LOAD)
-    pick = light.repeat(deg)
-    marks, rows = neighbours[pick], neighbours[pick & scanned]
-    widths = np.add.reduceat(scanned, bounds[:-1], dtype=np.int64)[light]
-    deg = deg[light]
+    marks = neighbours[light.repeat(deg)]
+    deg, loads = deg[light], loads[light]
     starts = np.concatenate(([0], np.cumsum(deg)))
-    firsts = np.concatenate(([0], np.cumsum(widths)))
-    running = np.concatenate(([0], np.cumsum(loads[light])))
+    running = np.concatenate(([0], np.cumsum(loads)))
     light_counts = np.zeros(len(deg), dtype=np.int64)
     words = np.zeros(g.n, dtype=np.uint64)
     k0 = 0
@@ -201,15 +201,14 @@ def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
         slot = np.arange(k1 - k0, dtype=np.uint64)
         marked = marks[starts[k0] : starts[k1]]
         np.bitwise_or.at(words, marked, np.left_shift(np.uint64(1), slot.repeat(deg[k0:k1])))
-        round_rows, slots = rows[firsts[k0] : firsts[k1]], slot.repeat(widths[k0:k1])
-        per_row = np.zeros(len(round_rows), dtype=np.int64)  # marked entries of each row's run
-        for r0, r1, cuts, at in _gathered_runs(indptr[round_rows], indptr[round_rows + 1], _GATHER):
-            hits = words[indices[at]]
-            hits >>= slots[r0:r1].repeat(cuts[1:] - cuts[:-1])
-            hits &= np.uint64(1)
-            per_row[r0:r1] += np.add.reduceat(hits, cuts[:-1], dtype=np.int64)
+        # Each vertex's entries are contiguous in the round's one window.
+        window = int(running[k1] - running[k0])
+        at = next(_gathered_runs(indptr[marked], indptr[marked + 1], window))[1]
+        hits = words[indices[at]]
+        hits >>= slot.repeat(loads[k0:k1])
+        hits &= np.uint64(1)
         words[marked] = 0
-        light_counts[k0:k1] = np.add.reduceat(per_row, firsts[k0:k1] - firsts[k0])
+        light_counts[k0:k1] = np.add.reduceat(hits, running[k0:k1] - running[k0], dtype=np.int64)
         k0 = k1
     counts[light] = light_counts
     triangles[touched] = counts
@@ -220,39 +219,28 @@ def common_neighbour_counts(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarra
     """|N(a_t) ∩ N(b_t)| for each pair of the equal-length vertex arrays:
     the edge samplers' kernel for the T_ij of the edges they draw.
 
-    No vertex may be isolated (edges qualify).  Scans the run of the
-    lower-degree vertex of each pair and probes, for every entry ``k``,
-    the key ``min(other, k) * n + max(other, k)``: :attr:`Graph.edge_filter`
-    rules out most probes that are not edges, and the rest are looked up
-    in :attr:`Graph.edge_keys`.  It costs O(min(deg a_t, deg b_t)) hashes
-    per pair, and a binary search of O(log m) for each probe that passes
-    the filter, so it suits a few pairs; :func:`count_exact` counts every
-    edge at once by closing wedges.
+    Scans the run of the lower-degree vertex of each pair and probes, for
+    every entry ``k``, the key ``min(other, k) * n + max(other, k)``:
+    :attr:`Graph.edge_filter` rules out most probes that are not edges,
+    and the rest are looked up in :attr:`Graph.edge_keys`.  A pair with an
+    isolated vertex scans nothing and counts 0.  It costs
+    O(min(deg a_t, deg b_t)) hashes per pair, and a binary search of
+    O(log m) for each probe that passes the filter, so it suits a few
+    pairs; :func:`count_exact` counts every edge at once by closing wedges.
     """
     swap = g.degrees[a] > g.degrees[b]
     a, b = np.where(swap, b, a), np.where(swap, a, b)
     counts = np.zeros(len(a), dtype=np.int64)
-    for r0, r1, cuts, at in _gathered_runs(g.indptr[a], g.indptr[a + 1], _GATHER):
+    for runs, at in _gathered_runs(g.indptr[a], g.indptr[a + 1], _GATHER):
         entries = g.indices[at]
-        other = b[r0:r1].repeat(cuts[1:] - cuts[:-1])
+        other = b[runs]
         probe = np.minimum(other, entries)
         probe *= g.n
         np.maximum(other, entries, out=other)
         probe += other
-        hit = np.zeros(len(entries), dtype=bool)
-        hit[_find_edges(g, g.edge_keys, probe)[0]] = True
-        counts[r0:r1] += np.add.reduceat(hit, cuts[:-1], dtype=np.int64)
+        found = _find_edges(g, g.edge_keys, probe)[0]
+        counts += np.bincount(runs[found], minlength=len(a))
     return counts
-
-
-def _brute_force_total(g: Graph) -> int:
-    """Triangle count by enumerating all vertex triples.  O(n^3); n <= 50 only."""
-    adj = [set(g.neighbors(i).tolist()) for i in range(g.n)]
-    count = 0
-    for a, b, c in combinations(range(g.n), 3):
-        if b in adj[a] and c in adj[a] and c in adj[b]:
-            count += 1
-    return count
 
 
 # Wedges closed per window of count_exact.  A window holds a few int64
@@ -313,8 +301,6 @@ def count_exact(g: Graph) -> TriangleProfile:
     keys ``v * n + w`` that :attr:`Graph.edge_filter` passes are looked up
     in the edges' keys, and every closed wedge adds 1 to each of its three
     arcs.  The vertex and total counts are derived from the edges' counts.
-    On small graphs (n <= 50) the total is cross-checked by direct triple
-    enumeration.
     """
     n = g.n
     indptr, dst = g.forward_runs
@@ -328,8 +314,7 @@ def count_exact(g: Graph) -> TriangleProfile:
     runs = _gathered_runs(np.arange(1, m + 1), indptr[1:].repeat(ahead), _WEDGE_BLOCK)
     del ahead
     arc_counts = np.zeros(m, dtype=np.int64)
-    for r0, r1, cuts, second in runs:
-        first = np.arange(r0, r1).repeat(np.diff(cuts))
+    for first, second in runs:
         probe = dst[first] * n
         probe += dst[second]
         wedge, at = _find_edges(g, upper, probe)
@@ -350,6 +335,4 @@ def count_exact(g: Graph) -> TriangleProfile:
     if vertex_sum % 3:
         raise AssertionError("vertex counts must sum to a multiple of 3")
     total = vertex_sum // 3
-    if g.n <= 50 and _brute_force_total(g) != total:
-        raise AssertionError("wedge-closure count disagrees with triple enumeration")
     return TriangleProfile(total=total, per_vertex=per_vertex, edges=edges, edge_counts=edge_counts)

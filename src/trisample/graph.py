@@ -361,20 +361,28 @@ def _vertex_ids(tokens: list[str], lineno: int) -> tuple[int, int]:
     return int(tokens[0]), int(tokens[1])
 
 
+def _binary(source) -> bool:
+    """Whether ``source`` is a file open in binary mode: its reads give bytes."""
+    return hasattr(source, "read") and isinstance(source.read(0), bytes)
+
+
 def _edge_arrays(source) -> Iterator:
     """The edge-list reader: the header count (``None`` when there is
     none), then the edge records in input order as ``(k, 2)`` int64 arrays.
 
-    A path is read in byte chunks by :func:`_file_arrays`; an open text
-    file or an iterable of lines goes through :func:`_edge_records`.
+    A path or an open binary file is read in byte chunks by
+    :func:`_file_arrays`; an open text file or an iterable of lines goes
+    through :func:`_edge_records`.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             yield from _file_arrays(fh)
-        return
-    records = _edge_records(source)
-    yield next(records)
-    yield _pairs(records)
+    elif _binary(source):
+        yield from _file_arrays(source)
+    else:
+        records = _edge_records(source)
+        yield next(records)
+        yield _pairs(records)
 
 
 def _file_arrays(fh) -> Iterator:
@@ -458,7 +466,8 @@ def _pairs(records) -> np.ndarray:
 def load_edge_list(source) -> Graph:
     """Parse an edge-list text source into a validated :class:`Graph`.
 
-    ``source`` may be a path, an open text file, or an iterable of lines.
+    ``source`` may be a path, an open text or binary file, or an iterable
+    of lines.
     Self-loops and duplicate undirected edges are dropped (counts logged
     as warnings); a source with no edge records at all is an error.
     """
@@ -545,15 +554,16 @@ class FileEdgeStream(EdgeStreamSource):
     """
 
     def __init__(self, source) -> None:
+        if not isinstance(source, (str, os.PathLike)) and not _binary(source):
+            raise TypeError("FileEdgeStream reads a path or a file open in binary mode ('rb')")
         self.source = source
         with closing(self._arrays()) as arrays:
             super().__init__(next(arrays))
 
     def _arrays(self) -> Iterator:
-        if isinstance(self.source, (str, os.PathLike)):
-            return _edge_arrays(self.source)
-        self.source.seek(0)
-        return _file_arrays(self.source)
+        if not isinstance(self.source, (str, os.PathLike)):
+            self.source.seek(0)
+        return _edge_arrays(self.source)
 
     def _blocks(self, size: int) -> Iterator[np.ndarray]:
         with closing(self._arrays()) as arrays:

@@ -1,9 +1,11 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from trisample import Graph, SampleStreams
+import trisample
+from trisample import Graph, SampleStreams, cli, estimator, exact, samplers
 
 PAW_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3)]
 K3_EDGES = [(0, 1), (0, 2), (1, 2)]
@@ -87,6 +89,29 @@ def brute_force_triangles(n: int, edges: list[tuple[int, int]]) -> int:
         if b in adj[a] and c in adj[a] and c in adj[b]:
             count += 1
     return count
+
+
+def _cross_checked(count_exact):
+    """``count_exact`` that checks the total of every graph with n <= 50
+    against :func:`brute_force_triangles`."""
+
+    @functools.wraps(count_exact)
+    def checked(g: Graph):
+        profile = count_exact(g)
+        if g.n <= 50:
+            edges = [(i, j) for i in range(g.n) for j in g.neighbors(i).tolist() if i < j]
+            if profile.total != brute_force_triangles(g.n, edges):
+                raise AssertionError("wedge-closure count disagrees with triple enumeration")
+        return profile
+
+    return checked
+
+
+# Every small graph the suite counts, through the library's own callers
+# too, is cross-checked by triple enumeration.
+_checked_count_exact = _cross_checked(exact.count_exact)
+for _module in (trisample, exact, estimator, samplers, cli):
+    _module.count_exact = _checked_count_exact
 
 
 def brute_force_local_counts(n: int, edges: list[tuple[int, int]]):

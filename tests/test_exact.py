@@ -34,6 +34,19 @@ def test_k4_profile(k4):
     assert all(c == 2 for c in prof.per_edge.values())
 
 
+def test_small_graphs_are_cross_checked_by_triple_enumeration(monkeypatch, k4):
+    find = exact._find_edges
+
+    def one_short(g, keys, probe):
+        wedge, at = find(g, keys, probe)
+        return wedge[1:], at[1:]  # one closed wedge, so one whole triangle, lost
+
+    monkeypatch.setattr(exact, "_find_edges", one_short)
+    assert count_exact.__wrapped__(k4).total == 3  # even and a multiple of 3 at every step
+    with pytest.raises(AssertionError, match="triple enumeration"):
+        count_exact(k4)
+
+
 def test_paw_profile_matches_brute_force(paw):
     expected_vertex, expected_edge = brute_force_local_counts(4, PAW_EDGES)
     prof = count_exact(paw)
@@ -195,11 +208,11 @@ def test_gathered_runs_put_every_run_back_together(window):
         last = first + lengths
         pieces = [[] for _ in range(count)]
         sizes = []
-        for r0, r1, cuts, positions in exact._gathered_runs(first, last, window):
-            assert len(cuts) == r1 - r0 + 1 and np.all(np.diff(cuts) >= 0)
-            assert cuts[0] == 0 and cuts[-1] == len(positions) <= window
-            for k in range(r1 - r0):
-                pieces[r0 + k] += positions[cuts[k] : cuts[k + 1]].tolist()
+        for runs, positions in exact._gathered_runs(first, last, window):
+            assert len(runs) == len(positions) <= window
+            assert np.all(np.diff(runs) >= 0) and np.all((0 <= runs) & (runs < count))
+            for r, position in zip(runs.tolist(), positions.tolist()):
+                pieces[r].append(position)
             sizes.append(len(positions))
         assert pieces == [list(range(a, b)) for a, b in zip(first.tolist(), last.tolist())]
         assert all(size == window for size in sizes[:-1]) and sum(sizes) == lengths.sum()
@@ -210,12 +223,13 @@ def test_gathered_runs_put_every_run_back_together(window):
 def test_common_neighbour_counts_match_set_intersections(monkeypatch, gather):
     monkeypatch.setattr(exact, "_GATHER", gather)
     rng = np.random.default_rng(53)
-    for g in (gnp_graph(120, 0.1, rng), chung_lu_graph(400, 2000, rng), hub_graph(200, 0.05, 150, rng)):
+    for base in (gnp_graph(120, 0.1, rng), chung_lu_graph(400, 2000, rng), hub_graph(200, 0.05, 150, rng)):
+        g = Graph.from_edges(base.edge_array(), n=base.n + 3)  # the last three ids isolated
         runs = [set(g.neighbors(v).tolist()) for v in range(g.n)]
-        live = np.flatnonzero(g.degrees > 0)
         rows = np.repeat(np.arange(g.n), g.degrees)
-        a = np.concatenate([rows, rng.choice(live, 500)])  # every edge, then any pairs
-        b = np.concatenate([g.indices, rng.choice(live, 500)])
+        # Every edge, then any pairs, isolated vertices at either end included.
+        a = np.concatenate([rows, rng.integers(0, g.n, 500), [g.n - 1, 0, g.n - 2]])
+        b = np.concatenate([g.indices, rng.integers(0, g.n, 500), [0, g.n - 1, g.n - 2]])
         want = [len(runs[i] & runs[j]) for i, j in zip(a.tolist(), b.tolist())]
         assert exact.common_neighbour_counts(g, a, b).tolist() == want
 
@@ -287,7 +301,23 @@ def test_local_counts_cut_rounds_by_gathered_entries(monkeypatch, gather):
     for g in graphs:
         assert _loads(g).sum() > gather * (g.n // exact._ROUND + 1)  # more rounds than 64s
         _check_local_triangles(g, np.arange(g.n))
-    assert any(_loads(g).max() > gather for g in graphs)  # one vertex's runs span windows
+    assert any(_loads(g).max() > gather for g in graphs)  # a vertex whose load makes a round alone
+
+
+def test_light_rounds_bound_the_working_memory(monkeypatch):
+    monkeypatch.setattr(exact, "_GATHER", 1 << 12)
+    g = gnp_graph(2000, 0.01, np.random.default_rng(7))
+    loads = _loads(g)
+    assert loads.sum() >= 50 * exact._GATHER and loads.max() <= exact._HUB_LOAD  # light rounds only
+    vertices = np.arange(g.n)
+    exact.local_triangles(g, vertices)  # builds the forward runs
+    tracemalloc.start()
+    try:
+        exact.local_triangles(g, vertices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * loads.sum()  # one int64 array over every gathered entry would reach it alone
 
 
 def test_local_counts_of_hubs_beside_light_vertices(monkeypatch):

@@ -398,6 +398,13 @@ def test_file_stream_reads_an_open_binary_file_from_its_start(tmp_path):
         assert not fh.closed
 
 
+def test_file_stream_refuses_a_text_mode_file(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("# n=3\n0 1\n1 2\n")
+    with open(path, encoding="utf-8") as fh, pytest.raises(TypeError, match="binary mode"):
+        FileEdgeStream(fh)
+
+
 def test_abandoned_file_passes_close_their_file(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# n=3\n0 1\n1 2\n")
@@ -538,6 +545,17 @@ def test_every_chunk_cut_reads_as_the_line_reader(tmp_path, text, expect):
         with patch.object(graph, "_CHUNK_BYTES", size):
             assert _outcome(lambda: load_edge_list(path)) == want_graph, size
             assert _outcome(lambda: _stream_read(FileEdgeStream(path))) == want_stream, size
+
+
+@pytest.mark.parametrize("text, expect", READER_PARITY_CASES.values(), ids=READER_PARITY_CASES)
+def test_an_open_binary_file_loads_as_its_path(tmp_path, text, expect):
+    path = _edge_file(tmp_path, text)
+
+    def load_open_file():
+        with open(path, "rb") as fh:
+            return load_edge_list(fh)
+
+    assert _outcome(load_open_file) == _outcome(lambda: load_edge_list(path))
 
 
 # Inputs with two faults at once: the error named first is pinned, so that
