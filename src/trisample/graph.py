@@ -23,10 +23,11 @@ ruled out most of the pairs that are not edges.
 
 Edge-list files are read in byte chunks of 1 MiB, each read on to the
 end of its last line.  A chunk of plain lines (ASCII digits, spaces,
-tabs and ``\n`` or ``\r\n`` line ends; every non-blank line two ids
-of at most 18 digits) is parsed with array operations.  The lines up
-to the first edge, and any other chunk, go through the per-line grammar
-of :func:`_edge_records`, which text sources use throughout.  So the
+tabs and ``\n`` or ``\r\n`` line ends; every non-blank line two ids,
+each of value below ``10**18``) is checked in one scan of its id starts
+and line ends, and parsed with array operations.  The lines up to the
+first edge, and any other chunk, go through the per-line grammar of
+:func:`_edge_records`, which text sources use throughout.  So the
 grammar, and the line number of every error, do not depend on how a
 file is read.
 """
@@ -51,7 +52,7 @@ log = logging.getLogger(__name__)
 _HEADER_RE = re.compile(r"^[#%]\s*n\s*=\s*(\d+)\s*$", re.ASCII)
 _MAX_ID = 2**63 - 1  # ids index int64 arrays
 _MAX_N = isqrt(_MAX_ID + 1)  # the edge keys i * n + j < n * n fit an int64
-_PLAIN_DIGITS = 18  # any id of at most 18 digits fits an int64
+_PLAIN_BELOW = 10**18  # plain ids are below this; np.fromstring saturates an overflow to 2**63 - 1
 _CHUNK_BYTES = 1 << 20  # file bytes per chunk, read on to the end of a line
 _FILTER_SLOTS = 8  # edge filter slots per edge, before rounding up to a power of two
 _FILTER_HASH = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier: 2**64 / golden ratio
@@ -391,7 +392,7 @@ def _file_arrays(fh) -> Iterator:
     The lines up to the first edge go one at a time through the line
     grammar, so the header count is known once the first edge is read.
     The rest is read in chunks of whole lines: a chunk that
-    :func:`_plain_ids` accepts is parsed whole, and any other chunk is
+    :func:`_plain_pairs` accepts is parsed whole, and any other chunk is
     decoded as UTF-8 and read line by line, its lines numbered on from
     the lines before it.  Errors, and the line numbers they name, are
     those of a text-mode read of the same file.
@@ -409,14 +410,14 @@ def _file_arrays(fh) -> Iterator:
     while chunk := fh.read(_CHUNK_BYTES):
         if not chunk.endswith(b"\n"):
             chunk += fh.readline()  # on to the end of the line the read cut
-        plain = _plain_ids(chunk)
+        plain = _plain_pairs(chunk)
         if plain is None:
             text = _text_lines(chunk)
             yield _pairs(_body(enumerate(text, start=lineno)))
             lineno += len(text)
         else:
-            ids, lines = plain
-            yield np.fromstring(chunk, dtype=np.int64, count=ids, sep=" ").reshape(-1, 2)
+            pairs, lines = plain
+            yield pairs
             lineno += lines
 
 
@@ -429,33 +430,37 @@ def _text_lines(chunk: bytes) -> list[str]:
     return lines
 
 
-def _plain_ids(chunk: bytes) -> tuple[int, int] | None:
-    r"""The number of ids and of ``\n`` bytes in a chunk of plain lines, or
-    None if it is not one.
+def _plain_pairs(chunk: bytes) -> tuple[np.ndarray, int] | None:
+    r"""The edge records of a chunk of plain lines as an ``(k, 2)`` int64
+    array, and the number of ``\n`` bytes in the chunk; or None if it is
+    not one.
 
     Plain means: only ASCII digits, spaces, tabs, ``\n`` and a ``\r``
-    right before a ``\n``, and each non-blank line two ids of at most 18
-    digits.  Such lines are edge records whatever their place in the file,
-    and their ids fit an int64.  A lone ``\r`` ends a line in text mode,
-    so it is not plain.
+    right before a ``\n``, each non-blank line two ids, and each id of
+    value below ``10**18``.  Such lines are edge records whatever their
+    place in the file.  A lone ``\r`` ends a line in text mode, so it is
+    not plain.
     """
+    # digits, blanks and \n, and a \r only in a \r\n: np.fromstring reads it as a blank
+    rest = chunk.translate(None, b"0123456789 \t\n")
+    if rest and rest != b"\r" * chunk.count(b"\r\n"):
+        return None
     b = np.frombuffer(chunk, dtype=np.uint8)
     digit = (b - 48) < 10  # wraps below "0"
-    newline = b == 10
-    plain = digit | newline | (b == 32) | (b == 9)
-    if b"\r" in chunk:  # np.fromstring reads the \r of a \r\n as a blank
-        plain |= (b == 13) & np.append(newline[1:], False)
-    if not plain.all():
+    events = b == 10  # the line ends and, below, the id starts
+    events[0] |= digit[0]
+    events[1:] |= digit[1:] > digit[:-1]
+    at = np.flatnonzero(events)
+    ends = np.ones(len(at) + 2, dtype=bool)  # a line end before and after the chunk
+    np.equal(b[at], 10, out=ends[1:-1])
+    # each line holds 0 or 2 ids: every id start has one id start beside it
+    if (~ends[1:-1] & (ends[:-2] == ends[2:])).any():
         return None
-    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    starts, ends = bounds[0::2], bounds[1::2]  # digit runs: the ids
-    if len(starts) and (ends - starts).max() > _PLAIN_DIGITS:
+    lines = np.count_nonzero(ends) - 2
+    ids = np.fromstring(chunk, dtype=np.int64, count=len(at) - lines, sep=" ")
+    if len(ids) and ids.max() >= _PLAIN_BELOW:
         return None
-    line_ends = np.append(np.flatnonzero(newline), len(b))
-    per_line = np.diff(np.searchsorted(starts, line_ends), prepend=0)
-    if ((per_line != 0) & (per_line != 2)).any():
-        return None
-    return len(starts), len(line_ends) - 1
+    return ids.reshape(-1, 2), lines
 
 
 def _pairs(records) -> np.ndarray:

@@ -24,7 +24,7 @@ from trisample import (
 )
 
 from conftest import chung_lu_graph, gnp_graph, stream_pairs
-from trisample.graph import _edge_records, _plain_ids
+from trisample.graph import _edge_records, _plain_pairs
 from trial_reference import has_edge
 
 
@@ -110,7 +110,7 @@ def test_header_count_is_ascii_digits():
 def test_long_vertex_ids_that_fit_int64_are_read(tmp_path):
     lines = ["9223372036854775807 0", "0000000000000000000000001 2"]
     assert list(_edge_records(lines)) == [None, (2**63 - 1, 0), (1, 2)]
-    # 18-digit ids take the file reader's array path, longer ones its line path
+    # ids below 10**18 take the file reader's array path, larger ones its line path
     ids = [999999999999999999, 100000000000000001, 2**63 - 1, 10**18, 123456789012345678, 7]
     path = tmp_path / "g.edges"
     path.write_text("0 1\n" + "".join(f"{a} {b}\n" for a, b in zip(ids, ids[::-1])))
@@ -419,15 +419,55 @@ def test_abandoned_file_passes_close_their_file(tmp_path):
     assert src.passes == 0
 
 
+def _plain(chunk):
+    """``_plain_pairs`` with its array as a list of pairs."""
+    plain = _plain_pairs(chunk)
+    return None if plain is None else (plain[0].tolist(), plain[1])
+
+
 def test_plain_chunks_may_end_their_lines_with_crlf():
-    assert _plain_ids(b"1 2\n3 4\n") == (4, 2)
-    assert _plain_ids(b"1 2\r\n3 4\r\n") == (4, 2)
-    assert _plain_ids(b"1 2\r\n\r\n3\t4 \r\n") == (4, 3)
-    assert _plain_ids(b"\n1 2\n\n3 4") == (4, 3)  # the (ids, line ends) of a last chunk
+    assert _plain(b"1 2\n3 4\n") == ([[1, 2], [3, 4]], 2)
+    assert _plain(b"1 2\r\n3 4\r\n") == ([[1, 2], [3, 4]], 2)
+    assert _plain(b"1 2\r\n\r\n3\t4 \r\n") == ([[1, 2], [3, 4]], 3)
+    # the (pairs, line ends) of a last chunk
+    assert _plain(b"\n1 2\n\n3 4") == ([[1, 2], [3, 4]], 3)
     # a lone \r ends a line in text mode, so these take the line path
-    assert _plain_ids(b"1 2\r3 4\n") is None
-    assert _plain_ids(b"1 2\r\r\n") is None
-    assert _plain_ids(b"1 2\n3 4\r") is None
+    assert _plain(b"1 2\r3 4\n") is None
+    assert _plain(b"1 2\r\r\n") is None
+    assert _plain(b"1 2\n3 4\r") is None
+
+
+def test_plain_chunks_hold_two_ids_on_each_nonblank_line():
+    assert _plain(b"1 2\n3\n") is None
+    assert _plain(b"1 2\n3 4 5\n") is None
+    assert _plain(b"1 2\n3 4") == ([[1, 2], [3, 4]], 1)  # ids after the last \n
+    assert _plain(b"3 4\n5") is None
+    assert _plain(b"\n\n \t\n") == ([], 3)
+    assert _plain(b"0 1\n") == ([[0, 1]], 1)  # an id at byte 0
+    assert _plain(b"1 2\n\r") is None  # a \r as the last byte
+    # plain ids are below 10**18, whatever their number of digits
+    assert _plain(b"0999999999999999999 1\n") == ([[10**18 - 1, 1]], 1)
+    assert _plain(b"1000000000000000000 1\n") is None
+    assert _plain(b"1 99999999999999999999999\n") is None
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_plain_files_take_the_line_path_only_up_to_their_first_edge(tmp_path, end):
+    edges = np.random.default_rng(5).integers(0, 10**5, size=(300, 2)).tolist()
+    lines = ["0 1", *(f"{a}\t{b}" for a, b in edges)]
+    want = load_edge_list(lines)
+    path = tmp_path / "g.edges"
+    path.write_bytes("".join(line + end for line in lines).encode())
+    first = f"0 1{end}".encode()
+    size = (path.stat().st_size - len(first)) // 3 + 1  # three chunks after the first line
+    with (
+        patch.object(graph, "_CHUNK_BYTES", size),
+        patch.object(graph, "_plain_pairs", wraps=graph._plain_pairs) as plain,
+        patch.object(graph, "_text_lines", wraps=graph._text_lines) as text_lines,
+    ):
+        assert load_edge_list(path) == want
+    assert plain.call_count == 3
+    assert [c.args for c in text_lines.call_args_list] == [(first,)]
 
 
 # Every text below goes through both readers.  Accepted texts (expect None)

@@ -160,9 +160,13 @@ def test_load_drops_exactly_the_extra_copies_and_the_loops(graph, data):
 
 
 # Edge-list-like text over digits, blanks, line ends, comment marks, "-",
-# "n=" and "x": edge records (some with ids longer than the array path's
-# 18 digits), headers and comments, and in half the texts one line of junk.
-_ID = st.sampled_from(["0", "1", "2", "7", "10", "000000000000000003", "999999999999999999", "0000000000000000001"])
+# "n=" and "x": edge records, headers and comments, and in half the texts
+# one line of junk.  The ids straddle the array path's rule (a value below
+# 10**18, whatever the number of digits) and the int64 limit.
+_ID = st.sampled_from(
+    ["0", "1", "2", "7", "10", "000000000000000003", "999999999999999999", "0000000000000000001"]
+    + ["1000000000000000000", "9223372036854775807", "9223372036854775808"]
+)
 _BLANK = st.sampled_from(["", " ", "\t", " \t "])
 _EDGE_LINE = st.tuples(_BLANK, _ID, st.sampled_from([" ", "\t", "  "]), _ID, _BLANK).map("".join)
 _OTHER_LINE = st.sampled_from(["", "# c", "% c", "# n=5", "%n=12"])
