@@ -14,10 +14,10 @@ the forward runs of v's neighbours, so that each edge inside N(v) is met
 once, from its lower-ranked end.  All three walk their runs in bounded
 windows of :func:`_gathered_runs`, each of which gives every gathered
 position with the run it lies in; a light round of
-:func:`local_triangles` is one such window.  The edge-key lookups of
-:func:`count_exact` and :func:`common_neighbour_counts` go through the
-graph's hashed edge filter first, and only the keys it passes are
-searched for.
+:func:`local_triangles` lays out its runs itself, from the forward
+degrees it holds.  The edge-key lookups of :func:`count_exact` and
+:func:`common_neighbour_counts` go through the graph's hashed edge
+filter first, and only the keys it passes are searched for.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ class TriangleProfile:
 
 # Adjacency entries that common_neighbour_counts and the hub path of
 # local_triangles gather at a time (their window of _gathered_runs); a
-# light round of local_triangles is one window of at most this many, or
-# of one vertex's load.  Bounds their working memory whatever the degrees.
+# light round of local_triangles gathers at most this many, or one
+# vertex's load.  Bounds their working memory whatever the degrees.
 _GATHER = 1 << 18
 
 
@@ -155,10 +155,10 @@ def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
     ``_HUB_LOAD`` share rounds of at most ``_ROUND`` vertices and
     ``_GATHER`` gathered entries, or one vertex alone: the round's t-th
     vertex sets bit t of a uint64 word at each of its neighbours, the
-    round's whole load is gathered as one window, and each entry adds
-    bit t of its word to T_v.  A vertex of higher load marks its
-    neighbours alone, in a boolean mask, and counts the marked entries of
-    their forward runs.
+    round's whole load is gathered at once, the forward runs of the
+    marked neighbours back to back, and each entry adds bit t of its
+    word to T_v.  A vertex of higher load marks its neighbours alone, in
+    a boolean mask, and counts the marked entries of their forward runs.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     triangles = np.zeros(len(vertices), dtype=np.int64)
@@ -185,10 +185,12 @@ def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
         mask[around] = False
 
     # The light vertices' neighbours, back to back in the same order: the
-    # k-th one's are marks[starts[k]:starts[k + 1]], and the first k of
-    # them gather running[k] entries.
+    # k-th one's are marks[starts[k]:starts[k + 1]], of forward degrees
+    # ahead[starts[k]:starts[k + 1]], and the first k of them gather
+    # running[k] entries.
     light = (loads > 0) & (loads <= _HUB_LOAD)
-    marks = neighbours[light.repeat(deg)]
+    kept = light.repeat(deg)
+    marks, ahead = neighbours[kept], ahead[kept]
     deg, loads = deg[light], loads[light]
     starts = np.concatenate(([0], np.cumsum(deg)))
     running = np.concatenate(([0], np.cumsum(loads)))
@@ -201,9 +203,11 @@ def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
         slot = np.arange(k1 - k0, dtype=np.uint64)
         marked = marks[starts[k0] : starts[k1]]
         np.bitwise_or.at(words, marked, np.left_shift(np.uint64(1), slot.repeat(deg[k0:k1])))
-        # Each vertex's entries are contiguous in the round's one window.
-        window = int(running[k1] - running[k0])
-        at = next(_gathered_runs(indptr[marked], indptr[marked + 1], window))[1]
+        # The forward runs of the marked neighbours back to back, so each
+        # vertex's entries are contiguous.
+        w = ahead[starts[k0] : starts[k1]]
+        at = (indptr[marked] - (np.cumsum(w) - w)).repeat(w)
+        at += np.arange(len(at))
         hits = words[indices[at]]
         hits >>= slot.repeat(loads[k0:k1])
         hits &= np.uint64(1)

@@ -15,7 +15,8 @@ are isolated vertices.  ``n`` is capped so that the edge keys
 ``i * n + j`` fit an int64.
 
 Edges leave every reader as ``(k, 2)`` int64 arrays: an edge stream
-yields a pass as blocks, and :meth:`Graph.edge_array` gives all edges.
+yields a pass as the arrays it holds or parses, one per file chunk, and
+:meth:`Graph.edge_array` gives all edges.
 
 Membership of a pair is looked up in :attr:`Graph.edge_keys`, after
 :attr:`Graph.edge_filter`, a one-hash bit filter over the keys, has
@@ -510,25 +511,23 @@ class EdgeStreamSource:
     """Ordered, replayable sequence of undirected edges.
 
     Each undirected edge appears exactly once per pass, and every pass
-    yields the identical sequence.  :meth:`blocks` reads one pass as
-    ``(k, 2)`` int64 arrays; subclasses implement ``_blocks``.
-    ``passes`` counts completed full traversals; abandoning a pass midway
-    does not count.  ``declared_n`` is the vertex count the source
-    declares (a ``# n=`` header, say), or ``None``.
+    yields the identical sequence.  :meth:`arrays` reads one pass as the
+    ``(k, 2)`` int64 arrays the source holds or parses; subclasses
+    implement ``_arrays``.  ``passes`` counts completed full traversals;
+    abandoning a pass midway does not count.  ``declared_n`` is the
+    vertex count the source declares (a ``# n=`` header, say), or ``None``.
     """
 
     def __init__(self, declared_n: int | None = None) -> None:
         self.passes = 0
         self.declared_n = declared_n
 
-    def _blocks(self, size: int) -> Iterator[np.ndarray]:
+    def _arrays(self) -> Iterator[np.ndarray]:
         raise NotImplementedError
 
-    def blocks(self, size: int) -> Iterator[np.ndarray]:
-        """One pass, in stream order, as ``(k, 2)`` int64 blocks of 1 to ``size`` edges."""
-        if size < 1:
-            raise ValueError("block size must be at least 1")
-        yield from self._blocks(size)
+    def arrays(self) -> Iterator[np.ndarray]:
+        """One pass, in stream order, as ``(k, 2)`` int64 arrays; any may be empty."""
+        yield from self._arrays()
         self.passes += 1
 
 
@@ -544,9 +543,8 @@ class MemoryEdgeStream(EdgeStreamSource):
         self._edges = _edge_pairs(edges).copy()  # replays even if the caller's array changes
         self._edges.flags.writeable = False
 
-    def _blocks(self, size: int) -> Iterator[np.ndarray]:
-        for lo in range(0, len(self._edges), size):
-            yield self._edges[lo : lo + size]
+    def _arrays(self) -> Iterator[np.ndarray]:
+        yield self._edges
 
 
 class FileEdgeStream(EdgeStreamSource):
@@ -555,30 +553,22 @@ class FileEdgeStream(EdgeStreamSource):
     ``source`` is a path or an open binary file; an open file is read
     from its start on every pass and left open.  A pass holds one chunk
     of the file (about 1 MiB) and its edges at a time, so the stream
-    adds O(chunk + block) to the estimator's working set.
+    adds O(chunk) to the estimator's working set.
     """
 
     def __init__(self, source) -> None:
         if not isinstance(source, (str, os.PathLike)) and not _binary(source):
             raise TypeError("FileEdgeStream reads a path or a file open in binary mode ('rb')")
         self.source = source
-        with closing(self._arrays()) as arrays:
+        with closing(self._read()) as arrays:
             super().__init__(next(arrays))
 
-    def _arrays(self) -> Iterator:
+    def _read(self) -> Iterator:
         if not isinstance(self.source, (str, os.PathLike)):
             self.source.seek(0)
         return _edge_arrays(self.source)
 
-    def _blocks(self, size: int) -> Iterator[np.ndarray]:
-        with closing(self._arrays()) as arrays:
+    def _arrays(self) -> Iterator[np.ndarray]:
+        with closing(self._read()) as arrays:
             next(arrays)  # the header, already read
-            held = np.empty((0, 2), dtype=np.int64)
-            for pairs in arrays:
-                pairs = np.concatenate([held, pairs])
-                whole = len(pairs) - len(pairs) % size
-                for lo in range(0, whole, size):
-                    yield pairs[lo : lo + size]
-                held = pairs[whole:]
-            if len(held):
-                yield held
+            yield from arrays

@@ -16,10 +16,11 @@ the trials exactly with the in-memory engine's
 ceil(s/8) bytes and one int64 tally per sample: n * ceil(s/8) + 8 s
 bytes, known before pass 1.
 
-Every pass reads the stream as the ``(k, 2)`` int64 blocks of
-:meth:`~trisample.graph.EdgeStreamSource.blocks`, at most
-``_STREAM_BLOCK`` edges each, and does its work on a block with array
-operations, so the temporaries add O(s * _STREAM_BLOCK) to the state.
+Every pass reads the ``(k, 2)`` int64 arrays of
+:meth:`~trisample.graph.EdgeStreamSource.arrays`, cuts them into blocks
+of at most ``_STREAM_BLOCK`` edges (in ``_edge_blocks``, the one place
+that cuts), and does its work on a block with array operations, so the
+temporaries add O(s * _STREAM_BLOCK) to the state.
 Errors still name the first bad edge in stream order, as an
 edge-by-edge pass would.  Pass 1 records how many edges it read, and
 pass 2 refuses a stream that has changed length.
@@ -93,8 +94,9 @@ class StreamRun:
 
 
 def _edge_blocks(source: EdgeStreamSource, n: int | None = None) -> Iterator[np.ndarray]:
-    """One full pass over ``source`` as its ``(k, 2)`` int64 blocks of at
-    most ``_STREAM_BLOCK`` edges, in stream order.
+    """One full pass over ``source`` as ``(k, 2)`` int64 blocks of 1 to
+    ``_STREAM_BLOCK`` edges, in stream order: views that cut each of the
+    source's arrays, so that no block spans two of them.
 
     The source is read to its end, so the pass counts in
     ``source.passes``.  With ``n``, every edge is checked against the
@@ -103,16 +105,18 @@ def _edge_blocks(source: EdgeStreamSource, n: int | None = None) -> Iterator[np.
     ``_check_endpoints``.  A pass that acts on each block before asking
     for the next one thus reports its errors in stream order.
     """
-    for block in source.blocks(_STREAM_BLOCK):
-        if n is not None:
-            u, v = block[:, 0], block[:, 1]
-            bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
-            if bad.any():
-                k = int(bad.argmax())
-                if k:
-                    yield block[:k]
-                _check_endpoints(*block[k].tolist(), n)  # raises: the edge is bad
-        yield block
+    for edges in source.arrays():
+        for lo in range(0, len(edges), _STREAM_BLOCK):
+            block = edges[lo : lo + _STREAM_BLOCK]
+            if n is not None:
+                u, v = block[:, 0], block[:, 1]
+                bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+                if bad.any():
+                    k = int(bad.argmax())
+                    if k:
+                        yield block[:k]
+                    _check_endpoints(*block[k].tolist(), n)  # raises: the edge is bad
+            yield block
 
 
 def pass_count_n(source: EdgeStreamSource) -> int:

@@ -44,10 +44,10 @@ def without_pairs_draws(seed_streams):
     return lambda seed: SampleStreams(seed_streams(seed).vertices, NoDraws())
 
 
-def stream_pairs(source, size: int = 1024):
-    """One pass over an edge stream as (u, v) int tuples, read through its blocks."""
-    for block in source.blocks(size):
-        yield from map(tuple, block.tolist())
+def stream_pairs(source):
+    """One pass over an edge stream as (u, v) int tuples, read through its arrays."""
+    for edges in source.arrays():
+        yield from map(tuple, edges.tolist())
 
 
 def gnp_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:

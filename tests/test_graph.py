@@ -116,7 +116,7 @@ def test_long_vertex_ids_that_fit_int64_are_read(tmp_path):
     path.write_text("0 1\n" + "".join(f"{a} {b}\n" for a, b in zip(ids, ids[::-1])))
     for size in (1, 8, 40, 1 << 20):
         with patch.object(graph, "_CHUNK_BYTES", size):
-            pairs = np.concatenate(list(FileEdgeStream(path).blocks(4))).tolist()
+            pairs = np.concatenate(list(FileEdgeStream(path).arrays())).tolist()
         assert pairs == [[0, 1], *map(list, zip(ids, ids[::-1]))]
 
 
@@ -168,7 +168,7 @@ def test_any_integer_ids_are_taken_as_they_are(paw):
         [(np.int16(u), int(v)) for u, v in edges.tolist()],
     ):
         assert Graph.from_edges(same) == paw
-        assert np.array_equal(np.concatenate(list(MemoryEdgeStream(same).blocks(8))), edges)
+        assert np.array_equal(np.concatenate(list(MemoryEdgeStream(same).arrays())), edges)
 
 
 def test_from_edges_accepts_pairs_or_an_array(paw):
@@ -334,7 +334,7 @@ def test_memory_stream_replays_identically():
     src = MemoryEdgeStream(array)
     array[0] = (5, 6)  # the stream keeps its own copy
     assert list(stream_pairs(src)) == edges
-    assert not next(src.blocks(2)).flags.writeable
+    assert not next(src.arrays()).flags.writeable
 
 
 def test_partial_iteration_does_not_count_a_pass():
@@ -369,16 +369,20 @@ def test_blocks_cut_one_pass_at_every_size(tmp_path):
     path.write_text("# n=6\n" + "".join(f"{u} {v}\n" for u, v in edges))
     m = len(edges)
     for src in (MemoryEdgeStream(edges, n=6), FileEdgeStream(path)):
+        held = [len(a) for a in src.arrays()]  # the file's first line is an array of its own
+        assert sum(held) == m
         for size in range(1, m + 2):
-            blocks = list(src.blocks(size))
-            assert all(b.dtype == np.int64 and b.shape[1] == 2 for b in blocks)
-            assert [len(b) for b in blocks] == [min(size, m - lo) for lo in range(0, m, size)]
-            assert [tuple(e) for e in np.concatenate(blocks).tolist()] == edges
-            assert src.passes == size
-            partial = src.blocks(size)
-            next(partial)
-            del partial  # an abandoned pass does not count
-            assert src.passes == size
+            with patch.object(streaming, "_STREAM_BLOCK", size):
+                blocks = list(streaming._edge_blocks(src))
+                assert all(b.dtype == np.int64 and b.shape[1] == 2 for b in blocks)
+                cuts = [min(size, k - lo) for k in held for lo in range(0, k, size)]
+                assert [len(b) for b in blocks] == cuts
+                assert [tuple(e) for e in np.concatenate(blocks).tolist()] == edges
+                assert src.passes == size + 1
+                partial = streaming._edge_blocks(src)
+                next(partial)
+                del partial  # an abandoned pass does not count
+                assert src.passes == size + 1
 
 
 def test_file_stream_reads_an_open_binary_file_from_its_start(tmp_path):
@@ -390,10 +394,11 @@ def test_file_stream_reads_an_open_binary_file_from_its_start(tmp_path):
         fh.read(9)  # where the file stands does not matter
         by_file = FileEdgeStream(fh)
         assert by_file.declared_n == by_path.declared_n == 6
-        for size in (1, 2, 5, 6):
-            for _ in range(2):
-                want = [b.tolist() for b in by_path.blocks(size)]
-                assert [b.tolist() for b in by_file.blocks(size)] == want
+        for size in (1, 9, 40, 1 << 20):
+            with patch.object(graph, "_CHUNK_BYTES", size):
+                for _ in range(2):
+                    want = np.concatenate(list(by_path.arrays())).tolist()
+                    assert np.concatenate(list(by_file.arrays())).tolist() == want == [list(e) for e in edges]
         assert by_file.passes == by_path.passes == 8
         assert not fh.closed
 
@@ -411,7 +416,7 @@ def test_abandoned_file_passes_close_their_file(tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         src = FileEdgeStream(path)
-        partial = src.blocks(1)
+        partial = src.arrays()
         next(partial)
         del partial
         gc.collect()
@@ -560,8 +565,9 @@ def _outcome(read):
 
 
 def _stream_read(source):
-    """A file stream's header count and its pass cut into blocks of two edges."""
-    return source.declared_n, [block.tolist() for block in source.blocks(2)]
+    """A file stream's header count and its whole pass as a list of pairs."""
+    edges = np.concatenate([np.empty((0, 2), dtype=np.int64), *source.arrays()])
+    return source.declared_n, edges.tolist()
 
 
 @pytest.mark.parametrize("text, expect", READER_PARITY_CASES.values(), ids=READER_PARITY_CASES)
@@ -572,8 +578,7 @@ def test_every_chunk_cut_reads_as_the_line_reader(tmp_path, text, expect):
         with open(path, encoding="utf-8") as fh:
             records = _edge_records(fh)
             declared_n = next(records)
-            pairs = [list(e) for e in records]
-        return declared_n, [pairs[lo : lo + 2] for lo in range(0, len(pairs), 2)]
+            return declared_n, [list(e) for e in records]
 
     def load_by_lines():
         with open(path, encoding="utf-8") as fh:

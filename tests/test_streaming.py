@@ -6,6 +6,7 @@ import pytest
 
 from trisample import (
     EdgeStreamSource,
+    FileEdgeStream,
     MemoryEdgeStream,
     StreamFormatError,
     count_exact,
@@ -16,6 +17,7 @@ from trisample import (
     pass_count_n,
     StreamState,
     estimator,
+    graph,
     seed_streams,
     stream_estimate,
     streaming,
@@ -472,12 +474,102 @@ class _ShrinkingStream(EdgeStreamSource):
         super().__init__()
         self._edges = list(edges)
 
-    def _blocks(self, size):
-        edges = np.array(self._edges[: len(self._edges) - (self.passes > 0)], dtype=np.int64)
-        for lo in range(0, len(edges), size):
-            yield edges[lo : lo + size]
+    def _arrays(self):
+        yield np.array(self._edges[: len(self._edges) - (self.passes > 0)], dtype=np.int64)
 
 
 def test_a_stream_that_changes_between_passes_is_refused():
     with pytest.raises(StreamFormatError, match="stream changed between passes"):
         stream_estimate(_ShrinkingStream(PAW_EDGES), 4, seed=1, n=4)
+
+
+class _CutStream(EdgeStreamSource):
+    """Yields its edges as an array longer than ``_STREAM_BLOCK``, an empty
+    array and a short array."""
+
+    def __init__(self, edges):
+        super().__init__()
+        self._edges = np.array(edges, dtype=np.int64)
+
+    def _arrays(self):
+        cut = streaming._STREAM_BLOCK + 5
+        yield self._edges[:cut]
+        yield np.empty((0, 2), dtype=np.int64)
+        yield self._edges[cut:]
+
+
+def _recorded_blocks(sizes):
+    """``streaming._edge_blocks``, noting in ``sizes`` the length of each block it yields."""
+    edge_blocks = streaming._edge_blocks
+
+    def blocks(source, n=None):
+        for block in edge_blocks(source, n):
+            sizes.append(len(block))
+            yield block
+
+    return blocks
+
+
+def _same_run(got, want):
+    assert got.estimate == want.estimate
+    _same_state(got.state, want.state)
+    assert got.passes_used == want.passes_used
+
+
+def test_stream_results_do_not_depend_on_where_arrays_end():
+    edges = gnp_edges(150, 0.4, np.random.default_rng(131))
+    assert len(edges) > streaming._STREAM_BLOCK + 5
+    sizes = []
+    with patch.object(streaming, "_edge_blocks", _recorded_blocks(sizes)):
+        for seed, n in itertools.product(range(3), (None, 150)):
+            got = stream_estimate(_CutStream(edges), 16, seed=seed, n=n)
+            _same_run(got, stream_estimate(MemoryEdgeStream(edges), 16, seed=seed, n=n))
+    assert sizes and all(1 <= k <= streaming._STREAM_BLOCK for k in sizes)
+
+
+def _chunk_starts(data, size):
+    """The byte offsets at which a file stream starts its chunks of
+    ``data``, an edge list whose first line is an edge, read in chunks of
+    ``size`` bytes."""
+    starts, at = [], data.index(b"\n") + 1  # the first edge's line is read alone
+    while at < len(data):
+        starts.append(at)
+        at = data.find(b"\n", at + size - 1) + 1 or len(data)
+    return starts
+
+
+@pytest.mark.parametrize("chunk", [64, 4096])
+def test_file_results_do_not_depend_on_where_chunks_end(tmp_path, chunk):
+    edges = gnp_edges(150, 0.4, np.random.default_rng(137))
+    path = tmp_path / "g.edges"
+
+    def run(edges, seed=0, strict=False):
+        """The memory stream's run or error, once the file stream's equals it."""
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        got = _outcome(stream_estimate, FileEdgeStream(path), 16, seed=seed, strict=strict)
+        want = _outcome(stream_estimate, MemoryEdgeStream(edges), 16, seed=seed, strict=strict)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _same_run(got, want)
+        return want
+
+    sizes = []
+    with (
+        patch.object(graph, "_CHUNK_BYTES", chunk),
+        patch.object(streaming, "_edge_blocks", _recorded_blocks(sizes)),
+    ):
+        for seed in range(3):
+            assert not isinstance(run(edges, seed), tuple)
+        # A bad edge as the first line of a chunk: a self-loop, and a
+        # repeat of the edge that ends the chunk before.
+        data = path.read_bytes()
+        starts = _chunk_starts(data, chunk)
+        assert len(starts) > 2
+        line_ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + 1
+        for start in (starts[1], starts[len(starts) // 2]):
+            k = int(line_ends.searchsorted(start)) + 1  # the edges before the chunk
+            for bad in ((5, 5), edges[k - 1][::-1]):
+                assert isinstance(run(edges[:k] + [bad] + edges[k:], strict=True), tuple)
+                run(edges[:k] + [bad] + edges[k:])
+    assert sizes and all(1 <= k <= streaming._STREAM_BLOCK for k in sizes)
