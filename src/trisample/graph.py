@@ -442,9 +442,10 @@ def _plain_pairs(chunk: bytes) -> tuple[np.ndarray, int] | None:
     place in the file.  A lone ``\r`` ends a line in text mode, so it is
     not plain.
     """
-    # digits, blanks and \n, and a \r only in a \r\n: np.fromstring reads it as a blank
+    # digits, blanks, \n and \r only; np.fromstring reads a \r as a blank, and a check
+    # below keeps each \r in a \r\n
     rest = chunk.translate(None, b"0123456789 \t\n")
-    if rest and rest != b"\r" * chunk.count(b"\r\n"):
+    if rest.strip(b"\r"):
         return None
     b = np.frombuffer(chunk, dtype=np.uint8)
     digit = (b - 48) < 10  # wraps below "0"
@@ -454,6 +455,9 @@ def _plain_pairs(chunk: bytes) -> tuple[np.ndarray, int] | None:
     at = np.flatnonzero(events)
     ends = np.ones(len(at) + 2, dtype=bool)  # a line end before and after the chunk
     np.equal(b[at], 10, out=ends[1:-1])
+    # as many \r as line ends right after one (a \n at byte 0 has no byte before it)
+    if rest and np.count_nonzero(b[at[ends[1:-1] & (at > 0)] - 1] == 13) != len(rest):
+        return None
     # each line holds 0 or 2 ids: every id start has one id start beside it
     if (~ends[1:-1] & (ends[:-2] == ends[2:])).any():
         return None

@@ -215,9 +215,10 @@ def second_stage(spec: SamplerSpec) -> TrialTerms:
     Under q_{j|i} = T_ij / 2 T_i, a trial is worth T_ij / (6 p_i q_{j|i}) =
     2 T_i / (6 p_i) whatever j is, so the q-optimal kinds draw no j and
     consume no variate.  Optimal draws only vertices with T_i > 0, and
-    each of its trials is worth (W / 6) * 2.  The qopt kinds count T_i of
+    each of its trials is worth (W / 6) * 2.  The qopt kinds read T_i
+    from the spec's profile when it has one; otherwise they count T_i of
     a vertex when it is first drawn, for all the batch's new vertices at
-    once, and a trial is live when T_i > 0.  The edge kinds draw a uniform
+    once.  A trial is live when T_i > 0.  The edge kinds draw a uniform
     neighbour j of each vertex of positive degree, one integer variate per
     live trial in trial order, so batches consume the substream exactly
     as one-trial draws do, and count the common neighbours T_ij.
@@ -231,11 +232,15 @@ def second_stage(spec: SamplerSpec) -> TrialTerms:
         )
 
     if spec.kind in _Q_OPTIMAL_KINDS:
-        triangles = np.full(g.n, -1, dtype=np.int64)  # T_v, or -1 until v is drawn
+        if spec.profile is not None:  # every T_v is known: the table is read, never written
+            triangles = np.asarray(spec.profile.per_vertex, dtype=np.int64)
+        else:
+            triangles = np.full(g.n, -1, dtype=np.int64)  # T_v, or -1 until v is drawn
 
         def qopt_terms(vertices, rng):
             new = np.unique(vertices[triangles[vertices] < 0])
-            triangles[new] = local_triangles(g, new)
+            if len(new):
+                triangles[new] = local_triangles(g, new)
             t = triangles[vertices]
             live = t > 0
             return live, 2 * t[live], g.degrees[vertices[live]] if spec.kind == QOPT_DEGREE else 1

@@ -4,31 +4,34 @@ Uniform first-stage sampling with variance-minimizing second stage,
 reorganized for sequential edge access:
 
   * pass 0 (only when the vertex count is unknown): find n.
-  * pass 1: set bit t of vertex v's row when v neighbours sampled vertex t.
-  * pass 2: for every stream edge {j, d}, each bit t set in both rows j
-    and d is a triangle at sampled vertex t; its tally advances by one.
+  * pass 1: set bit r of vertex v's row when v neighbours the r-th
+    smallest distinct sampled vertex.
+  * pass 2: for every stream edge {j, d}, each bit r set in both rows j
+    and d is a triangle at that vertex; its tally advances by one.
 
 After the passes every sampled vertex knows its local triangle count
-T_i.  Under the q-optimal second stage a trial is worth (n / 6) * 2 T_i
-whatever partner j it would draw, so the finalize draws none and sums
-the trials exactly with the in-memory engine's
-:func:`~trisample.estimator.fold_trials`.  State is n bit rows of
-ceil(s/8) bytes and one int64 tally per sample: n * ceil(s/8) + 8 s
-bytes, known before pass 1.
+T_i, which each of its slots copies.  Under the q-optimal second stage
+a trial is worth (n / 6) * 2 T_i whatever partner j it would draw, so
+the finalize draws none and sums the trials exactly with the in-memory
+engine's :func:`~trisample.estimator.fold_trials`.  State is n bit rows
+of ceil(d/8) bytes, for the d <= min(s, n) distinct sampled vertices,
+and one int64 tally per sample: n * ceil(d/8) + 8 s bytes, known before
+pass 1.
 
 Every pass reads the ``(k, 2)`` int64 arrays of
 :meth:`~trisample.graph.EdgeStreamSource.arrays`, cuts them into blocks
 of at most ``_STREAM_BLOCK`` edges (in ``_edge_blocks``, the one place
 that cuts), and does its work on a block with array operations, so the
-temporaries add O(s * _STREAM_BLOCK) to the state.
+temporaries add O(d * _STREAM_BLOCK) to the state.
 Errors still name the first bad edge in stream order, as an
 edge-by-edge pass would.  Pass 1 records how many edges it read, and
 pass 2 refuses a stream that has changed length.
 Pass 2 also refuses a repeated edge that closes a triangle, which pass 1
 only sees under ``strict`` but which would be counted twice.
 
-Sampled vertices are drawn with replacement; duplicates keep independent
-bits and tallies, matching the i.i.d. trial model of the in-memory estimator.
+Sampled vertices are drawn with replacement.  A vertex drawn more than
+once has one column of bits and one count, which each of its trials
+reads, as the in-memory engine counts T_v once per distinct vertex.
 Given the same seed, the final estimate equals the in-memory
 "qopt-uniform" estimate bit for bit: both are the same exact integer
 sums, rounded once.
@@ -51,7 +54,7 @@ PHASE_PASS2 = "pass2"
 PHASE_DONE = "done"
 
 # Edges read and processed at once by each pass.  A block's temporaries
-# grow with s * block.  Five stream runs at s=64 over a 5*10^4-edge file
+# grow with d * block.  Five stream runs at s=64 over a 5*10^4-edge file
 # raised the peak memory of a fresh process by 2.9 MB with 4096-edge
 # blocks (1.5 MB edge by edge) and by 7.0 MB with 16384-edge blocks,
 # which were no faster.
@@ -64,23 +67,27 @@ class StreamFormatError(ValueError):
 
 @dataclass(eq=False)
 class StreamState:
-    """Per-sampled-vertex bits and tallies accumulated over the passes.
+    """Neighbour bits and tallies of the sampled vertices, accumulated
+    over the passes.
 
-    Bit ``t & 7`` of ``neighbor_bits[v, t >> 3]`` is set when v neighbours
-    ``sampled[t]``, and ``vertex_count[t]`` is the local triangle tally
-    of ``sampled[t]``.  ``m`` is the number of stream edges pass 1 read.
+    Column r of the bits stands for the r-th smallest distinct sampled
+    vertex: bit ``r & 7`` of ``neighbor_bits[v, r >> 3]`` is set when v
+    neighbours it.  ``vertex_count[t]`` is the local triangle tally of
+    ``sampled[t]``, the same for every slot of a vertex.  ``m`` is the
+    number of stream edges pass 1 read.
     """
 
     sampled: list[int]
     n: int
-    neighbor_bits: np.ndarray = field(repr=False)  # (n, ceil(s/8)) uint8
+    neighbor_bits: np.ndarray = field(repr=False)  # (n, ceil(d/8)) uint8, d distinct sampled
     vertex_count: np.ndarray = field(repr=False)  # (s,) int64
     pass_phase: str = PHASE_PASS1
     m: int = 0  # pass 2 must read as many edges
 
     @property
     def state_bytes(self) -> int:
-        """Bytes held by the pass state: n * ceil(s/8) + 8 s."""
+        """Bytes held by the pass state: n * ceil(d/8) + 8 s, for d distinct
+        sampled vertices."""
         return self.neighbor_bits.nbytes + self.vertex_count.nbytes
 
 
@@ -150,28 +157,24 @@ def pass1_neighborhoods(
     incidences at sampled vertices are listed in stream order (edge,
     then the direction u->v before v->u), checked for bits already set
     or repeated within the block, and set at once.  The first error
-    raised is the one an edge-by-edge pass would raise.  Each distinct
-    sampled vertex has one row of slot bits, the slots it was drawn in,
-    and an incidence at it sets all of them in its neighbour's row.
+    raised is the one an edge-by-edge pass would raise.  An incidence at
+    a sampled vertex tests and sets one bit in its neighbour's row, that
+    of the vertex's column, however many times the vertex was drawn.
     """
     sampled = [int(i) for i in sampled]
     for i in sampled:
         if not 0 <= i < n:
             raise ValueError(f"sampled vertex {i} outside universe [0,{n})")
-    s = len(sampled)
+    ids = np.unique(np.array(sampled, dtype=np.int64))
     state = StreamState(
         sampled=sampled,
         n=n,
-        neighbor_bits=np.zeros((n, (s + 7) // 8), dtype=np.uint8),
-        vertex_count=np.zeros(s, dtype=np.int64),
+        neighbor_bits=np.zeros((n, (len(ids) + 7) // 8), dtype=np.uint8),
+        vertex_count=np.zeros(len(sampled), dtype=np.int64),
     )
     bits = state.neighbor_bits
-    ids, inverse = np.unique(np.array(sampled, dtype=np.int64), return_inverse=True)
-    slot_bits = np.zeros((len(ids), bits.shape[1]), dtype=np.uint8)  # row r: slots of ids[r]
-    t = np.arange(s)
-    np.bitwise_or.at(slot_bits, (inverse, t >> 3), (1 << (t & 7)).astype(np.uint8))
-    row_of = np.full(n, -1, dtype=np.int64)  # a sampled vertex's row of slot_bits
-    row_of[ids] = np.arange(len(ids))
+    column = np.full(n, -1, dtype=np.int64)  # a sampled vertex's column of bits
+    column[ids] = np.arange(len(ids))
     seen: set[tuple[int, int]] | None = set() if strict else None
     for block in _edge_blocks(source, n):
         state.m += len(block)
@@ -185,19 +188,20 @@ def pass1_neighborhoods(
                 seen.add(key)
         # incidence k of the block: vertex ends[k] sees neighbour others[k]
         ends, others = block.ravel(), block[:, ::-1].ravel()
-        row = row_of[ends]
-        at = np.flatnonzero(row >= 0)
-        row, other = row[at], others[at]
-        dup = np.ones(len(row), dtype=bool)  # set by an earlier incidence of the block...
-        dup[np.unique(row * n + other, return_index=True)[1]] = False
-        dup |= (bits[other] & slot_bits[row]).any(axis=1)  # ...or by an earlier block
+        r = column[ends]
+        at = np.flatnonzero(r >= 0)
+        r, other = r[at], others[at]
+        byte, mask = r >> 3, (1 << (r & 7)).astype(np.uint8)
+        dup = np.ones(len(r), dtype=bool)  # set by an earlier incidence of the block...
+        dup[np.unique(r * n + other, return_index=True)[1]] = False
+        dup |= (bits[other, byte] & mask) != 0  # ...or by an earlier block
         if dup.any():
             k = at[int(dup.argmax())]
             u, v = block[k >> 1].tolist()
             raise StreamFormatError(
                 f"duplicate edge {{{u},{v}}} detected at sampled vertex {int(ends[k])}"
             )
-        np.bitwise_or.at(bits, other, slot_bits[row])
+        np.bitwise_or.at(bits, (other, byte), mask)
     return state
 
 
@@ -205,13 +209,15 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
     """Second pass: count triangles through each sampled vertex.
 
     For a stream edge {j, d}, the set bits of ``neighbor_bits[j] &
-    neighbor_bits[d]`` are the slots of the sampled vertices that close a
-    triangle.  A sampled vertex's own bit is never set (no self-loops), so
-    an edge incident to it never fires.  A block's edges with both
+    neighbor_bits[d]`` are the columns of the sampled vertices that close
+    a triangle.  A sampled vertex's own bit is never set (no self-loops),
+    so an edge incident to it never fires.  A block's edges with both
     endpoints near some sampled vertex are ANDed at once; the rows that
-    hit are unpacked to an ``(edges, s)`` matrix summed into the tallies.  A
-    pass that reads a different number of edges than pass 1 means the
-    stream changed in between, and raises.
+    hit are unpacked to an ``(edges, d)`` matrix summed into one tally per
+    distinct sampled vertex, which each of its slots copies into
+    ``vertex_count`` at the end of the pass.  A pass that reads a
+    different number of edges than pass 1 means the stream changed in
+    between, and raises, leaving ``vertex_count`` as it was.
 
     An edge that closes a triangle must not come twice, or its triangles
     would be counted twice; pass 1 sees such a repeat only under
@@ -221,7 +227,9 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
     """
     if state.pass_phase != PHASE_PASS1:
         raise RuntimeError(f"pass 2 requires completed pass 1, state is {state.pass_phase!r}")
-    bits, tally = state.neighbor_bits, state.vertex_count
+    bits = state.neighbor_bits
+    ids, inverse = np.unique(np.array(state.sampled, dtype=np.int64), return_inverse=True)
+    tally = np.zeros(len(ids), dtype=np.int64)  # column r's, slot t reads column inverse[t]
     m = 0
     near = bits.any(axis=1)  # the neighbours of any sampled vertex
     closing: set[tuple[int, int]] = set()  # canonical keys of the edges that hit
@@ -243,6 +251,7 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
         raise StreamFormatError(
             f"stream changed between passes: pass 1 read {state.m} edges, pass 2 read {m}"
         )
+    state.vertex_count[:] = tally[inverse]
     state.pass_phase = PHASE_PASS2
     return state
 

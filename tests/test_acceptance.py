@@ -267,7 +267,8 @@ def test_criterion_7_streaming_fidelity():
     assert run.passes_used == 3
 
     # (b) post-pass state equals the oracle, any stream order: each tally is
-    # T_i, and bit t of row v is set iff v neighbours sampled vertex t
+    # T_i, and bit r of row v is set iff v neighbours the r-th smallest
+    # distinct sampled vertex
     rng = np.random.default_rng(1007)
     graphs_checked = 0
     while graphs_checked < 100:
@@ -285,7 +286,8 @@ def test_criterion_7_streaming_fidelity():
             pass2_local_counts(MemoryEdgeStream(perm), state)
             for t, i in enumerate(sampled):
                 assert int(state.vertex_count[t]) == int(prof.per_vertex[i])
-                row = [v for v in range(n) if state.neighbor_bits[v, t >> 3] >> (t & 7) & 1]
+                r = sorted(set(sampled)).index(i)  # the column of i's bits
+                row = [v for v in range(n) if state.neighbor_bits[v, r >> 3] >> (r & 7) & 1]
                 assert row == g.neighbors(i).tolist()
         graphs_checked += 1
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,6 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
     if demo.stem == "04_streaming_two_pass":
         assert "bit-identical   : True" in proc.stdout
+        line = next(line for line in proc.stdout.splitlines() if line.startswith("state bytes:"))
+        reported, formula = re.fullmatch(r"state bytes: (\d+) = .* = (\d+)", line).groups()
+        assert reported == formula, line

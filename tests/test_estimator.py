@@ -315,6 +315,22 @@ def test_optimal_trials_count_no_local_triangles(monkeypatch):
         assert (est.value, est.empirical_variance) == (prof.total, 0.0)
 
 
+def test_qopt_trials_read_the_oracle_they_are_given(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the oracle holds every T_v")
+
+    kinds = ("qopt-uniform", "qopt-degree")
+    rng = np.random.default_rng(29)
+    for g in (Graph.from_edges(PAW_EDGES), hub_graph(120, 0.08, 60, rng)):
+        prof = count_exact(g)
+        before = prof.per_vertex.copy()
+        want = [estimate(g, kind, 300, seed=5) for kind in kinds]
+        with monkeypatch.context() as m:
+            m.setattr(trisample.samplers, "local_triangles", refuse)
+            assert [estimate(g, kind, 300, seed=5, oracle=prof) for kind in kinds] == want
+        assert np.array_equal(prof.per_vertex, before)
+
+
 def _fraction_moments(scale, trials, num, den):
     """(sum_beta, sum_beta_sq, empirical_variance) of the trial values
     (scale / 6) * num / den, padded with zero trials, each rounded once."""

@@ -434,12 +434,15 @@ def test_plain_chunks_may_end_their_lines_with_crlf():
     assert _plain(b"1 2\n3 4\n") == ([[1, 2], [3, 4]], 2)
     assert _plain(b"1 2\r\n3 4\r\n") == ([[1, 2], [3, 4]], 2)
     assert _plain(b"1 2\r\n\r\n3\t4 \r\n") == ([[1, 2], [3, 4]], 3)
+    assert _plain(b"\r\n1 2\n") == ([[1, 2]], 2)
+    assert _plain(b"\n\r\n") == ([], 2)
     # the (pairs, line ends) of a last chunk
     assert _plain(b"\n1 2\n\n3 4") == ([[1, 2], [3, 4]], 3)
     # a lone \r ends a line in text mode, so these take the line path
     assert _plain(b"1 2\r3 4\n") is None
     assert _plain(b"1 2\r\r\n") is None
     assert _plain(b"1 2\n3 4\r") is None
+    assert _plain(b"\n1 2\r") is None  # the \n at byte 0 follows no \r
 
 
 def test_plain_chunks_hold_two_ids_on_each_nonblank_line():

@@ -70,7 +70,8 @@ def test_counters_equal_the_oracle_after_pass2(graph, data, block):
     assert state.m == len(edges)
     for t, i in enumerate(sampled):
         assert int(state.vertex_count[t]) == int(prof.per_vertex[i])
-        row = [v for v in range(n) if state.neighbor_bits[v, t >> 3] >> (t & 7) & 1]
+        r = sorted(set(sampled)).index(i)  # the column of i's bits
+        row = [v for v in range(n) if state.neighbor_bits[v, r >> 3] >> (r & 7) & 1]
         assert row == g.neighbors(i).tolist()
 
 

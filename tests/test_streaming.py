@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -28,10 +29,12 @@ from conftest import PAW_EDGES, PATH3_EDGES, gnp_edges, stream_pairs, without_pa
 from trisample import Graph
 
 
-def _bits_set(state, slot):
+def _bits_set(state, r):
+    """The vertices whose row has bit r set: the neighbours of the r-th
+    smallest distinct sampled vertex."""
     out = []
     for j in range(state.n):
-        if state.neighbor_bits[j, slot >> 3] & (1 << (slot & 7)):
+        if state.neighbor_bits[j, r >> 3] & (1 << (r & 7)):
             out.append(j)
     return out
 
@@ -121,9 +124,10 @@ def test_counters_match_oracle_after_pass2():
             rng.shuffle(perm)
             state = pass1_neighborhoods(MemoryEdgeStream(perm), sampled, n)
             pass2_local_counts(MemoryEdgeStream(perm), state)
+            columns = sorted(set(sampled))
             for t, i in enumerate(sampled):
                 assert int(state.vertex_count[t]) == int(prof.per_vertex[i])
-                assert _bits_set(state, t) == g.neighbors(i).tolist()
+                assert _bits_set(state, columns.index(i)) == g.neighbors(i).tolist()
 
 
 def test_the_finalize_draws_nothing(monkeypatch):
@@ -261,16 +265,13 @@ def test_stream_estimate_validates_inputs():
 
 def _reference_pass1(source, sampled, n, strict=False):
     sampled = [int(i) for i in sampled]
-    s = len(sampled)
+    column_of = {i: r for r, i in enumerate(sorted(set(sampled)))}
     state = StreamState(
         sampled=sampled,
         n=n,
-        neighbor_bits=np.zeros((n, (s + 7) // 8), dtype=np.uint8),
-        vertex_count=np.zeros(s, dtype=np.int64),
+        neighbor_bits=np.zeros((n, (len(column_of) + 7) // 8), dtype=np.uint8),
+        vertex_count=np.zeros(len(sampled), dtype=np.int64),
     )
-    slots_of = {}
-    for t, i in enumerate(sampled):
-        slots_of.setdefault(i, []).append(t)
     bits = state.neighbor_bits
     seen = set() if strict else None
     for u, v in stream_pairs(source):
@@ -282,8 +283,9 @@ def _reference_pass1(source, sampled, n, strict=False):
                 raise StreamFormatError(f"duplicate edge {{{key[0]},{key[1]}}} in stream")
             seen.add(key)
         for i, other in ((u, v), (v, u)):
-            for t in slots_of.get(i, ()):
-                byte, mask = t >> 3, 1 << (t & 7)
+            if i in column_of:
+                r = column_of[i]
+                byte, mask = r >> 3, 1 << (r & 7)
                 if bits[other, byte] & mask:
                     raise StreamFormatError(
                         f"duplicate edge {{{u},{v}}} detected at sampled vertex {i}"
@@ -293,19 +295,23 @@ def _reference_pass1(source, sampled, n, strict=False):
 
 
 def _reference_pass2(source, state):
-    bits, tally = state.neighbor_bits, state.vertex_count
-    t = np.arange(len(state.sampled))
+    bits = state.neighbor_bits
+    columns = sorted(set(state.sampled))
+    r = np.arange(len(columns))
+    tally = np.zeros(len(columns), dtype=np.int64)
     closing = set()
     for j, d in stream_pairs(source):
         _check_endpoints(j, d, state.n)
-        hit = (bits[j, t >> 3] & (1 << (t & 7))) != 0
-        hit &= (bits[d, t >> 3] & (1 << (t & 7))) != 0
+        hit = (bits[j, r >> 3] & (1 << (r & 7))) != 0
+        hit &= (bits[d, r >> 3] & (1 << (r & 7))) != 0
         if hit.any():
             key = (min(j, d), max(j, d))
             if key in closing:
                 raise StreamFormatError(f"duplicate edge {{{key[0]},{key[1]}}} in stream")
             closing.add(key)
             tally[hit] += 1
+    for t, i in enumerate(state.sampled):
+        state.vertex_count[t] = tally[columns.index(i)]
     state.pass_phase = PHASE_PASS2
     return state
 
@@ -411,7 +417,7 @@ def test_block_passes_match_the_edge_by_edge_passes(block):
             flips = rng.random(len(edges)) < 0.5
             edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
             sampled = rng.integers(n, size=int(rng.integers(1, 12))).tolist()
-            sampled += sampled[:3]  # repeated sampled vertices keep their own rows
+            sampled += sampled[:3]  # a repeated sampled vertex keeps one column
             got = pass1_neighborhoods(MemoryEdgeStream(edges), sampled, n)
             want = _reference_pass1(MemoryEdgeStream(edges), sampled, n)
             _same_state(got, want)
@@ -422,37 +428,65 @@ def test_block_passes_match_the_edge_by_edge_passes(block):
 
 @pytest.mark.parametrize("block", [3, 4096])
 def test_slots_that_span_two_bytes(block):
-    # s = 13 takes two bytes per bit row; one vertex holds 9 of the
-    # slots, in shuffled positions, so its marks and hits cross a byte.
+    # Ten distinct sampled vertices take two bytes per bit row; the two
+    # largest are columns 8 and 9, so their marks sit in the second byte,
+    # and so do the hits of one of them at least.  Six more slots repeat
+    # the ten, in shuffled positions.
     rng = np.random.default_rng(109)
-    s = 13
+    s = 16
     with patch.object(streaming, "_STREAM_BLOCK", block):
         for _ in range(4):
             n = int(rng.integers(12, 30))
             edges = gnp_edges(n, 0.4, rng)
             g = Graph.from_edges(edges, n=n)
             prof = count_exact(g)
-            hub = int(g.degrees.argmax())
-            assert prof.per_vertex[hub] > 0
-            sampled = [hub] * 9 + rng.integers(n, size=s - 9).tolist()
+            distinct = rng.choice(n, size=10, replace=False)
+            columns = sorted(distinct.tolist())
+            assert prof.per_vertex[columns[8:]].any()
+            sampled = distinct.tolist() + rng.choice(distinct, size=s - 10).tolist()
             rng.shuffle(sampled)
             for _order in range(2):
                 rng.shuffle(edges)
                 got = pass1_neighborhoods(MemoryEdgeStream(edges), sampled, n)
                 want = _reference_pass1(MemoryEdgeStream(edges), sampled, n)
                 _same_state(got, want)
-                assert got.state_bytes == n * ((s + 7) // 8) + 8 * s
+                assert got.neighbor_bits.shape == (n, 2)
+                assert got.state_bytes == n * 2 + 8 * s
                 pass2_local_counts(MemoryEdgeStream(edges), got)
                 _reference_pass2(MemoryEdgeStream(edges), want)
                 _same_state(got, want)
                 for t, i in enumerate(sampled):
                     assert int(got.vertex_count[t]) == int(prof.per_vertex[i])
-                    assert _bits_set(got, t) == g.neighbors(i).tolist()
+                    assert _bits_set(got, columns.index(i)) == g.neighbors(i).tolist()
                 # The in-memory engine, given the same first stage.
                 seed = int(rng.integers(1 << 30))
                 streamed = finalize_stream_estimate(got, seed=seed)
                 with patch.object(estimator, "draw_vertices", lambda *_: np.array(sampled)):
                     assert streamed == estimate(g, "qopt-uniform", s, seed=seed)
+
+
+def test_pass1_memory_follows_the_distinct_sampled_vertices():
+    # s = 16 000 slots over 60 vertices: one bit per distinct vertex, not
+    # per slot.  A row of slot bits would take 2000 bytes, and pass 1
+    # would gather such a row for every incidence at a sampled vertex.
+    n, s, seed = 60, 16_000, 4
+    edges = gnp_edges(n, 0.3, np.random.default_rng(113))
+    g = Graph.from_edges(edges, n=n)
+    sampled = seed_streams(seed).vertices.integers(n, size=s).tolist()
+    pass1_neighborhoods(MemoryEdgeStream(edges), sampled, n)  # warm-up
+    source = MemoryEdgeStream(edges)
+    tracemalloc.start()
+    try:
+        state = pass1_neighborhoods(source, sampled, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    d = len(set(sampled))
+    assert state.neighbor_bits.shape == (n, (d + 7) // 8)
+    assert state.state_bytes == n * ((d + 7) // 8) + 8 * s
+    pass2_local_counts(source, state)
+    assert finalize_stream_estimate(state, seed=seed) == estimate(g, "qopt-uniform", s, seed=seed)
 
 
 @pytest.mark.parametrize("block", [1, 3, 4096])
