@@ -166,6 +166,8 @@ def cmd_variance(args) -> tuple[dict, dict, int | None]:
 
 def cmd_plan(args) -> tuple[dict, dict, int | None]:
     if args.file is not None:
+        if args.n is not None:
+            raise ValueError("plan reads n from its edge-list file; --n is for a plan without one")
         g = load_edge_list(args.file)
         profile = count_exact(g)
         plan = plan_from_profile(g, profile, args.epsilon, args.c, args.bound, args.upper_bound)

@@ -22,19 +22,22 @@ Membership of a pair is looked up in :attr:`Graph.edge_keys`, after
 :attr:`Graph.edge_filter`, a one-hash bit filter over the keys, has
 ruled out most of the pairs that are not edges.
 
-Edge-list files are read in byte chunks of 1 MiB, each read on to the
-end of its last line.  A chunk of plain lines (ASCII digits, spaces,
-tabs and ``\n`` or ``\r\n`` line ends; every non-blank line two ids,
-each of value below ``10**18``) is checked in one scan of its id starts
-and line ends, and parsed with array operations.  The lines up to the
-first edge, and any other chunk, go through the per-line grammar of
-:func:`_edge_records`, which text sources use throughout.  So the
-grammar, and the line number of every error, do not depend on how a
-file is read.
+Every edge-list source is read as bytes, by one reader: a path or an
+open binary file as it stands, an open text file or an iterable of
+lines as the UTF-8 encoding of its text.  The bytes are read in chunks
+of 1 MiB, each read on to the end of its last line.  A chunk of plain
+lines (ASCII digits, spaces, tabs and ``\n`` or ``\r\n`` line ends;
+every non-blank line two ids, each of value below ``10**18``) is checked
+in one scan of its id starts and line ends, and parsed with array
+operations.  The lines up to the first edge, and any other chunk, go
+through the per-line grammar of :func:`_prelude` and :func:`_body`.  So
+the grammar, and the line number of every error, do not depend on the
+source or on how it is read.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import numbers
 import os
@@ -284,33 +287,15 @@ def _edge_pairs(edges) -> np.ndarray:
     return pairs.astype(np.int64, copy=False)
 
 
-def _edge_records(source) -> Iterator:
-    """The edge-list line grammar, shared by every reader of the format.
-
-    ``source`` is an open text file or an iterable of lines.
-    Yields the count of the ``# n=<count>`` header first (``None`` when
-    there is none), then each edge record as ``(u, v)`` in input order.
-    A record is two vertex ids, each a string of ASCII decimal digits
-    whose value is at most ``2**63 - 1``.
-    Blank lines and lines starting with ``#`` or ``%`` are skipped.  The
-    header may appear once, before the first edge; a misplaced or
-    repeated header, like a malformed record, is a :class:`ParseError`
-    naming its line.
-    """
-    lines = enumerate(source, start=1)
-    declared_n, first = _prelude(lines)
-    yield declared_n
-    if first is None:
-        return
-    yield first
-    yield from _body(lines)
-
-
 def _prelude(lines, declared_n: int | None = None) -> tuple[int | None, tuple[int, int] | None]:
     """Read numbered lines up to and including the first edge record.
 
-    Returns the header count (``declared_n`` if no header is read) and
-    the first edge, or ``None`` when the lines run out first.
+    ``lines`` yields ``(line number, text)``.  Blank lines and lines
+    starting with ``#`` or ``%`` are skipped; the ``# n=<count>`` header,
+    a comment too, may appear once, and a repeated one is a
+    :class:`ParseError` naming its line.  Returns the header count
+    (``declared_n`` if no header is read) and the first edge, or ``None``
+    when the lines run out first.
     """
     for lineno, raw in lines:
         tokens = raw.split()
@@ -328,7 +313,13 @@ def _prelude(lines, declared_n: int | None = None) -> tuple[int | None, tuple[in
 
 
 def _body(lines) -> Iterator[tuple[int, int]]:
-    """The edge records of numbered lines that follow the first edge."""
+    """The edge records of numbered lines that follow the first edge.
+
+    A record is two vertex ids, each a string of ASCII decimal digits of
+    value at most ``2**63 - 1``, yielded as ``(u, v)`` in input order.  Blank lines and comments are skipped, but
+    a ``# n=`` header here, after the first edge, is a :class:`ParseError`
+    naming its line, as is a malformed record.
+    """
     for lineno, raw in lines:
         tokens = raw.split()
         if len(tokens) == 2:
@@ -369,12 +360,14 @@ def _binary(source) -> bool:
 
 
 def _edge_arrays(source) -> Iterator:
-    """The edge-list reader: the header count (``None`` when there is
+    r"""The edge-list reader: the header count (``None`` when there is
     none), then the edge records in input order as ``(k, 2)`` int64 arrays.
 
-    A path or an open binary file is read in byte chunks by
-    :func:`_file_arrays`; an open text file or an iterable of lines goes
-    through :func:`_edge_records`.
+    Every source goes through :func:`_file_arrays`.  A path or an open
+    binary file is read in byte chunks.  An open text file is read whole,
+    and the items of an iterable of lines are joined, each one line ended
+    by a ``\n`` if it has none; that text is read as its UTF-8 bytes, as
+    a file holding it would be.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
@@ -382,21 +375,24 @@ def _edge_arrays(source) -> Iterator:
     elif _binary(source):
         yield from _file_arrays(source)
     else:
-        records = _edge_records(source)
-        yield next(records)
-        yield _pairs(records)
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            text = "".join(line if line.endswith("\n") else line + "\n" for line in source)
+        yield from _file_arrays(io.BytesIO(text.encode()))
 
 
 def _file_arrays(fh) -> Iterator:
-    """:func:`_edge_arrays` over a binary file.
+    r""":func:`_edge_arrays` over a binary file.
 
     The lines up to the first edge go one at a time through the line
     grammar, so the header count is known once the first edge is read.
     The rest is read in chunks of whole lines: a chunk that
     :func:`_plain_pairs` accepts is parsed whole, and any other chunk is
     decoded as UTF-8 and read line by line, its lines numbered on from
-    the lines before it.  Errors, and the line numbers they name, are
-    those of a text-mode read of the same file.
+    the lines before it.  Lines end where a text-mode read ends them (at
+    ``\n``, ``\r\n`` and a lone ``\r``), and errors name the lines so
+    numbered, wherever the chunks are cut.
     """
     lineno, declared_n, first = 1, None, None
     while first is None and (line := fh.readline()):
@@ -477,7 +473,10 @@ def load_edge_list(source) -> Graph:
     """Parse an edge-list text source into a validated :class:`Graph`.
 
     ``source`` may be a path, an open text or binary file, or an iterable
-    of lines.
+    of lines, each item one line; all are read by the one byte reader of
+    the format (see the module docstring), so a text source loads as a
+    file holding its text does.  A text source is held whole while it is
+    parsed.
     Self-loops and duplicate undirected edges are dropped (counts logged
     as warnings); a source with no edge records at all is an error.
     """

@@ -213,8 +213,10 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
     a triangle.  A sampled vertex's own bit is never set (no self-loops),
     so an edge incident to it never fires.  A block's edges with both
     endpoints near some sampled vertex are ANDed at once; the rows that
-    hit are unpacked to an ``(edges, d)`` matrix summed into one tally per
-    distinct sampled vertex, which each of its slots copies into
+    hit are unpacked 512 columns (64 bytes of each row) at a time, and
+    each slice's column sums are added into one tally per column: per
+    distinct sampled vertex, and per padding bit past the d-th, which is
+    never set.  Each slot of a sampled vertex copies its tally into
     ``vertex_count`` at the end of the pass.  A pass that reads a
     different number of edges than pass 1 means the stream changed in
     between, and raises, leaving ``vertex_count`` as it was.
@@ -228,8 +230,8 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
     if state.pass_phase != PHASE_PASS1:
         raise RuntimeError(f"pass 2 requires completed pass 1, state is {state.pass_phase!r}")
     bits = state.neighbor_bits
-    ids, inverse = np.unique(np.array(state.sampled, dtype=np.int64), return_inverse=True)
-    tally = np.zeros(len(ids), dtype=np.int64)  # column r's, slot t reads column inverse[t]
+    _, inverse = np.unique(np.array(state.sampled, dtype=np.int64), return_inverse=True)
+    tally = np.zeros(8 * bits.shape[1], dtype=np.int64)  # column r's, slot t reads column inverse[t]
     m = 0
     near = bits.any(axis=1)  # the neighbours of any sampled vertex
     closing: set[tuple[int, int]] = set()  # canonical keys of the edges that hit
@@ -240,13 +242,14 @@ def pass2_local_counts(source: EdgeStreamSource, state: StreamState) -> StreamSt
         j, d = j[both], d[both]
         hit = bits[j] & bits[d]
         at = hit.any(axis=1)
-        j, d = j[at], d[at]
+        j, d, hit = j[at], d[at], hit[at]
         for key in zip(np.minimum(j, d).tolist(), np.maximum(j, d).tolist()):
             if key in closing:
                 raise StreamFormatError(f"duplicate edge {{{key[0]},{key[1]}}} in stream")
             closing.add(key)
-        hit = np.unpackbits(hit[at], axis=1, count=len(tally), bitorder="little")
-        tally += hit.sum(axis=0, dtype=np.int64)
+        for c in range(0, len(tally), 512):  # 512 columns, 64 bytes of each row, at a time
+            cols = np.unpackbits(hit[:, c // 8 : c // 8 + 64], axis=1, bitorder="little")
+            tally[c : c + 512] += cols.sum(axis=0, dtype=np.int64)
     if m != state.m:
         raise StreamFormatError(
             f"stream changed between passes: pass 1 read {state.m} edges, pass 2 read {m}"

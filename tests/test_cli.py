@@ -229,6 +229,13 @@ def test_plan_without_a_file_needs_a_ratio_of_at_least_1(capsys):
     assert report["result"]["s"] == math.ceil(2 * math.log(100) / 0.01)
 
 
+def test_plan_from_a_file_refuses_n(capsys, paw_file):
+    code, out, err = run_cli(capsys, "plan", paw_file, "--epsilon", "0.1", "--n", "1000")
+    assert code == 1
+    assert out == ""
+    assert err == "error: plan reads n from its edge-list file; --n is for a plan without one\n"
+
+
 def test_plan_triangle_free_fails(capsys, path3_file):
     code, out, err = run_cli(capsys, "plan", path3_file, "--epsilon", "0.1")
     assert code != 0

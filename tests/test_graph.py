@@ -24,7 +24,8 @@ from trisample import (
 )
 
 from conftest import chung_lu_graph, gnp_graph, stream_pairs
-from trisample.graph import _edge_records, _plain_pairs
+from trisample.graph import _plain_pairs
+from reader_reference import edge_records
 from trial_reference import has_edge
 
 
@@ -109,7 +110,7 @@ def test_header_count_is_ascii_digits():
 
 def test_long_vertex_ids_that_fit_int64_are_read(tmp_path):
     lines = ["9223372036854775807 0", "0000000000000000000000001 2"]
-    assert list(_edge_records(lines)) == [None, (2**63 - 1, 0), (1, 2)]
+    assert list(edge_records(lines)) == [None, (2**63 - 1, 0), (1, 2)]
     # ids below 10**18 take the file reader's array path, larger ones its line path
     ids = [999999999999999999, 100000000000000001, 2**63 - 1, 10**18, 123456789012345678, 7]
     path = tmp_path / "g.edges"
@@ -573,13 +574,25 @@ def _stream_read(source):
     return source.declared_n, edges.tolist()
 
 
+def _load_records(declared_n, edges):
+    """What :func:`load_edge_list` makes of the records of a text with no
+    self-loops or repeated edges, as every parity text is."""
+    if not edges:
+        raise ParseError("empty input: no edge records")
+    max_id = max(max(e) for e in edges)
+    n = max_id + 1 if declared_n is None else declared_n
+    if max_id >= n:
+        raise ParseError(f"vertex id {max_id} exceeds declared universe n={n}")
+    return Graph.from_edges(edges, n=n)
+
+
 @pytest.mark.parametrize("text, expect", READER_PARITY_CASES.values(), ids=READER_PARITY_CASES)
 def test_every_chunk_cut_reads_as_the_line_reader(tmp_path, text, expect):
     path = _edge_file(tmp_path, text)
 
     def by_lines():  # a text-mode read through the line grammar
         with open(path, encoding="utf-8") as fh:
-            records = _edge_records(fh)
+            records = edge_records(fh)
             declared_n = next(records)
             return declared_n, [list(e) for e in records]
 
@@ -587,8 +600,9 @@ def test_every_chunk_cut_reads_as_the_line_reader(tmp_path, text, expect):
         with open(path, encoding="utf-8") as fh:
             return load_edge_list(fh)
 
-    want_graph, want_stream = _outcome(load_by_lines), _outcome(by_lines)
+    want_graph, want_stream = _outcome(lambda: _load_records(*by_lines())), _outcome(by_lines)
     assert (want_graph is UnicodeDecodeError) == (expect is UnicodeDecodeError)
+    assert _outcome(load_by_lines) == want_graph
     for size in range(1, path.stat().st_size + 1):
         with patch.object(graph, "_CHUNK_BYTES", size):
             assert _outcome(lambda: load_edge_list(path)) == want_graph, size
@@ -604,6 +618,45 @@ def test_an_open_binary_file_loads_as_its_path(tmp_path, text, expect):
             return load_edge_list(fh)
 
     assert _outcome(load_open_file) == _outcome(lambda: load_edge_list(path))
+
+
+@pytest.mark.parametrize("text, expect", READER_PARITY_CASES.values(), ids=READER_PARITY_CASES)
+def test_a_text_source_loads_as_its_path(tmp_path, text, expect):
+    path = _edge_file(tmp_path, text)
+
+    def load_text_file(newline):
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return load_edge_list(fh)
+
+    want = _outcome(lambda: load_edge_list(path))
+    assert _outcome(lambda: load_text_file(None)) == want
+    assert _outcome(lambda: load_text_file("")) == want
+    if isinstance(text, str):  # invalid UTF-8 has no text; a text-mode read raises at decoding
+        assert _outcome(lambda: load_edge_list(io.StringIO(text))) == want
+
+
+def test_a_list_item_is_one_line_or_the_lines_it_holds():
+    triangle = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
+    assert load_edge_list(["0 1\n1 2", "0 2"]) == triangle
+    assert load_edge_list(["0 1\r\n", "1 2\r", "", "0 2\n"]) == triangle
+    with pytest.raises(ParseError, match="^line 1: expected two vertex ids, got 1 tokens"):
+        load_edge_list(["0\r1"])  # a lone \r ends a line, as in a file
+    with pytest.raises(ParseError, match="^line 3: non-integer vertex id"):
+        load_edge_list(["0 1", "# a comment\n1 x"])
+
+
+@pytest.mark.parametrize("read", [io.StringIO, str.splitlines], ids=["text-file", "lines"])
+def test_plain_text_sources_are_parsed_as_arrays(read):
+    edges = np.random.default_rng(6).integers(0, 10**5, size=(300, 2)).tolist()
+    text = "0 1\n" + "".join(f"{a} {b}\n" for a, b in edges)
+    want = load_edge_list(io.BytesIO(text.encode()))
+    with (
+        patch.object(graph, "_plain_pairs", wraps=graph._plain_pairs) as plain,
+        patch.object(graph, "_text_lines", wraps=graph._text_lines) as text_lines,
+    ):
+        assert load_edge_list(read(text)) == want
+    assert plain.call_count == 1
+    assert [c.args for c in text_lines.call_args_list] == [(b"0 1\n",)]  # the line before the first edge
 
 
 # Inputs with two faults at once: the error named first is pinned, so that

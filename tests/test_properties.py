@@ -29,7 +29,8 @@ from trisample import (  # noqa: E402
     streaming,
     write_edge_list,
 )
-from trisample.graph import _edge_records, _file_arrays  # noqa: E402
+from trisample.graph import _file_arrays  # noqa: E402
+from reader_reference import edge_records  # noqa: E402
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 BLOCKS = st.sampled_from([1, 2, 3, 7, 4096])
@@ -196,7 +197,7 @@ def _outcome(read, data):
 
 
 def _by_lines(data):
-    records = _edge_records(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    records = edge_records(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     return next(records), [tuple(e) for e in records]
 
 

@@ -130,6 +130,21 @@ def test_counters_match_oracle_after_pass2():
                 assert _bits_set(state, columns.index(i)) == g.neighbors(i).tolist()
 
 
+def test_tallies_cross_the_unpacked_column_slices():
+    # Pass 2 unpacks 512 columns at a time; here over 1024 distinct sampled
+    # vertices fill three slices, the last one partly.
+    rng = np.random.default_rng(73)
+    n = 1500
+    edges = gnp_edges(n, 0.01, rng)
+    prof = count_exact(Graph.from_edges(edges, n=n))
+    sampled = rng.integers(n, size=6000).tolist()
+    assert 1024 < len(set(sampled)) < 1500
+    state = pass1_neighborhoods(MemoryEdgeStream(edges), sampled, n)
+    pass2_local_counts(MemoryEdgeStream(edges), state)
+    assert state.vertex_count.tolist() == prof.per_vertex[sampled].tolist()
+    assert state.vertex_count.any()
+
+
 def test_the_finalize_draws_nothing(monkeypatch):
     # A trial is worth (n / 6) * 2 T_i whatever j is: no generator is needed.
     run = stream_estimate(MemoryEdgeStream(PAW_EDGES), 16, seed=3, n=4)
