@@ -10,9 +10,9 @@ summed over ordered pairs with T_{ij} > 0; the variance of the mean of
 specialized closed form, and the two must agree; both are exposed so
 they can be checked against each other.  Both read the profile's arrays:
 the generic sum is one float64 array expression over the strategy's
-``p_of`` and ``q_of``, and the closed forms accumulate in Python
-integers and divide once, exactly, so their single-trial variance is
-correctly rounded.
+``p_of`` and ``q_of``, and the closed forms sum exactly, in int64 where
+the sum cannot overflow it and in Python integers otherwise, and divide
+once, exactly, so their single-trial variance is correctly rounded.
 
 Sample-size planning inverts the exponential tail bound
 exp(-eps^2 s avg / (2 ub)) <= n^(-c) for the smallest integer s, where
@@ -39,6 +39,8 @@ from .samplers import (
     SAMPLER_KINDS,
     build_sampler,
 )
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 VERTEX_BOUND = "vertex"
 EDGE_BOUND = "edge"
@@ -119,7 +121,8 @@ def variance_generic(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) 
 def variance_closed_form(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) -> float:
     """Specialized variance formula for each built-in strategy.
 
-    The sums run in Python integers and the one division is exact, so
+    The sums are exact, in int64 where they cannot overflow it and in
+    Python integers where they could, and the one division is exact, so
     the single-trial variance is correctly rounded: exactly 0.0 where it
     is 0.  The variance of ``s`` trials is that float divided by ``s``.
     """
@@ -131,7 +134,7 @@ def variance_closed_form(g: Graph, profile: TriangleProfile, kind: str, s: int =
         return 0.0
     t_sq = profile.total**2
     if kind == QOPT_UNIFORM:
-        tri = profile.per_vertex.astype(object)
+        tri = _for_squares(profile.per_vertex)
         return float(Fraction(g.n * int(np.dot(tri, tri)) - 9 * t_sq, 9)) / s
     if kind == QOPT_DEGREE:
         # sum of T_i^2 / deg(i), with one fraction per distinct degree
@@ -139,19 +142,32 @@ def variance_closed_form(g: Graph, profile: TriangleProfile, kind: str, s: int =
         live = live[np.argsort(g.degrees[live])]
         deg = g.degrees[live]
         starts = np.flatnonzero(np.diff(deg, prepend=-1))
-        tri = profile.per_vertex[live].astype(object)
+        tri = _for_squares(profile.per_vertex[live])
         by_degree = np.add.reduceat(tri * tri, starts)
         acc = sum(map(Fraction, by_degree.tolist(), deg[starts].tolist()))
         return float(Fraction(2 * g.m * acc - 9 * t_sq, 9)) / s
     live = profile.edge_counts > 0
-    sq = profile.edge_counts[live].astype(object) ** 2
+    counts = profile.edge_counts[live]
     if kind == EDGE_UNIFORM:
         # sum over ordered pairs of deg(i) T_ij^2: each edge carries deg(i) + deg(j)
         i, j = profile.edges[live].T
-        acc = int(np.dot(sq, (g.degrees[i] + g.degrees[j]).astype(object)))
+        weight = g.degrees[i] + g.degrees[j]
+        counts = _for_squares(counts, int(weight.max(initial=0)))
+        acc = int(np.dot(counts * counts, weight.astype(counts.dtype, copy=False)))
         return float(Fraction(g.n * acc - 36 * t_sq, 36)) / s
-    acc = 2 * int(sq.sum())  # ordered-pair sum of squared local counts
+    counts = _for_squares(counts)
+    acc = 2 * int((counts * counts).sum())  # ordered-pair sum of squared local counts
     return float(Fraction(g.m * acc - 18 * t_sq, 18)) / s
+
+
+def _for_squares(counts: np.ndarray, weight: int = 1) -> np.ndarray:
+    """The nonnegative int64 ``counts`` as they are when any sum of
+    ``w_t * counts[t]**2`` with every ``0 <= w_t <= weight`` fits an int64,
+    and as Python ints otherwise, so that the closed forms sum exactly."""
+    top = int(counts.max(initial=0))
+    if top * top * weight * len(counts) <= _INT64_MAX:
+        return counts
+    return counts.astype(object)
 
 
 def variance_report(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) -> VarianceReport:

@@ -17,7 +17,8 @@ position with the run it lies in; a light round of
 :func:`local_triangles` lays out its runs itself, from the forward
 degrees it holds.  The edge-key lookups of :func:`count_exact` and
 :func:`common_neighbour_counts` go through the graph's hashed edge
-filter first, and only the keys it passes are searched for.
+fingerprint filter first, and only the keys it passes (every edge's, and
+about 0.4% of the others) are searched for.
 """
 
 from __future__ import annotations
@@ -225,9 +226,10 @@ def common_neighbour_counts(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarra
 
     Scans the run of the lower-degree vertex of each pair and probes, for
     every entry ``k``, the key ``min(other, k) * n + max(other, k)``:
-    :attr:`Graph.edge_filter` rules out most probes that are not edges,
-    and the rest are looked up in :attr:`Graph.edge_keys`.  A pair with an
-    isolated vertex scans nothing and counts 0.  It costs
+    :attr:`Graph.edge_filter` rules out all but about 0.4% of the probes
+    that are not edges, and the rest are looked up in
+    :attr:`Graph.edge_keys`.  A pair with an isolated vertex scans nothing
+    and counts 0.  It costs
     O(min(deg a_t, deg b_t)) hashes per pair, and a binary search of
     O(log m) for each probe that passes the filter, so it suits a few
     pairs; :func:`count_exact` counts every edge at once by closing wedges.

@@ -6,7 +6,7 @@ each neighbor run sorted strictly ascending.  These two arrays are the
 graph's representation; every reader, from the samplers to the exact
 oracle and the edge-list writer, goes through them or through an index
 derived from them and cached on the graph: :attr:`Graph.edge_keys`
-(2m int64 keys), :attr:`Graph.edge_filter` (a byte per slot, 8m to 16m
+(2m int64 keys), :attr:`Graph.edge_filter` (a fingerprint byte per slot, 8m to 16m
 bytes) and :attr:`Graph.forward_runs` (int64 arrays of n + 1 and m
 entries: the one (degree, id) orientation, which both triangle
 counters of :mod:`trisample.exact` read).  Ids present nowhere in the
@@ -19,8 +19,9 @@ yields a pass as the arrays it holds or parses, one per file chunk, and
 :meth:`Graph.edge_array` gives all edges.
 
 Membership of a pair is looked up in :attr:`Graph.edge_keys`, after
-:attr:`Graph.edge_filter`, a one-hash bit filter over the keys, has
-ruled out most of the pairs that are not edges.
+:attr:`Graph.edge_filter`, a one-hash filter of one-byte fingerprints
+of the keys, has ruled out all but about 0.4% of the pairs that are not
+edges.
 
 Every edge-list source is read as bytes, by one reader: a path or an
 open binary file as it stands, an open text file or an iterable of
@@ -60,6 +61,7 @@ _PLAIN_BELOW = 10**18  # plain ids are below this; np.fromstring saturates an ov
 _CHUNK_BYTES = 1 << 20  # file bytes per chunk, read on to the end of a line
 _FILTER_SLOTS = 8  # edge filter slots per edge, before rounding up to a power of two
 _FILTER_HASH = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier: 2**64 / golden ratio
+_SHARED = 2  # an edge filter slot whose keys have two or more fingerprints; fingerprints are odd
 
 
 class ParseError(ValueError):
@@ -68,37 +70,61 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EdgeFilter:
-    """A one-hash bit filter (Bloom, CACM 1970) over the canonical edge
-    keys ``min(i, j) * n + max(i, j)`` of a graph.
+    """A one-hash fingerprint filter over the canonical edge keys
+    ``min(i, j) * n + max(i, j)`` of a graph: a table of one-byte
+    fingerprints, as a cuckoo filter keeps (Fan et al., CoNEXT 2014), but
+    with one slot per key and no relocation.
 
     :meth:`may_hold` is true for every edge's key and false for most other
     keys, so only the keys it passes need an exact lookup.  The table has
     a byte for each of ``2**bits`` slots, at least ``_FILTER_SLOTS`` and
-    fewer than twice as many per edge, and a key sets or reads the slot
-    given by the top ``bits`` bits of its multiplicative hash.  So 6% to
-    12% of the slots are set, and as many of the keys of non-edges pass.
+    fewer than twice as many per edge.  A key's multiplicative hash picks
+    its slot with its top ``bits`` bits, and its next 8 bits, with the low
+    bit set, are the key's odd fingerprint.  A slot holds 0 if no edge's
+    key hashes to it, the fingerprint its keys share if they share one,
+    and ``_SHARED`` (2, which no fingerprint is) otherwise.  A key passes
+    if its slot holds its fingerprint or ``_SHARED``.  So 6% to 12% of the
+    slots hold a key.  A key of no edge passes where its slot is shared
+    (about half the square of that share of the slots) or holds the key's
+    own fingerprint (one time in 128): 0.25% to 0.9% of such keys pass,
+    0.35% to 0.45% on the benchmark's graphs.
     """
 
     table: np.ndarray = field(repr=False)
-    shift: np.uint64  # 64 - bits
+    shift: np.uint64  # 56 - bits: v = hash >> shift holds the slot, then the fingerprint's 8 bits
 
     @classmethod
     def of(cls, keys: np.ndarray, m: int) -> "EdgeFilter":
         """The filter of a graph with ``m`` edges whose canonical keys,
-        repeats allowed, are the int64 array ``keys``."""
+        repeats allowed, are the int64 array ``keys``.
+
+        The table does not depend on the order of the keys or on their
+        repeats: a slot keeps a fingerprint only when every key written to
+        it has that one.
+        """
         bits = (_FILTER_SLOTS * max(m, 1) - 1).bit_length()
-        f = cls(np.zeros(1 << bits, dtype=bool), np.uint64(64 - bits))
-        f.table[f._slots(keys)] = True
+        f = cls(np.zeros(1 << bits, dtype=np.uint8), np.uint64(56 - bits))
+        slots, prints = f._hash(keys)
+        f.table[slots] = prints  # the last write to a slot wins
+        f.table[slots.compress(f.table[slots] != prints)] = _SHARED  # slots another print overwrote
         return f
 
-    def _slots(self, keys: np.ndarray) -> np.ndarray:
-        slots = np.asarray(keys, dtype=np.int64).view(np.uint64) * _FILTER_HASH  # wraps mod 2**64
-        slots >>= self.shift
-        return slots
+    def _hash(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slot and the fingerprint of each key."""
+        v = np.asarray(keys, dtype=np.int64).view(np.uint64) * _FILTER_HASH  # wraps mod 2**64
+        v >>= self.shift
+        prints = v.astype(np.uint8)  # the low 8 bits
+        prints |= 1
+        v >>= np.uint64(8)
+        return v.view(np.int64), prints  # slots below 2**bits index faster as intp
 
     def may_hold(self, keys: np.ndarray) -> np.ndarray:
         """False where a canonical key is surely no edge's."""
-        return self.table[self._slots(keys)]
+        slots, prints = self._hash(keys)
+        held = self.table[slots]
+        passed = held == prints
+        passed |= held == _SHARED
+        return passed
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,9 +523,9 @@ def load_edge_list(source) -> Graph:
         u, v = u[~loops], v[~loops]
     keys, canonical = _pair_keys(u, v, n)
     del pairs, u, v, loops  # the keys hold the edges from here on
-    fresh = np.diff(keys, prepend=-1) > 0  # keys are nonnegative
-    if not fresh.all():
-        keys = keys[fresh]  # a repeated edge repeats in both orientations
+    if (keys[1:] == keys[:-1]).any():  # a repeated edge repeats in both orientations
+        fresh = np.diff(keys, prepend=-1) > 0  # keys are nonnegative
+        keys = keys[fresh]
         log.warning("dropped %d duplicate edge(s)", (len(fresh) - len(keys)) // 2)
     return _from_keys(keys, canonical, n)
 

@@ -9,6 +9,7 @@ from trisample import (
     SAMPLER_KINDS,
     Graph,
     TriangleProfile,
+    analytics,
     build_sampler,
     chernoff_sample_size,
     count_exact,
@@ -20,7 +21,7 @@ from trisample import (
     variance_report,
 )
 
-from conftest import PAW_EDGES, gnp_edges, gnp_graph
+from conftest import PAW_EDGES, chung_lu_graph, gnp_edges, gnp_graph
 from variance_reference import variance_loop
 
 
@@ -159,6 +160,19 @@ def test_closed_forms_are_exact_beyond_int64_squares():
         assert var > 0
         assert variance_closed_form(g, prof, kind, 1) == float(var), kind
         assert variance_closed_form(g, prof, kind, 5) == float(var) / 5, kind
+
+
+def test_closed_forms_sum_the_same_in_python_ints_as_in_int64(monkeypatch):
+    g = chung_lu_graph(2_000, 10_000, np.random.default_rng(67))
+    prof = count_exact(g)
+    kinds = [k for k in SAMPLER_KINDS if k != "optimal"]
+    in_int64 = {(k, s): variance_closed_form(g, prof, k, s) for k in kinds for s in (1, 7)}
+    assert analytics._for_squares(prof.edge_counts).dtype == np.int64
+    monkeypatch.setattr(analytics, "_INT64_MAX", 0)  # every sum could overflow: Python ints
+    assert analytics._for_squares(prof.edge_counts).dtype == object
+    for (k, s), var in in_int64.items():
+        assert var > 0
+        assert variance_closed_form(g, prof, k, s) == var, (k, s)
 
 
 def test_variance_scales_inversely_with_s(paw):

@@ -245,7 +245,41 @@ def test_edge_filter_passes_keys_near_the_int64_limit():
     edge_filter = graph.EdgeFilter.of(keys, len(keys))
     assert edge_filter.may_hold(keys).all()
     others = np.setdiff1d(keys - 1, keys)
-    assert edge_filter.may_hold(others).mean() <= 0.15
+    assert edge_filter.may_hold(others).mean() <= 0.02
+
+
+def _slot_and_print(key, bits):
+    """The edge filter's slot and fingerprint of a key, from its hash in Python ints."""
+    h = key * 0x9E3779B97F4A7C15 % 2**64
+    return h >> (64 - bits), (h >> (56 - bits)) & 0xFF | 1
+
+
+def test_edge_filter_marks_a_slot_shared_only_by_distinct_fingerprints():
+    m, bits = 3, 5  # 8 * 3 slots, rounded up to 2**5
+    by_slot = {}
+    for key in range(1_000):
+        slot, fp = _slot_and_print(key, bits)
+        by_slot.setdefault(slot, {}).setdefault(fp, key)
+    slot, prints = next((slot, prints) for slot, prints in by_slot.items() if len(prints) >= 4)
+    a, b, c, d = list(prints.values())[:4]  # four keys of one slot, each with its own fingerprint
+    cases = {  # keys -> the one key whose fingerprint the slot holds, or None for 2
+        (a,): a,
+        (a, a, a): a,  # repeats of one key
+        (a, b): None,
+        (b, a, b): None,
+        (a, b, c): None,
+        (c, a, b, c, a): None,
+    }
+    for keys, held in cases.items():
+        shared = held is None
+        f = graph.EdgeFilter.of(np.array(keys), m)
+        assert len(f.table) == 2**bits
+        assert np.flatnonzero(f.table).tolist() == [slot]
+        assert f.table[slot] == (2 if shared else _slot_and_print(held, bits)[1]), keys
+        assert np.array_equal(graph.EdgeFilter.of(np.array(keys[::-1]), m).table, f.table)
+        assert f.may_hold(np.array(keys)).all(), keys
+        others = np.array([key for key in (a, b, c, d) if key not in keys])
+        assert f.may_hold(others).all() == shared, keys  # a shared slot passes any key
 
 
 def test_built_graphs_keep_their_keys_and_filter():
