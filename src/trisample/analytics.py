@@ -201,8 +201,12 @@ def chernoff_sample_size(
         )
     if upper_bound < average:
         raise ValueError("upper_bound must be at least the average")
-    s = math.ceil(2.0 * c * (upper_bound / average) * math.log(universe) / (epsilon * epsilon))
-    return max(int(s), 1)
+    if epsilon * epsilon == 0.0:
+        raise ValueError(f"epsilon = {epsilon!r} squares to 0 in floating point")
+    s = 2.0 * c * (upper_bound / average) * math.log(universe) / (epsilon * epsilon)
+    if not math.isfinite(s):
+        raise ValueError(f"the trial count 2 c (bound/average) ln(n) / epsilon^2 is {s}, not finite")
+    return max(math.ceil(s), 1)
 
 
 def make_plan(

@@ -49,15 +49,15 @@ def _positive_int(text: str) -> int:
 
 def _epsilon(text: str) -> float:
     value = float(text)
-    if not 0.0 < value < 1.0:
+    if not 0.0 < value < 1.0:  # NaN included
         raise argparse.ArgumentTypeError(f"epsilon must be in (0, 1), got {text}")
     return value
 
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not 0.0 < value < math.inf:  # NaN included
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
     return value
 
 

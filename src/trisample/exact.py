@@ -11,14 +11,15 @@ are worth: the edge kinds T_ij for the pairs they draw, with
 :func:`common_neighbour_counts`, the qopt kinds T_i of their first-stage
 vertices, with :func:`local_triangles`, which marks N(v) and scans only
 the forward runs of v's neighbours, so that each edge inside N(v) is met
-once, from its lower-ranked end.  All three walk their runs in bounded
-windows of :func:`_gathered_runs`, each of which gives every gathered
-position with the run it lies in; a light round of
-:func:`local_triangles` lays out its runs itself, from the forward
-degrees it holds.  The edge-key lookups of :func:`count_exact` and
-:func:`common_neighbour_counts` go through the graph's hashed edge
-fingerprint filter first, and only the keys it passes (every edge's, and
-about 0.4% of the others) are searched for.
+once, from its lower-ranked end, in rounds of up to 64 vertices, each
+owning one bit of a uint64 word per marked neighbour.  All three walk
+their runs in bounded windows of :func:`_gathered_runs`, each of which
+gives every gathered position with the run it lies in; a round of
+:func:`local_triangles` that fits one window lays out its runs itself,
+from the forward degrees it holds.  The edge-key lookups of
+:func:`count_exact` and :func:`common_neighbour_counts` go through the
+graph's hashed edge fingerprint filter first, and only the keys it
+passes (every edge's, and about 0.4% of the others) are searched for.
 """
 
 from __future__ import annotations
@@ -96,10 +97,9 @@ class TriangleProfile:
         return int(self.edge_counts.max()) if self.edge_counts.size else 0
 
 
-# Adjacency entries that common_neighbour_counts and the hub path of
-# local_triangles gather at a time (their window of _gathered_runs); a
-# light round of local_triangles gathers at most this many, or one
-# vertex's load.  Bounds their working memory whatever the degrees.
+# Adjacency entries that common_neighbour_counts and local_triangles
+# gather at a time: a window of _gathered_runs, or one round of
+# local_triangles.  Bounds their working memory whatever the degrees.
 _GATHER = 1 << 18
 
 
@@ -136,12 +136,6 @@ def _gathered_runs(
 # First-stage vertices whose neighbourhoods one round of local_triangles
 # marks: the round's t-th vertex owns bit t of a uint64 word.
 _ROUND = 64
-# Vertices that gather more entries than this (the forward degrees of
-# their neighbours summed) count alone, on a boolean mask.  A uint64 word
-# shifted by its slot costs more per gathered entry than a byte; on a
-# Chung-Lu graph (n = 5e3, m = 5e4), whose low-degree vertices mostly
-# neighbour hubs, it costs more than the rounds save per vertex.
-_HUB_LOAD = 4096
 
 
 def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
@@ -152,14 +146,15 @@ def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
     lower-ranked end j.  So T_v is the number of entries of the runs
     N⁺(j), j ∈ N(v), that lie in N(v): each such edge is met exactly once.
     A vertex's load is the number of those entries, Σ_{j∈N(v)} deg⁺(j);
-    a vertex of load 0 has T_v = 0.  Vertices of load at most
-    ``_HUB_LOAD`` share rounds of at most ``_ROUND`` vertices and
-    ``_GATHER`` gathered entries, or one vertex alone: the round's t-th
-    vertex sets bit t of a uint64 word at each of its neighbours, the
-    round's whole load is gathered at once, the forward runs of the
-    marked neighbours back to back, and each entry adds bit t of its
-    word to T_v.  A vertex of higher load marks its neighbours alone, in
-    a boolean mask, and counts the marked entries of their forward runs.
+    a vertex of load 0 has T_v = 0.  The others share rounds of at most
+    ``_ROUND`` vertices and ``_GATHER`` gathered entries, or one vertex
+    alone: the round's t-th vertex sets bit t of a uint64 word at each of
+    its neighbours, the forward runs of the marked neighbours are
+    gathered back to back, and each entry adds bit t of its word to T_v.
+    A round gathers its whole load at once, unless it is one vertex of
+    load above ``_GATHER``: that one walks the runs in windows of
+    :func:`_gathered_runs` and counts the nonzero words it meets, its bit
+    being the only one set.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     triangles = np.zeros(len(vertices), dtype=np.int64)
@@ -175,27 +170,18 @@ def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
     neighbours = g.indices[(g.indptr[vertices] - bounds[:-1]).repeat(deg) + np.arange(bounds[-1])]
     ahead = indptr[neighbours + 1] - indptr[neighbours]  # deg⁺ of each neighbour
     loads = np.add.reduceat(ahead, bounds[:-1])
-    counts = np.zeros(len(vertices), dtype=np.int64)
 
-    mask = np.zeros(g.n, dtype=bool)
-    for k in np.flatnonzero(loads > _HUB_LOAD).tolist():
-        around = neighbours[bounds[k] : bounds[k + 1]]
-        mask[around] = True
-        for _, at in _gathered_runs(indptr[around], indptr[around + 1], _GATHER):
-            counts[k] += np.count_nonzero(mask[indices[at]])
-        mask[around] = False
-
-    # The light vertices' neighbours, back to back in the same order: the
-    # k-th one's are marks[starts[k]:starts[k + 1]], of forward degrees
-    # ahead[starts[k]:starts[k + 1]], and the first k of them gather
-    # running[k] entries.
-    light = (loads > 0) & (loads <= _HUB_LOAD)
-    kept = light.repeat(deg)
+    # The neighbours of the vertices of positive load, back to back in the
+    # same order: the k-th one's are marks[starts[k]:starts[k + 1]], of
+    # forward degrees ahead[starts[k]:starts[k + 1]], and the first k of
+    # them gather running[k] entries.
+    counted = loads > 0
+    kept = counted.repeat(deg)
     marks, ahead = neighbours[kept], ahead[kept]
-    deg, loads = deg[light], loads[light]
+    touched, deg, loads = touched[counted], deg[counted], loads[counted]
     starts = np.concatenate(([0], np.cumsum(deg)))
     running = np.concatenate(([0], np.cumsum(loads)))
-    light_counts = np.zeros(len(deg), dtype=np.int64)
+    counts = np.zeros(len(deg), dtype=np.int64)
     words = np.zeros(g.n, dtype=np.uint64)
     k0 = 0
     while k0 < len(deg):
@@ -204,18 +190,21 @@ def local_triangles(g: Graph, vertices: np.ndarray) -> np.ndarray:
         slot = np.arange(k1 - k0, dtype=np.uint64)
         marked = marks[starts[k0] : starts[k1]]
         np.bitwise_or.at(words, marked, np.left_shift(np.uint64(1), slot.repeat(deg[k0:k1])))
-        # The forward runs of the marked neighbours back to back, so each
-        # vertex's entries are contiguous.
-        w = ahead[starts[k0] : starts[k1]]
-        at = (indptr[marked] - (np.cumsum(w) - w)).repeat(w)
-        at += np.arange(len(at))
-        hits = words[indices[at]]
-        hits >>= slot.repeat(loads[k0:k1])
-        hits &= np.uint64(1)
+        if loads[k0] > _GATHER:  # a round of its own
+            for _, at in _gathered_runs(indptr[marked], indptr[marked + 1], _GATHER):
+                counts[k0] += np.count_nonzero(words[indices[at]])
+        else:
+            # The forward runs of the marked neighbours back to back, so
+            # each vertex's entries are contiguous.
+            w = ahead[starts[k0] : starts[k1]]
+            at = (indptr[marked] - (np.cumsum(w) - w)).repeat(w)
+            at += np.arange(len(at))
+            hits = words[indices[at]]
+            hits >>= slot.repeat(loads[k0:k1])
+            hits &= np.uint64(1)
+            counts[k0:k1] = np.add.reduceat(hits, running[k0:k1] - running[k0], dtype=np.int64)
         words[marked] = 0
-        light_counts[k0:k1] = np.add.reduceat(hits, running[k0:k1] - running[k0], dtype=np.int64)
         k0 = k1
-    counts[light] = light_counts
     triangles[touched] = counts
     return triangles
 

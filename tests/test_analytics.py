@@ -228,6 +228,15 @@ def test_chernoff_domain_errors():
         chernoff_sample_size(0.1, 0, 100, 2.0, 1.0)
 
 
+def test_chernoff_refuses_an_underflowing_epsilon_and_a_non_finite_trial_count():
+    with pytest.raises(ValueError, match="squares to 0"):
+        chernoff_sample_size(1e-200, 1, 100, 2.0, 1.0)
+    for c, upper in [(math.inf, 2.0), (math.nan, 2.0), (1.0, math.inf), (1.0, math.nan), (1e10, 1e308)]:
+        with pytest.raises(ValueError, match="not finite"):
+            chernoff_sample_size(0.1, c, 100, upper, 1.0)
+    assert chernoff_sample_size(1e-100, 1, 100, 2.0, 1.0) == math.ceil(4 * math.log(100) / 1e-200)
+
+
 def test_chernoff_monotonicity():
     eps_grid = [0.05, 0.1, 0.2, 0.4, 0.8]
     sizes = [chernoff_sample_size(e, 1, 1000, 3.0, 1.0) for e in eps_grid]

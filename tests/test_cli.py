@@ -242,6 +242,24 @@ def test_plan_triangle_free_fails(capsys, path3_file):
     assert "triangle-free" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # Usage errors, as an epsilon out of range is: argparse exits with 2.
+        (["--upper-bound", "inf"], 2, "error: argument --upper-bound: expected a finite positive number, got inf"),
+        (["--upper-bound", "nan"], 2, "error: argument --upper-bound: expected a finite positive number, got nan"),
+        (["--c", "inf", "--upper-bound", "2"], 2, "error: argument --c: expected a finite positive number, got inf"),
+        # A valid epsilon whose square underflows to 0.
+        (["--epsilon", "1e-200", "--upper-bound", "2"], 1, "error: epsilon = 1e-200 squares to 0 in floating point"),
+    ],
+)
+def test_plan_refuses_non_finite_and_underflowing_inputs(argv, code, message):
+    proc = _run_module("plan", "--n", "100", "--epsilon", "0.1", *argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith(message)
+
+
 def test_stream_passes(capsys, paw_file, k3_file):
     report = run_json(capsys, "stream", paw_file, "--samples", "4", "--seed", "2", "--n", "4")
     assert report["result"]["passes_used"] == 2
@@ -443,6 +461,32 @@ def test_tsv_format(capsys, paw_file):
     header, *rows = out.strip().splitlines()
     assert header.split("\t")[0] == "sampler"
     assert len(rows) == 1
+
+
+# Any import of the test-only packages fails in this child, so a runtime
+# import of one makes its command fail.
+_NUMPY_ONLY = """
+import sys
+for name in ("scipy", "networkx", "hypothesis"):
+    sys.modules[name] = None
+from trisample.cli import main
+path = sys.argv[1]
+for argv in (
+    ["exact", path],
+    ["estimate", path, "--sampler", "qopt-degree", "--samples", "50"],
+    ["variance", path, "--sampler", "edge-uniform"],
+    ["stream", path, "--samples", "8"],
+):
+    if main(argv):
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency(paw_file):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY, paw_file], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"command"') == 4
 
 
 def test_console_entry_point():

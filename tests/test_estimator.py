@@ -226,9 +226,9 @@ def test_run_trials_matches_the_per_trial_loop_across_a_full_chunk(paw):
         assert est.trial_values.tolist() == values
 
 
-# The hub load the tests below run at: vertex 0's forward load, Σ deg⁺(j)
-# over its neighbours, is below the default one on this graph.
-_SPEC_HUB_LOAD = 1024
+# The window the tests below run at: vertex 0's forward load, Σ deg⁺(j)
+# over its neighbours, is above it on this graph, and no other's is.
+_SPEC_GATHER = 1024
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +236,7 @@ def hub_spec_graph():
     g = hub_graph(300, 0.06, 250, np.random.default_rng(83))
     indptr, _ = g.forward_runs
     loads = np.array([int(np.diff(indptr)[g.neighbors(v)].sum()) for v in range(g.n)])
-    assert loads[0] > _SPEC_HUB_LOAD >= loads[1:].max()  # the hub counts alone
+    assert loads[0] > 2 * _SPEC_GATHER and _SPEC_GATHER >= loads[1:].max()  # the hub walks windows alone
     return g, count_exact(g)
 
 
@@ -246,7 +246,7 @@ def test_run_trials_matches_the_per_trial_loop_with_a_hub_and_full_rounds(
     monkeypatch, hub_spec_graph, kind, s
 ):
     g, prof = hub_spec_graph
-    monkeypatch.setattr(trisample.exact, "_HUB_LOAD", _SPEC_HUB_LOAD)
+    monkeypatch.setattr(trisample.exact, "_GATHER", _SPEC_GATHER)
     spec = build_sampler(g, kind, prof if kind == "optimal" else None)
     kernel, given = trisample.samplers.local_triangles, []
 

@@ -289,7 +289,7 @@ def _parity_cases(seed):
 def test_local_counts_cut_rounds_at_64_vertices():
     for g in _parity_cases(61):
         loads = _loads(g)
-        assert ((loads > 0) & (loads <= exact._HUB_LOAD)).sum() > 2 * exact._ROUND
+        assert (loads > 0).sum() > 2 * exact._ROUND and loads.sum() <= exact._GATHER  # cut at 64 only
         _check_local_triangles(g, np.arange(g.n))
         _check_local_triangles(g, np.random.default_rng(62).permutation(g.n))
 
@@ -308,7 +308,7 @@ def test_light_rounds_bound_the_working_memory(monkeypatch):
     monkeypatch.setattr(exact, "_GATHER", 1 << 12)
     g = gnp_graph(2000, 0.01, np.random.default_rng(7))
     loads = _loads(g)
-    assert loads.sum() >= 50 * exact._GATHER and loads.max() <= exact._HUB_LOAD  # light rounds only
+    assert loads.sum() >= 50 * exact._GATHER and loads.max() <= exact._GATHER  # shared rounds only
     vertices = np.arange(g.n)
     exact.local_triangles(g, vertices)  # builds the forward runs
     tracemalloc.start()
@@ -321,17 +321,35 @@ def test_light_rounds_bound_the_working_memory(monkeypatch):
 
 
 def test_local_counts_of_hubs_beside_light_vertices(monkeypatch):
-    # Forward loads stay below the default hub load on a graph this small.
-    monkeypatch.setattr(exact, "_HUB_LOAD", 1000)
+    # Forward loads stay below the default window on a graph this small.
+    monkeypatch.setattr(exact, "_GATHER", 1000)
     g = chung_lu_graph(600, 6000, np.random.default_rng(3))
     loads = _loads(g)
-    assert 0 < (loads > exact._HUB_LOAD).sum() < g.n // 10
+    assert 0 < (loads > exact._GATHER).sum() < g.n // 10 and loads.max() > 2 * exact._GATHER
     _check_local_triangles(g, np.arange(g.n))
     # Hubs and light vertices interleaved, in any order, over several calls.
     order = np.random.default_rng(4).permutation(g.n)
     for part in np.array_split(order, 3):
-        assert (loads[part] > exact._HUB_LOAD).any() and (loads[part] <= exact._HUB_LOAD).any()
+        assert (loads[part] > exact._GATHER).any() and (loads[part] <= exact._GATHER).any()
         _check_local_triangles(g, part)
+
+
+def test_a_vertex_above_the_window_counts_alone_in_bounded_memory(monkeypatch):
+    # Vertex 0 joined to every vertex of a G(400, 0.5): its load, about
+    # 4e4, far exceeds n and its degree, so its round walks many windows.
+    monkeypatch.setattr(exact, "_GATHER", 1 << 10)
+    base = gnp_graph(400, 0.5, np.random.default_rng(11))
+    g = Graph.from_edges(np.concatenate([[(0, j) for j in range(1, 401)], base.edge_array() + 1]), n=401)
+    load = _loads(g)[0]
+    assert load > 30 * exact._GATHER and load > 50 * g.n
+    _check_local_triangles(g, np.arange(g.n))
+    tracemalloc.start()
+    try:
+        exact.local_triangles(g, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * load  # one int64 array over its gathered entries would reach it alone
 
 
 def test_local_counts_with_isolated_and_triangle_free_vertices():
