@@ -10,9 +10,9 @@ summed over ordered pairs with T_{ij} > 0; the variance of the mean of
 specialized closed form, and the two must agree; both are exposed so
 they can be checked against each other.  Both read the profile's arrays:
 the generic sum is one float64 array expression over the strategy's
-``p_of`` and ``q_of``, and the closed forms sum exactly, in int64 where
-the sum cannot overflow it and in Python integers otherwise, and divide
-once, exactly, so their single-trial variance is correctly rounded.
+``p_of`` and ``q_of``, and the closed forms sum exactly per denominator
+with the trial engine's :func:`~trisample.estimator._sums_by_den` and
+divide once, exactly, so their single-trial variance is correctly rounded.
 
 Sample-size planning inverts the exponential tail bound
 exp(-eps^2 s avg / (2 ub)) <= n^(-c) for the smallest integer s, where
@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import TriangleProfile
+from .estimator import _sums_by_den
+from .exact import TriangleProfile, _check_profile
 from .graph import Graph
 from .samplers import (
     EDGE_DEGREE,
@@ -39,8 +40,6 @@ from .samplers import (
     SAMPLER_KINDS,
     build_sampler,
 )
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 VERTEX_BOUND = "vertex"
 EDGE_BOUND = "edge"
@@ -121,53 +120,41 @@ def variance_generic(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) 
 def variance_closed_form(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) -> float:
     """Specialized variance formula for each built-in strategy.
 
-    The sums are exact, in int64 where they cannot overflow it and in
-    Python integers where they could, and the one division is exact, so
-    the single-trial variance is correctly rounded: exactly 0.0 where it
-    is 0.  The variance of ``s`` trials is that float divided by ``s``.
+    The single-trial variance is a sum of squared local counts, less T^2:
+
+        qopt-uniform  (n / 9) sum_i T_i^2
+        qopt-degree   (2m / 9) sum_i T_i^2 / deg(i)
+        edge-uniform  (n / 36) sum_{i<j} (deg(i) + deg(j)) T_ij^2
+        edge-degree   (m / 9) sum_{i<j} T_ij^2
+
+    each summed exactly per denominator by
+    :func:`~trisample.estimator._sums_by_den`, then divided once, exactly,
+    so it is correctly rounded: exactly 0.0 where it is 0.  The variance
+    of ``s`` trials is that float divided by ``s``.
     """
     if s < 1:
         raise ValueError("trial count must be at least 1")
     if kind not in SAMPLER_KINDS:
         raise ValueError(f"unknown sampler kind {kind!r}; choose from {SAMPLER_KINDS}")
+    _check_profile(g, profile)
     if kind == OPTIMAL:
         return 0.0
-    t_sq = profile.total**2
+    tri, counts = profile.per_vertex, profile.edge_counts
     if kind == QOPT_UNIFORM:
-        tri = _for_squares(profile.per_vertex)
-        return float(Fraction(g.n * int(np.dot(tri, tri)) - 9 * t_sq, 9)) / s
-    if kind == QOPT_DEGREE:
-        # sum of T_i^2 / deg(i), with one fraction per distinct degree
-        live = np.flatnonzero(profile.per_vertex)
-        live = live[np.argsort(g.degrees[live])]
-        deg = g.degrees[live]
-        starts = np.flatnonzero(np.diff(deg, prepend=-1))
-        tri = _for_squares(profile.per_vertex[live])
-        by_degree = np.add.reduceat(tri * tri, starts)
-        acc = sum(map(Fraction, by_degree.tolist(), deg[starts].tolist()))
-        return float(Fraction(2 * g.m * acc - 9 * t_sq, 9)) / s
-    live = profile.edge_counts > 0
-    counts = profile.edge_counts[live]
-    if kind == EDGE_UNIFORM:
-        # sum over ordered pairs of deg(i) T_ij^2: each edge carries deg(i) + deg(j)
+        scale, k, acc = g.n, 9, sum(_sums_by_den(tri)[2])
+    elif kind == QOPT_DEGREE:
+        live = tri > 0  # so deg(i) >= 2
+        dens, _, squares = _sums_by_den(tri[live], g.degrees[live])
+        lcm = math.lcm(*dens)  # acc / lcm is the sum of T_i^2 / deg(i)
+        scale, k, acc = 2 * g.m, 9 * lcm, sum(b * (lcm // d) for d, b in zip(dens, squares))
+    elif kind == EDGE_UNIFORM:
+        live = np.flatnonzero(counts)
         i, j = profile.edges[live].T
-        weight = g.degrees[i] + g.degrees[j]
-        counts = _for_squares(counts, int(weight.max(initial=0)))
-        acc = int(np.dot(counts * counts, weight.astype(counts.dtype, copy=False)))
-        return float(Fraction(g.n * acc - 36 * t_sq, 36)) / s
-    counts = _for_squares(counts)
-    acc = 2 * int((counts * counts).sum())  # ordered-pair sum of squared local counts
-    return float(Fraction(g.m * acc - 18 * t_sq, 18)) / s
-
-
-def _for_squares(counts: np.ndarray, weight: int = 1) -> np.ndarray:
-    """The nonnegative int64 ``counts`` as they are when any sum of
-    ``w_t * counts[t]**2`` with every ``0 <= w_t <= weight`` fits an int64,
-    and as Python ints otherwise, so that the closed forms sum exactly."""
-    top = int(counts.max(initial=0))
-    if top * top * weight * len(counts) <= _INT64_MAX:
-        return counts
-    return counts.astype(object)
+        dens, _, squares = _sums_by_den(counts[live], g.degrees[i] + g.degrees[j])
+        scale, k, acc = g.n, 36, sum(d * b for d, b in zip(dens, squares))
+    else:
+        scale, k, acc = g.m, 9, sum(_sums_by_den(counts)[2])
+    return float(Fraction(scale * acc, k) - profile.total**2) / s
 
 
 def variance_report(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) -> VarianceReport:
@@ -239,6 +226,7 @@ def plan_from_profile(
     upper_bound: float | None = None,
 ) -> ChernoffPlan:
     """Build a plan with the average (and optionally the bound) taken from the oracle."""
+    _check_profile(g, profile)
     if bound_kind == VERTEX_BOUND:
         average = profile.total / g.n
         derived_upper = float(profile.max_per_vertex)

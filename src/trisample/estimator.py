@@ -20,9 +20,10 @@ reduced by their common factor:
     edge-uniform  num = T_ij deg(i)      den = 1
     edge-degree   num = T_ij             den = 1       (T_ij deg(i) / deg(i))
 
-:func:`fold_trials` sums num and num^2 per denominator in integers, and
-:class:`Moments` keeps the sums exactly, so they do not depend on the
-order or the chunking of the trials.  :func:`finalize_estimate` rounds
+:func:`fold_trials` sums num and num^2 per denominator in integers with
+:func:`_sums_by_den`, which the closed-form variances also sum through,
+and :class:`Moments` keeps the sums exactly, so they do not depend on the
+order or the chunking of the trials; :func:`finalize_estimate` rounds
 every reported float once from the exact rational.
 
 :func:`run_trials` draws and values trials in chunks of array
@@ -80,31 +81,38 @@ class Moments:
         return a, b, d
 
 
+def _sums_by_den(num: np.ndarray, den: np.ndarray | int = 1) -> tuple[list, list, list]:
+    """``(dens, sums, squares)``: the distinct denominators, ascending, and
+    for each the sum of the nonnegative ints ``num`` over it and of their
+    squares, as Python ints.  ``den`` has an int per num, or is one int.
+    They are summed in int64, in one ``np.add.at`` slot per possible
+    denominator, or in Python ints where the squares could overflow."""
+    if not len(num):
+        return [], [], []
+    big = int(num.max()) > math.isqrt(_INT64_MAX // len(num))
+    num = num.astype(object if big else np.int64, copy=False)
+    if np.ndim(den) == 0:
+        return [int(den)], [int(num.sum())], [int((num * num).sum())]
+    size = int(den.max()) + 1
+    s1, s2 = np.zeros(size, dtype=num.dtype), np.zeros(size, dtype=num.dtype)
+    np.add.at(s1, den, num)
+    np.add.at(s2, den, num * num)
+    dens = np.flatnonzero(np.bincount(den, minlength=size))
+    return dens.tolist(), s1[dens].tolist(), s2[dens].tolist()
+
+
 def fold_trials(moments: Moments, trials: int, num: np.ndarray, den: np.ndarray | int = 1) -> None:
     """Fold a batch of ``trials`` trials into ``moments``.
 
     ``num`` and ``den`` belong to the batch's live trials, each worth
     (W / 6) * num / den; the other trials are worth 0.  ``den`` is an
     array, or one int that every live trial shares.  Each denominator's
-    num and num^2 are summed in int64, or in Python ints when a chunk's
-    largest num could overflow a sum of squares.
+    num and num^2 are summed exactly by :func:`_sums_by_den` and added
+    to its entry of ``moments.sums``.
     """
     moments.count += trials
-    if not len(num):
-        return
-    if int(num.max()) > math.isqrt(_INT64_MAX // len(num)):
-        num = num.astype(object)
-    if np.ndim(den) == 0:
-        dens, s1, s2 = [int(den)], [int(num.sum())], [int((num * num).sum())]
-    else:
-        order = np.argsort(den)
-        den, num = den[order], num[order]
-        starts = np.flatnonzero(np.diff(den, prepend=-1))
-        dens = den[starts].tolist()
-        s1 = np.add.reduceat(num, starts).tolist()
-        s2 = np.add.reduceat(num * num, starts).tolist()
     sums = moments.sums
-    for d, a, b in zip(dens, s1, s2):
+    for d, a, b in zip(*_sums_by_den(num, den)):
         acc = sums.setdefault(d, [0, 0])
         acc[0] += a
         acc[1] += b

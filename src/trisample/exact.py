@@ -42,6 +42,33 @@ def _lookup(keys: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return at, hit
 
 
+def _id_array(vertices, n: int) -> np.ndarray:
+    """``vertices`` as an int64 array in which every id outside [0, n)
+    reads -1, Python ints beyond int64 included; ValueError unless the
+    ids are integers."""
+    vertices = np.asarray(vertices)
+    if vertices.dtype == object and all(
+        type(v) is int or isinstance(v, np.integer) for v in vertices.flat
+    ):
+        # Python ints beyond int64 make an object array
+        inside = [v if 0 <= v < n else -1 for v in vertices.flat]
+        vertices = np.array(inside, dtype=np.int64).reshape(vertices.shape)
+    if vertices.size and vertices.dtype.kind not in "iu":
+        raise ValueError("vertex ids must be integers")
+    vertices = vertices.astype(np.int64, copy=False)
+    outside = (vertices < 0) | (vertices >= n)
+    return np.where(outside, -1, vertices) if outside.any() else vertices
+
+
+def _check_profile(g: Graph, profile: TriangleProfile) -> None:
+    """ValueError unless ``profile`` has one entry per vertex of ``g``."""
+    if len(profile.per_vertex) != g.n:
+        raise ValueError(
+            f"the triangle profile counts {len(profile.per_vertex)} vertices "
+            f"but the graph has {g.n}: it is another graph's profile"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class TriangleProfile:
     """Exact local-triangle structure of a graph.
@@ -68,13 +95,13 @@ class TriangleProfile:
 
     def edge_counts_of(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """T_ab for each pair of the equal-length vertex arrays, in either
-        orientation; 0 for pairs that are not edges, ids out of range included."""
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        orientation; 0 for pairs that are not edges, ids out of range
+        included.  ValueError unless the ids are integers."""
         n = len(self.per_vertex)
+        a, b = _id_array(a, n), _id_array(b, n)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        probe = lo * n + hi
+        probe = lo * n + hi  # negative, and so no edge's, when lo is -1
         at, hit = _lookup(self._upper_keys, probe)
-        hit &= (lo >= 0) & (hi < n)  # an out-of-range pair may share a key with an edge
         counts = np.zeros(len(probe), dtype=np.int64)
         counts[hit] = self.edge_counts[at[hit]]
         return counts

@@ -41,6 +41,8 @@ import numpy as np
 
 from .exact import (
     TriangleProfile,
+    _check_profile,
+    _id_array,
     _lookup,
     _sort_indexed,
     common_neighbour_counts,
@@ -63,16 +65,8 @@ _DEGREE_P_KINDS = frozenset({QOPT_DEGREE, EDGE_DEGREE})
 
 def _check_ids(g: Graph, vertices) -> np.ndarray:
     """``vertices`` as an int64 array; ValueError unless integers, IndexError outside [0, n)."""
-    vertices = np.asarray(vertices)
-    if vertices.dtype == object and all(type(v) is int for v in vertices.flat):
-        # Python ints beyond int64 make an object array: out of range too.
-        if not all(0 <= v < g.n for v in vertices.flat):
-            raise IndexError(f"vertex ids out of range [0,{g.n})")
-        vertices = vertices.astype(np.int64)
-    if vertices.size and vertices.dtype.kind not in "iu":
-        raise ValueError("vertex ids must be integers")
-    vertices = vertices.astype(np.int64, copy=False)
-    if ((vertices < 0) | (vertices >= g.n)).any():
+    vertices = _id_array(vertices, g.n)
+    if (vertices < 0).any():
         raise IndexError(f"vertex ids out of range [0,{g.n})")
     return vertices
 
@@ -146,7 +140,8 @@ def _find_pairs(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) -> SamplerSpec:
     """Precompute the tables a strategy needs and return its spec.
 
-    Every kind requires at least one vertex.  "optimal" requires the
+    Every kind requires at least one vertex, and a given ``oracle`` must
+    be the profile of a graph of ``g.n`` vertices.  "optimal" requires the
     exact profile of a graph with at least one triangle; the
     degree-weighted kinds require at least one edge.
     """
@@ -154,6 +149,8 @@ def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) ->
         raise ValueError(f"unknown sampler kind {kind!r}; choose from {SAMPLER_KINDS}")
     if g.n == 0:
         raise ValueError(f"{kind} sampling is undefined on a graph with no vertices")
+    if oracle is not None:
+        _check_profile(g, oracle)
     if kind == OPTIMAL:
         if oracle is None:
             raise ValueError("optimal sampling requires the exact triangle profile")

@@ -22,7 +22,8 @@ Every pass reads the ``(k, 2)`` int64 arrays of
 :meth:`~trisample.graph.EdgeStreamSource.arrays`, cuts them into blocks
 of at most ``_STREAM_BLOCK`` edges (in ``_edge_blocks``, the one place
 that cuts), and does its work on a block with array operations, so the
-temporaries add O(d * _STREAM_BLOCK) to the state.
+temporaries add O(d * _STREAM_BLOCK) to the state; pass 1 also holds an
+n-byte mask of the sampled vertices.
 Errors still name the first bad edge in stream order, as an
 edge-by-edge pass would.  Pass 1 records how many edges it read, and
 pass 2 refuses a stream that has changed length.
@@ -45,6 +46,7 @@ from typing import Iterator
 import numpy as np
 
 from .estimator import Estimate, Moments, finalize_estimate, fold_trials
+from .exact import _id_array
 from .graph import EdgeStreamSource
 from .rng import seed_streams
 from .samplers import QOPT_UNIFORM
@@ -161,20 +163,19 @@ def pass1_neighborhoods(
     a sampled vertex tests and sets one bit in its neighbour's row, that
     of the vertex's column, however many times the vertex was drawn.
     """
-    sampled = [int(i) for i in sampled]
-    for i in sampled:
-        if not 0 <= i < n:
-            raise ValueError(f"sampled vertex {i} outside universe [0,{n})")
-    ids = np.unique(np.array(sampled, dtype=np.int64))
+    drawn = _id_array(sampled, n)  # ValueError unless the ids are integers
+    if (drawn < 0).any():
+        raise ValueError(f"sampled vertex {sampled[int(drawn.argmin())]} outside universe [0,{n})")
+    ids = np.unique(drawn)
     state = StreamState(
-        sampled=sampled,
+        sampled=drawn.tolist(),
         n=n,
         neighbor_bits=np.zeros((n, (len(ids) + 7) // 8), dtype=np.uint8),
         vertex_count=np.zeros(len(sampled), dtype=np.int64),
     )
     bits = state.neighbor_bits
-    column = np.full(n, -1, dtype=np.int64)  # a sampled vertex's column of bits
-    column[ids] = np.arange(len(ids))
+    is_sampled = np.zeros(n, dtype=bool)
+    is_sampled[ids] = True
     seen: set[tuple[int, int]] | None = set() if strict else None
     for block in _edge_blocks(source, n):
         state.m += len(block)
@@ -188,9 +189,8 @@ def pass1_neighborhoods(
                 seen.add(key)
         # incidence k of the block: vertex ends[k] sees neighbour others[k]
         ends, others = block.ravel(), block[:, ::-1].ravel()
-        r = column[ends]
-        at = np.flatnonzero(r >= 0)
-        r, other = r[at], others[at]
+        at = np.flatnonzero(is_sampled[ends])
+        r, other = ids.searchsorted(ends[at]), others[at]  # r: the end's column of bits
         byte, mask = r >> 3, (1 << (r & 7)).astype(np.uint8)
         dup = np.ones(len(r), dtype=bool)  # set by an earlier incidence of the block...
         dup[np.unique(r * n + other, return_index=True)[1]] = False

@@ -11,6 +11,8 @@ PAW_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3)]
 K3_EDGES = [(0, 1), (0, 2), (1, 2)]
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 PATH3_EDGES = [(0, 1), (1, 2)]  # triangle-free
+# two disjoint triangles and an isolated vertex: 7 vertices, the profile of no other fixture
+TWO_TRIANGLES_EDGES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
 
 
 @pytest.fixture

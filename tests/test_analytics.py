@@ -13,6 +13,7 @@ from trisample import (
     build_sampler,
     chernoff_sample_size,
     count_exact,
+    estimator,
     make_plan,
     plan_from_profile,
     variance_closed_form,
@@ -21,8 +22,8 @@ from trisample import (
     variance_report,
 )
 
-from conftest import PAW_EDGES, chung_lu_graph, gnp_edges, gnp_graph
-from variance_reference import variance_loop
+from conftest import PAW_EDGES, TWO_TRIANGLES_EDGES, chung_lu_graph, gnp_edges, gnp_graph
+from variance_reference import variance_fraction, variance_loop
 
 
 def test_variance_examples_on_paw(paw):
@@ -61,6 +62,23 @@ def test_closed_form_agrees_with_generic_on_random_graphs():
             closed = variance_closed_form(g, prof, kind, 1)
             generic = variance_generic(g, prof, kind, 1)
             assert closed == pytest.approx(generic, rel=1e-9, abs=1e-9), kind
+            checked += 1
+    assert checked >= 60
+
+
+def test_closed_forms_round_the_exact_variance_once_on_random_graphs():
+    rng = np.random.default_rng(73)
+    graphs = [gnp_graph(int(rng.integers(3, 30)), float(rng.uniform(0.2, 0.6)), rng) for _ in range(15)]
+    graphs += [chung_lu_graph(int(n), int(3 * n), rng) for n in rng.integers(30, 300, size=10)]
+    checked = 0
+    for g in graphs:
+        prof = count_exact(g)
+        if prof.total == 0:
+            continue
+        for kind in SAMPLER_KINDS:
+            var = float(variance_fraction(g, prof, kind))
+            for s in (1, 7):
+                assert variance_closed_form(g, prof, kind, s) == var / s, (kind, s)
             checked += 1
     assert checked >= 60
 
@@ -166,13 +184,22 @@ def test_closed_forms_sum_the_same_in_python_ints_as_in_int64(monkeypatch):
     g = chung_lu_graph(2_000, 10_000, np.random.default_rng(67))
     prof = count_exact(g)
     kinds = [k for k in SAMPLER_KINDS if k != "optimal"]
+    sums_by_den = estimator._sums_by_den
+    fits = []  # for each sum a closed form takes: whether it runs in int64
+
+    def spy(num, den=1):
+        fits.append(int(num.max()) <= math.isqrt(estimator._INT64_MAX // len(num)))
+        return sums_by_den(num, den)
+
+    monkeypatch.setattr(analytics, "_sums_by_den", spy)
     in_int64 = {(k, s): variance_closed_form(g, prof, k, s) for k in kinds for s in (1, 7)}
-    assert analytics._for_squares(prof.edge_counts).dtype == np.int64
-    monkeypatch.setattr(analytics, "_INT64_MAX", 0)  # every sum could overflow: Python ints
-    assert analytics._for_squares(prof.edge_counts).dtype == object
+    assert len(fits) == len(in_int64) and all(fits)
+    fits.clear()
+    monkeypatch.setattr(estimator, "_INT64_MAX", 0)  # every sum could overflow: Python ints
     for (k, s), var in in_int64.items():
         assert var > 0
         assert variance_closed_form(g, prof, k, s) == var, (k, s)
+    assert len(fits) == len(in_int64) and not any(fits)
 
 
 def test_variance_scales_inversely_with_s(paw):
@@ -256,6 +283,27 @@ def test_plan_from_profile_vertex_and_edge(paw):
     plan_e = plan_from_profile(paw, prof, 0.1, 1.0, "edge", upper_bound=2.0)
     assert plan_e.average == pytest.approx(0.25)  # 1 triangle / 4 edges
     assert plan_e.upper_bound == 2.0
+
+
+def _two_triangles_profile():
+    return count_exact(Graph.from_edges(TWO_TRIANGLES_EDGES, n=7))
+
+
+def test_closed_form_refuses_another_graphs_profile(paw):
+    for kind in SAMPLER_KINDS:
+        with pytest.raises(ValueError, match="7 vertices but the graph has 4"):
+            variance_closed_form(paw, _two_triangles_profile(), kind)
+
+
+def test_generic_variance_refuses_another_graphs_profile(paw):
+    with pytest.raises(ValueError, match="7 vertices but the graph has 4"):
+        variance_generic(paw, _two_triangles_profile(), "edge-degree")
+
+
+def test_plan_refuses_another_graphs_profile(paw):
+    for bound in ("vertex", "edge"):
+        with pytest.raises(ValueError, match="7 vertices but the graph has 4"):
+            plan_from_profile(paw, _two_triangles_profile(), 0.1, 1.0, bound)
 
 
 def test_plan_rejects_triangle_free(path3):

@@ -20,7 +20,7 @@ from trisample import (
 from trisample.estimator import Moments, finalize_estimate, fold_trials
 from trisample.samplers import draw_vertices
 
-from conftest import PAW_EDGES, gnp_graph, hub_graph, without_pairs_draws
+from conftest import PAW_EDGES, TWO_TRIANGLES_EDGES, gnp_graph, hub_graph, without_pairs_draws
 from trial_reference import TrialDraw, draw, exact_trial_value, trial_value
 
 
@@ -362,3 +362,41 @@ def test_fold_sums_exactly_past_int64(shared_den):
             scale, 9192, nums, dens
         )
         assert est.value == est.sum_beta / est.trials
+
+
+def _dict_sums(num, den):
+    """``{d: [sum num, sum num^2]}`` over the entries with denominator d, in Python ints."""
+    out = {}
+    for a, d in zip(num, den):
+        acc = out.setdefault(d, [0, 0])
+        acc[0] += a
+        acc[1] += a * a
+    return out
+
+
+@pytest.mark.parametrize("python_ints", [False, True])
+def test_sums_by_den_match_python_int_sums(monkeypatch, python_ints):
+    if python_ints:
+        monkeypatch.setattr(trisample.estimator, "_INT64_MAX", 0)  # every sum could overflow
+    sums_by_den = trisample.estimator._sums_by_den
+    rng = np.random.default_rng(37)
+    for size, high in ((1, 10), (50, 1000), (4096, 1 << 30)):
+        num = rng.integers(0, high, size=size)
+        for den in (rng.integers(1, 40, size=size), np.full(size, 5), rng.integers(0, 3, size=size)):
+            want = _dict_sums(num.tolist(), den.tolist())
+            dens, sums, squares = sums_by_den(num, den)
+            assert dens == sorted(want)  # each denominator present, once
+            assert {d: [a, b] for d, a, b in zip(dens, sums, squares)} == want
+            assert all(type(x) is int for x in dens + sums + squares)
+        for den in (1, 12):
+            want = _dict_sums(num.tolist(), [den] * size)[den]
+            assert sums_by_den(num, den) == ([den], want[:1], want[1:])
+    for den in (1, np.array([], dtype=np.int64)):
+        assert sums_by_den(np.array([], dtype=np.int64), den) == ([], [], [])
+
+
+def test_estimate_refuses_another_graphs_profile(paw):
+    other = count_exact(Graph.from_edges(TWO_TRIANGLES_EDGES, n=7))
+    for kind in SAMPLER_KINDS:
+        with pytest.raises(ValueError, match="7 vertices but the graph has 4"):
+            estimate(paw, kind, 3, oracle=other)

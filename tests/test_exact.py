@@ -59,6 +59,26 @@ def test_paw_profile_matches_brute_force(paw):
     assert prof.edge_count(-1, 5) == prof.edge_count(0, 6) == 0  # the keys of (0, 1) and (1, 2)
 
 
+def test_edge_counts_refuse_ids_that_are_not_integers(paw):
+    prof = count_exact(paw)
+    for a, b in (([0.7], [1.2]), (["0"], ["1"]), ([0], [1.0]), ([1 << 70], [0.5])):
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            prof.edge_counts_of(a, b)
+    with pytest.raises(ValueError, match="vertex ids must be integers"):
+        prof.edge_count(0.0, 1)
+
+
+def test_edge_counts_are_zero_for_integer_ids_outside_the_graph(paw):
+    prof = count_exact(paw)
+    assert prof.edge_count(1 << 70, 1) == prof.edge_count(1, 1 << 70) == 0
+    assert prof.edge_count(-(1 << 70), 0) == prof.edge_count(1 << 63, 1 << 64) == 0
+    got = prof.edge_counts_of([1 << 70, 0, -1, 4, 1], [1, 1, 0, 0, np.int64(0)])
+    assert got.tolist() == [0, 1, 0, 0, 1]
+    assert prof.edge_counts_of([np.int64(1), 1 << 70], [0, 1]).tolist() == [1, 0]
+    wide = np.array([2**64 - 1, 0], dtype=np.uint64)  # 2^64 - 1 is -1 as an int64
+    assert prof.edge_counts_of(wide, np.array([0, 1])).tolist() == [0, 1]
+
+
 def test_local_edge_count(k4, paw):
     assert local_edge_count(k4, 0, 1) == 2
     assert local_edge_count(paw, 2, 3) == 0

@@ -16,7 +16,7 @@ from trisample import (
 from trisample import samplers
 from trisample.samplers import _Q_OPTIMAL_KINDS, draw_vertices, second_stage
 
-from conftest import gnp_graph
+from conftest import TWO_TRIANGLES_EDGES, gnp_graph
 from trial_reference import _first_stage_weights, draw, draw_given_i, exact_trial_value
 
 
@@ -56,6 +56,13 @@ def test_build_errors(path3):
             build_sampler(edgeless, kind)
     with pytest.raises(ValueError, match="unknown sampler"):
         build_sampler(path3, "doulion")
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_build_refuses_another_graphs_profile(paw, kind):
+    other = count_exact(Graph.from_edges(TWO_TRIANGLES_EDGES, n=7))
+    with pytest.raises(ValueError, match="7 vertices but the graph has 4"):
+        build_sampler(paw, kind, other)
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)

@@ -65,6 +65,17 @@ def test_pass1_rejects_out_of_universe_and_self_loops():
         pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [4], 4)
 
 
+def test_pass1_refuses_sampled_ids_that_are_not_integers():
+    for sampled in ([2.7], ["3"], [0, 1.0], [np.float64(2)]):
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), sampled, 4)
+    for sampled, bad in (([0, 4], 4), ([1, -1, 9], -1), ([2, 1 << 70], 1 << 70)):
+        with pytest.raises(ValueError, match=f"^sampled vertex {bad} outside universe"):
+            pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), sampled, 4)
+    state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [np.int64(2), 2], 4)
+    assert state.sampled == [2, 2] and all(type(v) is int for v in state.sampled)
+
+
 def test_pass2_counts_on_paw():
     state = pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [2], 4)
     pass2_local_counts(MemoryEdgeStream(PAW_EDGES), state)
