@@ -14,7 +14,6 @@ from .analytics import (
     make_plan,
     plan_from_profile,
     variance_closed_form,
-    variance_from_probabilities,
     variance_generic,
     variance_report,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "seed_streams",
     "stream_estimate",
     "variance_closed_form",
-    "variance_from_probabilities",
     "variance_generic",
     "variance_report",
     "write_edge_list",

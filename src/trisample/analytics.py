@@ -7,12 +7,11 @@ The variance of a single trial under first/second-stage probabilities
 
 summed over ordered pairs with T_{ij} > 0; the variance of the mean of
 ``s`` trials is that divided by s.  Each built-in strategy also has a
-specialized closed form, and the two must agree; both are exposed so
-they can be checked against each other.  Both read the profile's arrays:
-the generic sum is one float64 array expression over the strategy's
-``p_of`` and ``q_of``, and the closed forms sum exactly per denominator
+specialized closed form.  Both are exact sums of integer terms, the
+generic sum's from p and q as ratios of integers, summed per denominator
 with the trial engine's :func:`~trisample.estimator._sums_by_den` and
-divide once, exactly, so their single-trial variance is correctly rounded.
+divided once, exactly: each single-trial variance is correctly rounded,
+so the two forms are equal, and exactly 0.0 where the variance is 0.
 
 Sample-size planning inverts the exponential tail bound
 exp(-eps^2 s avg / (2 ub)) <= n^(-c) for the smallest integer s, where
@@ -24,11 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
-from .estimator import _sums_by_den
+from .estimator import _INT64_MAX, Moments, _sums_by_den, fold_trials
 from .exact import TriangleProfile, _check_profile
 from .graph import Graph
 from .samplers import (
@@ -37,7 +35,6 @@ from .samplers import (
     OPTIMAL,
     QOPT_DEGREE,
     QOPT_UNIFORM,
-    SAMPLER_KINDS,
     build_sampler,
 )
 
@@ -73,48 +70,51 @@ class ChernoffPlan:
     s: int
 
 
-def variance_from_probabilities(
-    profile: TriangleProfile,
-    p_of: Callable[[np.ndarray], np.ndarray | float],
-    q_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    s: int = 1,
-) -> float:
-    """Evaluate the generic variance sum for arbitrary (p, q) array accessors.
-
-    ``p_of(a)`` gives the first-stage probabilities of a vertex array and
-    ``q_of(a, b)`` the conditional probabilities of the pairs (a_t, b_t),
-    as :meth:`SamplerSpec.p_of` and :meth:`SamplerSpec.q_of` do.  Every
-    ordered pair with a positive local count must have positive draw
-    probability, otherwise the estimator the probabilities describe is
-    not even unbiased and the sum is meaningless; the error names the
-    first such pair, edges in lexicographic order and (i, j) before
-    (j, i).
-    """
-    if s < 1:
-        raise ValueError("trial count must be at least 1")
-    live = np.flatnonzero(profile.edge_counts)
-    c = profile.edge_counts[live]
-    i, j = profile.edges[live].T
-    # Every (i, j) with i < j, then every (j, i), one half at a time to
-    # halve the accessors' temporaries.  Only the first half is in
-    # ascending key order; the accessors sort the pairs they look up.
-    pq = np.stack([p_of(i) * q_of(i, j), p_of(j) * q_of(j, i)])
-    bad = pq <= 0.0
-    if bad.any():
-        k = int(bad.any(axis=0).argmax())
-        pair = (i[k], j[k]) if bad[0, k] else (j[k], i[k])
-        raise ValueError(
-            f"support violation: pair ({pair[0]},{pair[1]}) has local count {c[k]} "
-            "but zero draw probability"
-        )
-    acc = float(np.sum(np.square(c, dtype=np.float64) / pq))
-    return (acc / 36.0 - profile.total**2) / s
+def _counted_edges(profile: TriangleProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(c, i, j)``: each T_ij > 0 and its edge, i < j; a mask and ``take`` beat fancy indexing ×4."""
+    live = np.flatnonzero(profile.edge_counts > 0)
+    i, j = profile.edges.take(live, axis=0).T
+    return profile.edge_counts[live], i, j
 
 
 def variance_generic(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) -> float:
-    """Generic variance sum evaluated with the strategy's own accessors."""
+    """The generic variance sum over the strategy's own p and q, exactly.
+
+    Each ordered pair with c = T_ij > 0 adds W c^2 y / (w_i x), for p_i = w_i / W and
+    q_{j|i} = x / y (:meth:`~trisample.samplers.SamplerSpec._q_ratio`).  The terms, in
+    Python ints where int64 could overflow and reduced by their gcd, are folded per
+    denominator, the pairs (i, j) with i < j and then the (j, i), and divided once: the
+    result equals :func:`variance_closed_form`'s.  A counted pair of zero draw probability
+    raises a ValueError naming the first, edges in order, (i, j) before (j, i) in an edge.
+    """
+    if s < 1:
+        raise ValueError("trial count must be at least 1")
     spec = build_sampler(g, kind, profile)
-    return variance_from_probabilities(profile, spec.p_of, spec.q_of, s)
+    c, i, j = _counted_edges(profile)
+    firsts, moments = [], Moments(spec._p_total)  # each half's first pair of zero probability
+    for a, b in ((i, j), (j, i)):  # one half at a time: half the temporaries
+        x, y = spec._q_ratio(a, b)
+        w = 1 if spec._p_weights is None else spec._p_weights[a]
+        c_max, y_max, x_max, w_max = (int(np.max(v, initial=0)) for v in (c, y, x, w))
+        big = c_max * c_max * y_max > _INT64_MAX or w_max * x_max > _INT64_MAX
+        cc, y, w, x = (np.asarray(v, dtype=object if big else np.int64) for v in (c, y, w, x))
+        num, den = cc * cc, x  # in place from here: fresh pages cost as much as the ops
+        num *= y
+        den *= w  # x is _q_ratio's own new array
+        firsts.append(int(np.append(den == 0, True).argmax()))  # the first zero, else len(c)
+        if firsts[-1] < len(c):
+            continue
+        common = np.gcd(den, num)  # the smaller first: numpy's Euclid then takes a step less
+        num //= common
+        den //= common
+        fold_trials(moments, 0, num, den.astype(np.int64, copy=False))
+    if (k := min(firsts)) < len(c):
+        pair = f"({i[k]},{j[k]})" if firsts[0] == k else f"({j[k]},{i[k]})"
+        raise ValueError(
+            f"support violation: pair {pair} has local count {c[k]} but zero draw probability"
+        )
+    acc, _, lcm = moments.exact()  # acc / lcm is the sum of the reduced terms
+    return float(Fraction(moments.scale * acc, 36 * lcm) - profile.total**2) / s
 
 
 def variance_closed_form(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) -> float:
@@ -134,9 +134,7 @@ def variance_closed_form(g: Graph, profile: TriangleProfile, kind: str, s: int =
     """
     if s < 1:
         raise ValueError("trial count must be at least 1")
-    if kind not in SAMPLER_KINDS:
-        raise ValueError(f"unknown sampler kind {kind!r}; choose from {SAMPLER_KINDS}")
-    _check_profile(g, profile)
+    build_sampler(g, kind, profile)  # ValueError where the strategy is undefined
     if kind == OPTIMAL:
         return 0.0
     tri, counts = profile.per_vertex, profile.edge_counts
@@ -148,9 +146,8 @@ def variance_closed_form(g: Graph, profile: TriangleProfile, kind: str, s: int =
         lcm = math.lcm(*dens)  # acc / lcm is the sum of T_i^2 / deg(i)
         scale, k, acc = 2 * g.m, 9 * lcm, sum(b * (lcm // d) for d, b in zip(dens, squares))
     elif kind == EDGE_UNIFORM:
-        live = np.flatnonzero(counts)
-        i, j = profile.edges[live].T
-        dens, _, squares = _sums_by_den(counts[live], g.degrees[i] + g.degrees[j])
+        c, i, j = _counted_edges(profile)
+        dens, _, squares = _sums_by_den(c, g.degrees[i] + g.degrees[j])
         scale, k, acc = g.n, 36, sum(d * b for d, b in zip(dens, squares))
     else:
         scale, k, acc = g.m, 9, sum(_sums_by_den(counts)[2])
@@ -225,18 +222,20 @@ def plan_from_profile(
     bound_kind: str,
     upper_bound: float | None = None,
 ) -> ChernoffPlan:
-    """Build a plan with the average (and optionally the bound) taken from the oracle."""
+    """A plan from the oracle's average and largest local count, or an ``upper_bound`` above it."""
     _check_profile(g, profile)
     if bound_kind == VERTEX_BOUND:
         average = profile.total / g.n
-        derived_upper = float(profile.max_per_vertex)
+        name, largest = "max_per_vertex", profile.max_per_vertex
     elif bound_kind == EDGE_BOUND:
         if g.m == 0:
             raise ValueError("edge-bound plan needs at least one edge")
         average = profile.total / g.m
-        derived_upper = float(profile.max_per_edge)
+        name, largest = "max_per_edge", profile.max_per_edge
     else:
         raise ValueError(f"bound_kind must be {VERTEX_BOUND!r} or {EDGE_BOUND!r}")
-    ub = derived_upper if upper_bound is None else float(upper_bound)
+    ub = float(largest if upper_bound is None else upper_bound)
+    if ub < largest:
+        raise ValueError(f"upper bound {upper_bound} is below the oracle's {name} {largest}")
     return make_plan(epsilon, c, g.n, ub, average, bound_kind)
 

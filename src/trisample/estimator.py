@@ -89,7 +89,8 @@ def _sums_by_den(num: np.ndarray, den: np.ndarray | int = 1) -> tuple[list, list
     denominator, or in Python ints where the squares could overflow."""
     if not len(num):
         return [], [], []
-    big = int(num.max()) > math.isqrt(_INT64_MAX // len(num))
+    big = int(num.max()) > math.isqrt(_INT64_MAX // len(num))  # loose: the float sum decides
+    big = big and (approx := num.astype(np.float64)) @ approx > _INT64_MAX / 2
     num = num.astype(object if big else np.int64, copy=False)
     if np.ndim(den) == 0:
         return [int(den)], [int(num.sum())], [int((num * num).sum())]

@@ -108,33 +108,29 @@ class SamplerSpec:
 
     def q_of(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Conditional probabilities q_{b_t|a_t} of the equal-length vertex
-        arrays, each equal to ``q``'s."""
+        arrays, each equal to ``q``'s: x / y of :meth:`_q_ratio`, 0 where x is."""
         g = self.graph
-        a, b = _check_ids(g, a), _check_ids(g, b)
-        if self.kind not in _Q_OPTIMAL_KINDS:
-            return np.divide(1.0, g.degrees[a], out=np.zeros(len(a)), where=_find_pairs(g, a, b))
+        x, y = self._q_ratio(_check_ids(g, a), _check_ids(g, b))
+        return np.divide(x, y, out=np.zeros(len(x)), where=x > 0)
+
+    def _q_ratio(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, y)``, int64 arrays with q_{b_t|a_t} = x / y and x = 0 off support, for
+        ids in range: (T_ab, 2 T_a) for the q-optimal kinds, ([ab is an edge], deg(a)) for
+        the edge kinds; ``q_of`` divides them, ``analytics.variance_generic`` sums them."""
+        g = self.graph
+        if self.kind not in _Q_OPTIMAL_KINDS:  # search the sorted keys a * n + b in order
+            keys, order = _sort_indexed(a * g.n + b, g.n * g.n)
+            x = np.empty(len(a), dtype=np.int64)
+            x[order] = _lookup(g.edge_keys, keys)[1]
+            return x, g.degrees[a]
         profile = self._q_profile
-        delta_i, delta_ij = profile.per_vertex[a], profile.edge_counts_of(a, b)
-        return np.divide(delta_ij, 2 * delta_i, out=np.zeros(len(a)), where=delta_i > 0)
+        return profile.edge_counts_of(a, b), 2 * profile.per_vertex[a]
 
     @cached_property
     def _q_profile(self) -> TriangleProfile:
         """The profile the q-optimal ``q_of`` reads: the one given to
         :func:`build_sampler`, or else :func:`count_exact`'s, counted once."""
         return self.profile if self.profile is not None else count_exact(self.graph)
-
-
-def _find_pairs(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether each ordered pair (a_t, b_t) is in :attr:`Graph.edge_keys`.
-
-    The keys ``a * n + b`` are sorted before the search, as
-    ``exact._find_edges`` sorts its probes, so that they walk the search
-    tree in order; the answers come back in pair order.
-    """
-    keys, order = _sort_indexed(a * g.n + b, g.n * g.n)
-    hit = np.empty(len(keys), dtype=bool)
-    hit[order] = _lookup(g.edge_keys, keys)[1]
-    return hit
 
 
 def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) -> SamplerSpec:

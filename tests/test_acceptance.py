@@ -185,7 +185,7 @@ def test_criterion_4_variance_closed_forms():
                 continue
             closed = variance_closed_form(g, prof, kind, 1)
             generic = variance_generic(g, prof, kind, 1)
-            assert closed == pytest.approx(generic, rel=1e-9, abs=1e-9), kind
+            assert closed == generic, kind
             checked += 1
     elapsed = time.perf_counter() - t0
     _report(

@@ -17,7 +17,6 @@ from trisample import (
     make_plan,
     plan_from_profile,
     variance_closed_form,
-    variance_from_probabilities,
     variance_generic,
     variance_report,
 )
@@ -61,7 +60,7 @@ def test_closed_form_agrees_with_generic_on_random_graphs():
                 continue
             closed = variance_closed_form(g, prof, kind, 1)
             generic = variance_generic(g, prof, kind, 1)
-            assert closed == pytest.approx(generic, rel=1e-9, abs=1e-9), kind
+            assert closed == generic, kind
             checked += 1
     assert checked >= 60
 
@@ -103,37 +102,36 @@ def test_array_generic_matches_the_per_pair_loop():
             spec = build_sampler(g, kind, prof)
             for s in (1, 7):
                 want = variance_loop(prof, spec.p, spec.q, s)
-                got = variance_from_probabilities(prof, spec.p_of, spec.q_of, s)
-                # relative to the sum of the terms, (Var + T^2) / s
+                got = variance_generic(g, prof, kind, s)
+                # the loop sums in floats: relative to the sum of the terms, (Var + T^2) / s
                 assert abs(got - want) <= 1e-12 * (abs(want) + prof.total**2 / s), (kind, g)
-                assert variance_generic(g, prof, kind, s) == got
             checked += 1
     assert checked >= 60
 
 
 def test_a_zero_probability_on_a_counted_pair_names_the_reference_pair():
-    rng = np.random.default_rng(71)
-    g = gnp_graph(14, 0.5, rng)
-    prof = count_exact(g)
-    spec = build_sampler(g, "edge-degree", prof)
-    counted = [e for e, c in prof.per_edge.items() if c]
-    assert len(counted) >= 4
-    (i1, j1), (i2, j2) = counted[1], counted[3]
-    # (j1, i1) comes before (i2, j2) in the reference order; (i1, j1) is fine
-    for zeros in ({(j1, i1)}, {(i2, j2)}, {(i2, j2), (j1, i1)}, {(j2, i2), (i2, j2)}):
-
-        def q(i, j, zeros=zeros):
-            return 0.0 if (i, j) in zeros else spec.q(i, j)
-
-        def q_of(a, b, zeros=zeros):
-            hit = np.array([(x, y) in zeros for x, y in zip(a.tolist(), b.tolist())], dtype=bool)
-            return np.where(hit, 0.0, spec.q_of(a, b))
-
+    k4 = count_exact(Graph.from_edges(combinations(range(4), 2)))  # every T_ij is 2
+    cases = [
+        # the path 0-1-2-3 lacks the counted edge {0,2}, both ways
+        (Graph.from_edges([(0, 1), (1, 2), (2, 3)]), "edge-uniform", "(0,2)"),
+        (Graph.from_edges([(0, 1), (1, 2), (2, 3)]), "edge-degree", "(0,2)"),
+        # vertex 3 is isolated, so p_3 = 0 while p_0 > 0: (0,3) is fine, (3,0) is not
+        (Graph.from_edges([(0, 1), (0, 2), (1, 2)], n=4), "qopt-degree", "(3,0)"),
+        (Graph.from_edges([(0, 1), (0, 2), (1, 2)], n=4), "edge-degree", "(0,3)"),
+    ]
+    k5 = count_exact(Graph.from_edges(combinations(range(5), 2)))  # every T_ij is 3
+    # vertex 1 is isolated: edge {0,1} fails only as (1,0), the later {1,2} as (1,2);
+    # the first failing edge is named, not the first failing (i, j) of any edge
+    cases.append((Graph.from_edges(combinations([0, 2, 3, 4], 2), n=5), "qopt-degree", "(1,0)"))
+    for g, kind, pair in cases:
+        prof = k4 if g.n == 4 else k5
+        spec = build_sampler(g, kind, prof)
         with pytest.raises(ValueError, match="support violation") as want:
-            variance_loop(prof, spec.p, q)
+            variance_loop(prof, spec.p, spec.q)
         with pytest.raises(ValueError, match="support violation") as got:
-            variance_from_probabilities(prof, spec.p_of, q_of)
+            variance_generic(g, prof, kind)
         assert str(got.value) == str(want.value)
+        assert f"pair {pair} has local count {prof.edge_counts[0]}" in str(got.value), kind
 
 
 @pytest.mark.parametrize("kind", ["qopt-uniform", "qopt-degree", "edge-uniform", "edge-degree"])
@@ -143,6 +141,8 @@ def test_closed_forms_are_exactly_zero_on_complete_graphs(kind):
         prof = count_exact(g)
         assert variance_closed_form(g, prof, kind, 1) == 0.0, n
         assert variance_closed_form(g, prof, kind, 3) == 0.0, n
+        assert variance_generic(g, prof, kind, 1) == 0.0, n
+        assert variance_generic(g, prof, kind, 3) == 0.0, n
 
 
 def test_closed_forms_are_exact_beyond_int64_squares():
@@ -178,6 +178,8 @@ def test_closed_forms_are_exact_beyond_int64_squares():
         assert var > 0
         assert variance_closed_form(g, prof, kind, 1) == float(var), kind
         assert variance_closed_form(g, prof, kind, 5) == float(var) / 5, kind
+        assert variance_generic(g, prof, kind, 1) == float(var), kind
+        assert variance_generic(g, prof, kind, 5) == float(var) / 5, kind
 
 
 def test_closed_forms_sum_the_same_in_python_ints_as_in_int64(monkeypatch):
@@ -208,7 +210,7 @@ def test_variance_scales_inversely_with_s(paw):
         v1 = variance_closed_form(paw, prof, kind, 1)
         for s in (2, 10, 1000):
             assert variance_closed_form(paw, prof, kind, s) == v1 / s
-            assert variance_generic(paw, prof, kind, s) == pytest.approx(v1 / s, abs=1e-12)
+            assert variance_generic(paw, prof, kind, s) == v1 / s
 
 
 def test_variance_report_fields(paw):
@@ -216,8 +218,24 @@ def test_variance_report_fields(paw):
     rep = variance_report(paw, prof, "qopt-uniform", 10)
     assert rep.kind == "qopt-uniform"
     assert rep.s == 10
-    assert rep.analytical_variance == pytest.approx(rep.generic_variance, rel=1e-9)
+    assert rep.analytical_variance == rep.generic_variance
     assert rep.analytical_variance >= 0.0
+
+
+def test_closed_form_refuses_the_strategies_build_sampler_refuses(path3):
+    edgeless = Graph.from_edges([], n=3)
+    empty = Graph.from_edges([], n=0)
+    cases = [(path3, "optimal", "triangle-free")]
+    cases += [(edgeless, kind, "triangle-free|edgeless") for kind in ("optimal", "qopt-degree", "edge-degree")]
+    cases += [(empty, kind, "no vertices") for kind in SAMPLER_KINDS]
+    assert len(cases) == 9
+    for g, kind, match in cases:
+        prof = count_exact(g)
+        with pytest.raises(ValueError, match=match):
+            build_sampler(g, kind, prof)
+        for variance in (variance_closed_form, variance_generic):
+            with pytest.raises(ValueError, match=match):
+                variance(g, prof, kind)
 
 
 def test_variance_rejects_unknown_kind(paw):
@@ -283,6 +301,15 @@ def test_plan_from_profile_vertex_and_edge(paw):
     plan_e = plan_from_profile(paw, prof, 0.1, 1.0, "edge", upper_bound=2.0)
     assert plan_e.average == pytest.approx(0.25)  # 1 triangle / 4 edges
     assert plan_e.upper_bound == 2.0
+
+
+def test_plan_refuses_an_upper_bound_below_the_oracles(paw):
+    prof = count_exact(paw)  # max per vertex 1, max per edge 1
+    for bound, name in (("vertex", "max_per_vertex"), ("edge", "max_per_edge")):
+        with pytest.raises(ValueError, match=f"upper bound 0.5 is below the oracle's {name} 1"):
+            plan_from_profile(paw, prof, 0.1, 1.0, bound, upper_bound=0.5)
+        plan = plan_from_profile(paw, prof, 0.1, 1.0, bound, upper_bound=1.0)
+        assert plan == plan_from_profile(paw, prof, 0.1, 1.0, bound)
 
 
 def _two_triangles_profile():

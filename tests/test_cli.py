@@ -193,6 +193,15 @@ def test_variance_matches_analytics(capsys, paw_file, k3_file):
     assert report["result"]["analytical_variance"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_variance_on_a_complete_graph_reports_exact_zeros(capsys, tmp_path):
+    path = tmp_path / "k14.edges"
+    path.write_text("".join(f"{i} {j}\n" for i in range(14) for j in range(i + 1, 14)))
+    for kind in SAMPLER_KINDS:
+        result = run_json(capsys, "variance", str(path), "--sampler", kind)["result"]
+        assert (result["analytical_variance"], result["generic_variance"]) == (0.0, 0.0), kind
+        assert result["difference"] == 0.0, kind
+
+
 def test_plan_parameter_mode(capsys):
     report = run_json(
         capsys, "plan", "--epsilon", "0.1", "--c", "1", "--n", "1000", "--upper-bound", "2", "--bound", "vertex"
@@ -234,6 +243,15 @@ def test_plan_from_a_file_refuses_n(capsys, paw_file):
     assert code == 1
     assert out == ""
     assert err == "error: plan reads n from its edge-list file; --n is for a plan without one\n"
+
+
+@pytest.mark.parametrize("bound, name", [("vertex", "max_per_vertex"), ("edge", "max_per_edge")])
+def test_plan_from_a_file_refuses_a_bound_below_the_oracles(capsys, paw_file, bound, name):
+    argv = ("plan", paw_file, "--epsilon", "0.1", "--bound", bound, "--upper-bound")
+    code, out, err = run_cli(capsys, *argv, "0.5")
+    assert (code, out) == (1, "")
+    assert err == f"error: upper bound 0.5 is below the oracle's {name} 1\n"
+    assert run_json(capsys, *argv, "1")["result"]["upper_bound"] == 1.0
 
 
 def test_plan_triangle_free_fails(capsys, path3_file):

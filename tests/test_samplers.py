@@ -11,13 +11,13 @@ from trisample import (
     count_exact,
     estimate,
     seed_streams,
-    variance_from_probabilities,
 )
 from trisample import samplers
 from trisample.samplers import _Q_OPTIMAL_KINDS, draw_vertices, second_stage
 
 from conftest import TWO_TRIANGLES_EDGES, gnp_graph
 from trial_reference import _first_stage_weights, draw, draw_given_i, exact_trial_value
+from variance_reference import variance_loop
 
 
 def test_optimal_probabilities_on_k3(k3):
@@ -357,7 +357,7 @@ def test_empirical_frequencies_match_accessors(monkeypatch, paw):
 def test_qopt_second_stage_beats_perturbed_alternatives(paw):
     prof = count_exact(paw)
     spec = build_sampler(paw, "qopt-uniform")
-    best = variance_from_probabilities(prof, spec.p_of, spec.q_of)
+    best = variance_loop(prof, spec.p, spec.q)
     rng = np.random.default_rng(13)
     support = {
         i: [j for j in range(paw.n) if prof.edge_count(i, j) > 0]
@@ -369,8 +369,8 @@ def test_qopt_second_stage_beats_perturbed_alternatives(paw):
         for i, js in support.items():
             table[i, js] = rng.dirichlet(np.ones(len(js)))
 
-        def q_alt(a, b, table=table):
-            return table[a, b]
+        def q_alt(i, j, table=table):
+            return float(table[i, j])
 
-        alt = variance_from_probabilities(prof, spec.p_of, q_alt)
+        alt = variance_loop(prof, spec.p, q_alt)
         assert best <= alt + 1e-12

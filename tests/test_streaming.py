@@ -232,6 +232,16 @@ def test_duplicate_edge_detected_at_sampled_vertex():
         pass1_neighborhoods(MemoryEdgeStream(dup), [3], 4, strict=True)
 
 
+def test_repeat_keys_do_not_wrap_around_int64():
+    n = 1 << 62  # the key of {4,5}, 4 n + 5, would read 5 in int64, the key of {0,5}
+    seen = set()
+    streaming._add_new_edges(seen, np.array([0, 5]), np.array([5, 4]), n)
+    assert seen == {5, 4 * n + 5}
+    with pytest.raises(StreamFormatError, match=r"duplicate edge \{4,5\} in stream"):
+        streaming._add_new_edges(seen, np.array([7, 1, 4]), np.array([8, 2, 5]), n)
+    assert seen == {5, 4 * n + 5, 7 * n + 8, n + 2}  # the edges before the repeat went in
+
+
 def test_pass2_refuses_a_repeated_edge_that_closes_a_triangle():
     # (1, 0) again touches no sampled vertex, so pass 1 lets it through;
     # pass 2 would count the triangle {0, 1, 2} twice.
