@@ -201,11 +201,6 @@ def cmd_stream(args) -> tuple[dict, dict, int | None]:
     with contextlib.ExitStack() as stack:
         source = args.file
         if source == "-":
-            if args.n is None:
-                raise StreamFormatError(
-                    "streaming from a pipe needs an explicit --n: piped input "
-                    "cannot be replayed to discover the vertex count"
-                )
             # An anonymous file: it has no directory entry to leave behind.
             spool = stack.enter_context(tempfile.TemporaryFile("w+"))
             shutil.copyfileobj(sys.stdin, spool)
@@ -304,10 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_plan)
 
     p = sub.add_parser("stream", help="two-pass estimate over an edge stream")
-    p.add_argument("file", help="edge-list file, or - for stdin (needs --n)")
+    p.add_argument("file", help="edge-list file, or - for stdin")
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=_positive_int, default=None, help="vertex count, skips a pass")
+    p.add_argument("--n", type=_positive_int, default=None, help="vertex count, skips a pass; must agree with a '# n=' header")
     p.add_argument("--strict", action="store_true", help="hash all edges to reject duplicates")
     add_format(p)
     p.set_defaults(handler=cmd_stream)

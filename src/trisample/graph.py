@@ -31,9 +31,9 @@ lines (ASCII digits, spaces, tabs and ``\n`` or ``\r\n`` line ends;
 every non-blank line two ids, each of value below ``10**18``) is checked
 in one scan of its id starts and line ends, and parsed with array
 operations.  The lines up to the first edge, and any other chunk, go
-through the per-line grammar of :func:`_prelude` and :func:`_body`.  So
-the grammar, and the line number of every error, do not depend on the
-source or on how it is read.
+through the one per-line grammar of :func:`_records`.  So the grammar,
+and the line number of every error, do not depend on the source or on
+how it is read.
 """
 
 from __future__ import annotations
@@ -313,38 +313,17 @@ def _edge_pairs(edges) -> np.ndarray:
     return pairs.astype(np.int64, copy=False)
 
 
-def _prelude(lines, declared_n: int | None = None) -> tuple[int | None, tuple[int, int] | None]:
-    """Read numbered lines up to and including the first edge record.
+def _records(lines, header: list[int] | None = None) -> Iterator[tuple[int, int]]:
+    """The edge records of numbered lines, as ``(u, v)`` in input order.
 
-    ``lines`` yields ``(line number, text)``.  Blank lines and lines
-    starting with ``#`` or ``%`` are skipped; the ``# n=<count>`` header,
-    a comment too, may appear once, and a repeated one is a
-    :class:`ParseError` naming its line.  Returns the header count
-    (``declared_n`` if no header is read) and the first edge, or ``None``
-    when the lines run out first.
-    """
-    for lineno, raw in lines:
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if tokens[0][0] in "#%":
-            header = _HEADER_RE.match(raw.strip())
-            if header:
-                if declared_n is not None:
-                    raise ParseError(f"line {lineno}: repeated '# n=' header")
-                declared_n = int(header.group(1))
-            continue
-        return declared_n, _vertex_ids(tokens, lineno)
-    return declared_n, None
-
-
-def _body(lines) -> Iterator[tuple[int, int]]:
-    """The edge records of numbered lines that follow the first edge.
-
-    A record is two vertex ids, each a string of ASCII decimal digits of
-    value at most ``2**63 - 1``, yielded as ``(u, v)`` in input order.  Blank lines and comments are skipped, but
-    a ``# n=`` header here, after the first edge, is a :class:`ParseError`
-    naming its line, as is a malformed record.
+    ``lines`` yields ``(line number, text)``.  A record is two vertex ids,
+    each a string of ASCII decimal digits of value at most ``2**63 - 1``;
+    a malformed one is a :class:`ParseError` naming its line.  Blank lines
+    and lines starting with ``#`` or ``%`` are skipped.  The ``# n=<count>``
+    header, a comment too, may appear once, before the first edge:
+    ``header`` is the list its count is appended to while one may still
+    come, and ``None`` when the lines follow an edge.  Any other header is
+    a :class:`ParseError` naming its line.
     """
     for lineno, raw in lines:
         tokens = raw.split()
@@ -352,14 +331,21 @@ def _body(lines) -> Iterator[tuple[int, int]]:
             a, b = tokens
             # ASCII digit strings shorter than 19 digits always fit an int64
             if a.isdigit() and b.isdigit() and len(a) < 19 and len(b) < 19 and raw.isascii():
+                header = None
                 yield int(a), int(b)
                 continue
         if not tokens:
             continue
         if tokens[0][0] in "#%":
-            if _HEADER_RE.match(raw.strip()):
-                raise ParseError(f"line {lineno}: '# n=' header after the first edge")
+            count = _HEADER_RE.match(raw.strip())
+            if count:
+                if header is None:
+                    raise ParseError(f"line {lineno}: '# n=' header after the first edge")
+                if header:
+                    raise ParseError(f"line {lineno}: repeated '# n=' header")
+                header.append(int(count.group(1)))
             continue
+        header = None
         yield _vertex_ids(tokens, lineno)
 
 
@@ -420,23 +406,23 @@ def _file_arrays(fh) -> Iterator:
     ``\n``, ``\r\n`` and a lone ``\r``), and errors name the lines so
     numbered, wherever the chunks are cut.
     """
-    lineno, declared_n, first = 1, None, None
+    lineno, header, first = 1, [], None
     while first is None and (line := fh.readline()):
         text = _text_lines(line)  # more than one line if a lone \r ends some
-        lines = enumerate(text, start=lineno)
-        declared_n, first = _prelude(lines, declared_n)
+        records = _records(enumerate(text, start=lineno), header)
+        first = next(records, None)
         lineno += len(text)
-    yield declared_n
+    yield header[0] if header else None
     if first is None:
         return
-    yield _pairs(chain([first], _body(lines)))
+    yield _pairs(chain([first], records))
     while chunk := fh.read(_CHUNK_BYTES):
         if not chunk.endswith(b"\n"):
             chunk += fh.readline()  # on to the end of the line the read cut
         plain = _plain_pairs(chunk)
         if plain is None:
             text = _text_lines(chunk)
-            yield _pairs(_body(enumerate(text, start=lineno)))
+            yield _pairs(_records(enumerate(text, start=lineno)))
             lineno += len(text)
         else:
             pairs, lines = plain

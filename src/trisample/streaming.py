@@ -3,7 +3,9 @@
 Uniform first-stage sampling with variance-minimizing second stage,
 reorganized for sequential edge access:
 
-  * pass 0 (only when the vertex count is unknown): find n.
+  * pass 0 (only when neither the caller nor the source, by a ``# n=``
+    header, gives the vertex count): find n.  A count from both must
+    agree.
   * pass 1: set bit r of vertex v's row when v neighbours the r-th
     smallest distinct sampled vertex.
   * pass 2: for every stream edge {j, d}, each bit r set in both rows j
@@ -25,7 +27,8 @@ that cuts), and does its work on a block with array operations, so the
 temporaries add O(d * _STREAM_BLOCK) to the state; pass 1 also holds an
 n-byte mask of the sampled vertices.
 Errors still name the first bad edge in stream order, as an
-edge-by-edge pass would.  Pass 1 records how many edges it read, and
+edge-by-edge pass would; pass 0 already refuses a self-loop or a
+negative id.  Pass 1 records how many edges it read, and
 pass 2 refuses a stream that has changed length.
 Pass 2 also refuses a repeated edge that closes a triangle, which pass 1
 only sees under ``strict`` but which would be counted twice.
@@ -108,28 +111,34 @@ def _edge_blocks(source: EdgeStreamSource, n: int | None = None) -> Iterator[np.
     source's arrays, so that no block spans two of them.
 
     The source is read to its end, so the pass counts in
-    ``source.passes``.  With ``n``, every edge is checked against the
-    universe ``[0, n)``.  The edges before the first bad one come as a
-    block of their own, and the next step raises on the bad edge through
-    ``_check_endpoints``.  A pass that acts on each block before asking
-    for the next one thus reports its errors in stream order.
+    ``source.passes``.  Every edge is checked for a self-loop and a
+    negative id, and with ``n`` also against the universe ``[0, n)``.
+    The edges before the first bad one come as a block of their own, and
+    the next step raises on the bad edge through ``_check_endpoints``.  A
+    pass that acts on each block before asking for the next one thus
+    reports its errors in stream order.
     """
     for edges in source.arrays():
         for lo in range(0, len(edges), _STREAM_BLOCK):
             block = edges[lo : lo + _STREAM_BLOCK]
+            u, v = block[:, 0], block[:, 1]
+            bad = (u == v) | (np.minimum(u, v) < 0)
             if n is not None:
-                u, v = block[:, 0], block[:, 1]
-                bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
-                if bad.any():
-                    k = int(bad.argmax())
-                    if k:
-                        yield block[:k]
-                    _check_endpoints(*block[k].tolist(), n)  # raises: the edge is bad
+                bad |= np.maximum(u, v) >= n
+            if bad.any():
+                k = int(bad.argmax())
+                if k:
+                    yield block[:k]
+                _check_endpoints(*block[k].tolist(), n)  # raises: the edge is bad
             yield block
 
 
 def pass_count_n(source: EdgeStreamSource) -> int:
-    """Extra pass for when the vertex count is unknown: max endpoint + 1."""
+    """Extra pass for when the vertex count is unknown: max endpoint + 1.
+
+    Raises on an empty stream, and, as pass 1 would, on the first
+    self-loop or negative id.
+    """
     max_id = -1
     for block in _edge_blocks(source):
         max_id = max(max_id, int(block.max()))
@@ -138,10 +147,13 @@ def pass_count_n(source: EdgeStreamSource) -> int:
     return max_id + 1
 
 
-def _check_endpoints(u: int, v: int, n: int) -> None:
+def _check_endpoints(u: int, v: int, n: int | None) -> None:
+    """Raise on a self-loop, a negative id or, with ``n``, an id of ``n`` or more."""
     if u == v:
         raise StreamFormatError(f"self-loop ({u},{u}) in edge stream")
-    if u >= n or v >= n or u < 0 or v < 0:
+    if u < 0 or v < 0:
+        raise StreamFormatError(f"edge ({u},{v}) has a negative vertex id")
+    if n is not None and (u >= n or v >= n):
         raise StreamFormatError(f"edge ({u},{v}) outside vertex universe [0,{n})")
 
 
@@ -291,14 +303,17 @@ def stream_estimate(
 ) -> StreamRun:
     """Full pipeline: (optional counting pass,) pass 1, pass 2, finalize.
 
-    With ``n`` supplied (or declared by the source) the run takes exactly
-    2 passes, otherwise 3.
+    With ``n`` supplied or declared by the source the run takes exactly
+    2 passes, otherwise 3.  An ``n`` that differs from the source's
+    ``declared_n`` is refused.
     """
     if s < 1:
         raise ValueError("trial count must be at least 1")
     passes_before = source.passes
     if n is None:
         n = source.declared_n
+    elif source.declared_n not in (None, n):
+        raise StreamFormatError(f"n={n} contradicts the n={source.declared_n} the source declares")
     if n is None:
         n = pass_count_n(source)
     elif n < 1:

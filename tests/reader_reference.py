@@ -1,17 +1,16 @@
 """The line-by-line edge-list reader: the reference the byte reader is checked against.
 
 It reads each line of a text source through the library's per-line
-grammar (``graph._prelude`` and ``graph._body``), one Python step per
-line, with none of the byte reader's chunks or array parsing.  Nothing
-here is used by the library, whose every source goes through
-``graph._file_arrays``.
+grammar (``graph._records``), one Python step per line, with none of the
+byte reader's chunks or array parsing.  Nothing here is used by the
+library, whose every source goes through ``graph._file_arrays``.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from trisample.graph import _body, _prelude
+from trisample.graph import _records
 
 
 def edge_records(source) -> Iterator:
@@ -21,10 +20,11 @@ def edge_records(source) -> Iterator:
     there is none), then each edge record as ``(u, v)`` in input order;
     a malformed line raises the library's ``ParseError`` naming it.
     """
-    lines = enumerate(source, start=1)
-    declared_n, first = _prelude(lines)
-    yield declared_n
+    header: list[int] = []
+    records = _records(enumerate(source, start=1), header)
+    first = next(records, None)
+    yield header[0] if header else None
     if first is None:
         return
     yield first
-    yield from _body(lines)
+    yield from records

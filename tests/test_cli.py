@@ -288,6 +288,19 @@ def test_stream_passes(capsys, paw_file, k3_file):
     assert report["result"]["estimate"] == 1.0
 
 
+def test_stream_n_must_agree_with_the_header(capsys, tmp_path):
+    path = tmp_path / "paw.edges"
+    path.write_text("# n=4\n0 1\n0 2\n1 2\n2 3\n")
+    code, out, err = run_cli(capsys, "stream", str(path), "--samples", "8", "--seed", "3", "--n", "100")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "n=100" in err and "n=4" in err
+    report = run_json(capsys, "stream", str(path), "--samples", "8", "--seed", "3", "--n", "4")
+    mem = run_json(capsys, "estimate", str(path), "--sampler", "qopt-uniform", "--samples", "8", "--seed", "3")
+    assert report["result"]["n"] == 4
+    assert report["result"]["passes_used"] == 2
+    assert report["result"]["estimate"] == mem["result"]["estimate"]
+
+
 def test_stream_reports_the_edge_count(capsys, paw_file):
     report = run_json(capsys, "stream", paw_file, "--samples", "4", "--seed", "2")
     assert report["input"]["m"] == 4
@@ -301,15 +314,22 @@ def test_stream_matches_in_memory_estimate(capsys, paw_file):
     assert stream["result"]["degenerate_trials"] == mem["result"]["degenerate_trials"]
 
 
-def test_stream_from_stdin_requires_n():
-    proc = _run_module(
-        "stream", "-", "--samples", "2",
-        input="0 1\n0 2\n1 2\n",
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
-    assert "--n" in proc.stderr
+@pytest.mark.parametrize(
+    "text, passes",
+    [("0 1\n0 2\n1 2\n2 3\n", 3), ("# n=6\n0 1\n0 2\n1 2\n2 3\n", 2)],
+    ids=["no-header", "header"],
+)
+def test_a_pipe_without_n_reports_what_its_file_does(capsys, tmp_path, text, passes):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    args = ["--samples", "16", "--seed", "5"]
+    want = run_json(capsys, "stream", str(path), *args)
+    proc = _run_module("stream", "-", *args, input=text, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert want["result"]["passes_used"] == passes
+    for part, key in (("result", "estimate"), ("result", "n"), ("input", "m"), ("result", "passes_used")):
+        assert got[part][key] == want[part][key], key
 
 
 def test_stream_from_stdin_with_n():

@@ -526,6 +526,8 @@ READER_PARITY_CASES = {
     "percent-comments": ("% n=7\n% comment\n0 1\n% between edges\n1 2\n0 2\n3 4\n", None),
     "late-header": ("0 1\n1 2\n0 2\n2 3\n# n=10\n", 5),
     "two-headers": ("# n=5\n# n=10\n0 1\n", 2),
+    "edge-then-header-split-by-cr": ("0 1\r# n=5\n1 2\n", 2),
+    "two-headers-split-by-cr": ("# n=5\r# n=6\r0 1\n", 2),
     "malformed-line": ("0 1\n1 x\n", 2),
     "three-tokens": ("# n=4\n0 1\n\n1 2 3\n", 4),
     "negative-id": ("0 1\n1 -2\n", 2),

@@ -45,6 +45,27 @@ def test_pass_count_n():
     assert pass_count_n(MemoryEdgeStream([(0, 1), (0, 2), (1, 2)])) == 3
     with pytest.raises(StreamFormatError, match="empty stream"):
         pass_count_n(MemoryEdgeStream([]))
+    # a stream of negative ids is not empty: the first bad edge is named
+    for edges in ([(-2, -1)], [(-2, -1), (0, 1)], [(0, 1), (-2, -1), (3, 3)]):
+        with pytest.raises(StreamFormatError, match=r"^edge \(-2,-1\) has a negative vertex id$"):
+            pass_count_n(MemoryEdgeStream(edges))
+    with pytest.raises(StreamFormatError, match=r"^edge \(-2,-1\) has a negative vertex id$"):
+        stream_estimate(MemoryEdgeStream([(-2, -1)]), 4)
+    with pytest.raises(StreamFormatError, match=r"^self-loop \(3,3\)"):
+        pass_count_n(MemoryEdgeStream([(0, 1), (3, 3), (-2, -1)]))
+
+
+def test_an_explicit_n_must_agree_with_the_declared_one(tmp_path):
+    path = tmp_path / "paw.edges"
+    path.write_text("# n=4\n" + "".join(f"{u} {v}\n" for u, v in PAW_EDGES))
+    for source in (FileEdgeStream(path), MemoryEdgeStream(PAW_EDGES, n=4)):
+        for n in (3, 5, 100):
+            with pytest.raises(StreamFormatError, match=f"^n={n} contradicts the n=4 the source declares$"):
+                stream_estimate(source, 8, seed=3, n=n)
+        assert source.passes == 0
+        run = stream_estimate(source, 8, seed=3, n=4)
+        assert run.passes_used == 2
+        assert run.estimate == stream_estimate(source, 8, seed=3).estimate
 
 
 def test_pass1_neighborhoods():
