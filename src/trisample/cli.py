@@ -201,11 +201,10 @@ def cmd_stream(args) -> tuple[dict, dict, int | None]:
     with contextlib.ExitStack() as stack:
         source = args.file
         if source == "-":
-            # An anonymous file: it has no directory entry to leave behind.
-            spool = stack.enter_context(tempfile.TemporaryFile("w+"))
-            shutil.copyfileobj(sys.stdin, spool)
-            spool.flush()
-            source = spool.buffer
+            # An anonymous file: it has no directory entry to leave behind. The bytes
+            # are copied as they come, so the reader sees what it would in a file.
+            source = stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(sys.stdin.buffer, source)
         run = stream_estimate(
             FileEdgeStream(source), args.samples, seed=args.seed, n=args.n, strict=args.strict
         )

@@ -106,10 +106,6 @@ class TriangleProfile:
         counts[hit] = self.edge_counts[at[hit]]
         return counts
 
-    def edge_count(self, i: int, j: int) -> int:
-        """Local count of {i, j}; 0 for non-edges (nothing is stored for them)."""
-        return int(self.edge_counts_of(np.array([i]), np.array([j]))[0])
-
     @property
     def per_edge(self) -> dict[tuple[int, int], int]:
         """``{(i, j): T_ij}`` for every edge, i < j, in lexicographic order."""

@@ -5,11 +5,12 @@ The graph is immutable after construction: vertex ids are dense
 each neighbor run sorted strictly ascending.  These two arrays are the
 graph's representation; every reader, from the samplers to the exact
 oracle and the edge-list writer, goes through them or through an index
-derived from them and cached on the graph: :attr:`Graph.edge_keys`
-(2m int64 keys), :attr:`Graph.edge_filter` (a fingerprint byte per slot, 8m to 16m
-bytes) and :attr:`Graph.forward_runs` (int64 arrays of n + 1 and m
-entries: the one (degree, id) orientation, which both triangle
-counters of :mod:`trisample.exact` read).  Ids present nowhere in the
+derived from them: :attr:`Graph.edge_keys` (2m int64 keys) and
+:attr:`Graph.edge_filter` (a fingerprint byte per slot, 8m to 16m bytes),
+which the graph is built with, and :attr:`Graph.forward_runs` (int64
+arrays of n + 1 and m entries: the one (degree, id) orientation, which
+both triangle counters of :mod:`trisample.exact` read), cached on the
+graph when first read.  Ids present nowhere in the
 edge list but below the maximum id (or below an explicit header count)
 are isolated vertices.  ``n`` is capped so that the edge keys
 ``i * n + j`` fit an int64.
@@ -132,14 +133,21 @@ class Graph:
     """Immutable simple undirected graph.
 
     ``indptr`` has length ``n + 1``; ``indices[indptr[i]:indptr[i+1]]``
-    is the sorted neighbor run of vertex ``i``.  Safe to share across
-    concurrent readers.
+    is the sorted neighbor run of vertex ``i``.  ``edge_keys`` holds
+    ``i * n + j`` for every neighbour ``j`` of every ``i``, ascending, in
+    CSR order: a membership table for ordered pairs, whose keys fit an
+    int64 because the builders refuse an ``n`` whose ``n * n`` does not.
+    ``edge_filter`` is the :class:`EdgeFilter` of the keys with i < j.
+    Every graph is built, with both, by :meth:`from_edges` or
+    :func:`load_edge_list`.  Safe to share across concurrent readers.
     """
 
     n: int
     m: int
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
+    edge_keys: np.ndarray = field(repr=False)
+    edge_filter: EdgeFilter = field(repr=False)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
@@ -176,35 +184,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def degree(self, i: int) -> int:
-        self._check_id(i)
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbor ids of ``i`` (a read-only view)."""
-        self._check_id(i)
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    @cached_property
-    def edge_keys(self) -> np.ndarray:
-        """``i * n + j`` for every neighbour ``j`` of every ``i``: ascending, in CSR order.
-
-        A membership table for ordered pairs.  The keys fit an int64
-        because :meth:`from_edges` refuses an ``n`` whose ``n * n`` does not.
-        A graph built from an edge list holds the keys it was built from.
-        """
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        return rows * self.n + self.indices
-
-    @cached_property
-    def edge_filter(self) -> EdgeFilter:
-        """The :class:`EdgeFilter` of the keys ``i * n + j``, i < j, of the edges.
-
-        A graph built from an edge list holds the filter built with it.
-        """
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        return EdgeFilter.of(self.edge_keys[rows < self.indices], self.m)
-
     @cached_property
     def forward_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` of the degree-ordered orientation: each edge
@@ -231,10 +210,6 @@ class Graph:
         edges[:, 0] = ids.repeat(upper)
         edges[:, 1] = self.indices[positions]
         return edges
-
-    def _check_id(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"vertex id {i} out of range [0,{self.n})")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -282,9 +257,7 @@ def _from_keys(keys: np.ndarray, canonical: np.ndarray, n: int) -> Graph:
     rows, indices = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    g = Graph(n=n, m=m, indptr=indptr, indices=indices)
-    vars(g).update(edge_keys=keys, edge_filter=edge_filter)  # seed the cached properties
-    return g
+    return Graph(n=n, m=m, indptr=indptr, indices=indices, edge_keys=keys, edge_filter=edge_filter)
 
 
 def _edge_pairs(edges) -> np.ndarray:

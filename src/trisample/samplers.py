@@ -14,8 +14,9 @@ counts.  "optimal" needs the exact profile up front and has zero
 estimator variance; the edge kinds draw a uniform neighbour and need no
 triangle counts to draw.  Under q_{j|i} = T_{ij} / (2 T_i) a trial is
 worth the same whatever j is, so the q-optimal kinds value it from T_i
-and draw no j (see :func:`second_stage`); ``q`` and ``q_of`` still give
-their second stage from the exact profile, for the variance analytics.
+and draw no j (see :func:`second_stage`); :meth:`SamplerSpec._q_ratio`
+still gives their second stage from the exact profile, for the variance
+analytics.
 
 A draw whose first-stage vertex admits no valid second stage (no local
 triangles for qopt, degree zero for edge-uniform) is *degenerate*: it
@@ -34,7 +35,6 @@ in ``tests/trial_reference.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,11 +42,9 @@ import numpy as np
 from .exact import (
     TriangleProfile,
     _check_profile,
-    _id_array,
     _lookup,
     _sort_indexed,
     common_neighbour_counts,
-    count_exact,
     local_triangles,
 )
 from .graph import Graph
@@ -63,21 +61,13 @@ _Q_OPTIMAL_KINDS = frozenset({OPTIMAL, QOPT_UNIFORM, QOPT_DEGREE})
 _DEGREE_P_KINDS = frozenset({QOPT_DEGREE, EDGE_DEGREE})
 
 
-def _check_ids(g: Graph, vertices) -> np.ndarray:
-    """``vertices`` as an int64 array; ValueError unless integers, IndexError outside [0, n)."""
-    vertices = _id_array(vertices, g.n)
-    if (vertices < 0).any():
-        raise IndexError(f"vertex ids out of range [0,{g.n})")
-    return vertices
-
-
 @dataclass(frozen=True, eq=False)
 class SamplerSpec:
     """A built sampling strategy bound to a graph.
 
-    Immutable after construction; exposes exact probability accessors
-    ``p(i)`` and ``q(i, j)``, and their array forms ``p_of`` and
-    ``q_of``, alongside the drawing machinery.
+    Immutable after construction.  p_i is ``_p_weights[i] / _p_total``
+    (1 / n for the uniform kinds, which have no weights), and
+    :meth:`_q_ratio` gives q_{j|i} as a ratio of integers.
     """
 
     kind: str
@@ -86,51 +76,18 @@ class SamplerSpec:
     _p_weights: np.ndarray | None = None  # first-stage integer weights (int64)
     _p_total: int = 0  # W, their sum: n for the uniform kinds, whose weights are all 1
 
-    def p(self, i: int) -> float:
-        """First-stage probability of vertex ``i``."""
-        return float(self.p_of(np.array([i]))[0])
-
-    def p_of(self, vertices: np.ndarray) -> np.ndarray:
-        """First-stage probabilities of an array of vertices, each equal to ``p``'s."""
-        g = self.graph
-        vertices = _check_ids(g, vertices)
-        if self._p_weights is None:
-            return np.full(len(vertices), 1.0 / g.n)
-        return self._p_weights[vertices] / self._p_total
-
-    def q(self, i: int, j: int) -> float:
-        """Conditional probability of ``j`` given ``i``; 0 off support.
-
-        For a degenerate first-stage vertex the conditional distribution
-        is undefined and every value reports as 0.
-        """
-        return float(self.q_of(np.array([i]), np.array([j]))[0])
-
-    def q_of(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Conditional probabilities q_{b_t|a_t} of the equal-length vertex
-        arrays, each equal to ``q``'s: x / y of :meth:`_q_ratio`, 0 where x is."""
-        g = self.graph
-        x, y = self._q_ratio(_check_ids(g, a), _check_ids(g, b))
-        return np.divide(x, y, out=np.zeros(len(x)), where=x > 0)
-
     def _q_ratio(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(x, y)``, int64 arrays with q_{b_t|a_t} = x / y and x = 0 off support, for
-        ids in range: (T_ab, 2 T_a) for the q-optimal kinds, ([ab is an edge], deg(a)) for
-        the edge kinds; ``q_of`` divides them, ``analytics.variance_generic`` sums them."""
+        ids in range: (T_ab, 2 T_a) for the q-optimal kinds, read from the spec's profile,
+        which they need here; ([ab is an edge], deg(a)) for the edge kinds.
+        ``analytics.variance_generic`` sums them."""
         g = self.graph
         if self.kind not in _Q_OPTIMAL_KINDS:  # search the sorted keys a * n + b in order
             keys, order = _sort_indexed(a * g.n + b, g.n * g.n)
             x = np.empty(len(a), dtype=np.int64)
             x[order] = _lookup(g.edge_keys, keys)[1]
             return x, g.degrees[a]
-        profile = self._q_profile
-        return profile.edge_counts_of(a, b), 2 * profile.per_vertex[a]
-
-    @cached_property
-    def _q_profile(self) -> TriangleProfile:
-        """The profile the q-optimal ``q_of`` reads: the one given to
-        :func:`build_sampler`, or else :func:`count_exact`'s, counted once."""
-        return self.profile if self.profile is not None else count_exact(self.graph)
+        return self.profile.edge_counts_of(a, b), 2 * self.profile.per_vertex[a]
 
 
 def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) -> SamplerSpec:

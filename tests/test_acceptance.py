@@ -15,7 +15,6 @@ from trisample import (
     Graph,
     MemoryEdgeStream,
     SAMPLER_KINDS,
-    build_sampler,
     chernoff_sample_size,
     count_exact,
     estimate,
@@ -33,7 +32,7 @@ from conftest import (
     brute_force_triangles,
     gnp_edges,
 )
-from trial_reference import TrialDraw, trial_value
+from trial_reference import enumerated_expectation, neighbours
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -81,22 +80,6 @@ def test_criterion_2_optimal_sampling_zero_variance():
     )
 
 
-def _enumerated_expectation(g, spec):
-    total = 0.0
-    for i in range(g.n):
-        p_i = spec.p(i)
-        if p_i == 0.0:
-            continue
-        for j in range(g.n):
-            if j == i:
-                continue
-            q = spec.q(i, j)
-            if q == 0.0:
-                continue
-            total += p_i * q * trial_value(g, TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=q))
-    return total
-
-
 def test_criterion_3_exact_unbiasedness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1003)
@@ -110,8 +93,7 @@ def test_criterion_3_exact_unbiasedness():
         for kind in SAMPLER_KINDS:
             if kind == "optimal" and prof.total == 0:
                 continue
-            spec = build_sampler(g, kind, prof if kind == "optimal" else None)
-            expectation = _enumerated_expectation(g, spec)
+            expectation = enumerated_expectation(g, prof, kind)
             assert expectation == pytest.approx(prof.total, rel=1e-9, abs=1e-9), (kind, g)
             checked += 1
     elapsed = time.perf_counter() - t0
@@ -288,7 +270,7 @@ def test_criterion_7_streaming_fidelity():
                 assert int(state.vertex_count[t]) == int(prof.per_vertex[i])
                 r = sorted(set(sampled)).index(i)  # the column of i's bits
                 row = [v for v in range(n) if state.neighbor_bits[v, r >> 3] >> (r & 7) & 1]
-                assert row == g.neighbors(i).tolist()
+                assert row == neighbours(g, i)
         graphs_checked += 1
 
     # (c) shared seed: stream == in-memory, bit for bit

@@ -22,7 +22,13 @@ from trisample import (
 )
 
 from conftest import PAW_EDGES, TWO_TRIANGLES_EDGES, chung_lu_graph, gnp_edges, gnp_graph
-from variance_reference import variance_fraction, variance_loop
+from trial_reference import reference_p, reference_q
+from variance_reference import variance_loop
+
+
+def _exact_variance(g, prof, kind):
+    """The single-trial variance, summed in Fractions over the reference p and q."""
+    return variance_loop(prof, reference_p(g, prof, kind), reference_q(g, prof, kind))
 
 
 def test_variance_examples_on_paw(paw):
@@ -60,7 +66,7 @@ def test_closed_form_agrees_with_generic_on_random_graphs():
                 continue
             closed = variance_closed_form(g, prof, kind, 1)
             generic = variance_generic(g, prof, kind, 1)
-            assert closed == generic, kind
+            assert closed == generic == float(_exact_variance(g, prof, kind)), kind
             checked += 1
     assert checked >= 60
 
@@ -75,7 +81,7 @@ def test_closed_forms_round_the_exact_variance_once_on_random_graphs():
         if prof.total == 0:
             continue
         for kind in SAMPLER_KINDS:
-            var = float(variance_fraction(g, prof, kind))
+            var = float(_exact_variance(g, prof, kind))
             for s in (1, 7):
                 assert variance_closed_form(g, prof, kind, s) == var / s, (kind, s)
             checked += 1
@@ -99,12 +105,9 @@ def test_array_generic_matches_the_per_pair_loop():
         if prof.total == 0:
             continue
         for kind in SAMPLER_KINDS:
-            spec = build_sampler(g, kind, prof)
+            want = float(_exact_variance(g, prof, kind))
             for s in (1, 7):
-                want = variance_loop(prof, spec.p, spec.q, s)
-                got = variance_generic(g, prof, kind, s)
-                # the loop sums in floats: relative to the sum of the terms, (Var + T^2) / s
-                assert abs(got - want) <= 1e-12 * (abs(want) + prof.total**2 / s), (kind, g)
+                assert variance_generic(g, prof, kind, s) == want / s, (kind, g)
             checked += 1
     assert checked >= 60
 
@@ -125,9 +128,8 @@ def test_a_zero_probability_on_a_counted_pair_names_the_reference_pair():
     cases.append((Graph.from_edges(combinations([0, 2, 3, 4], 2), n=5), "qopt-degree", "(1,0)"))
     for g, kind, pair in cases:
         prof = k4 if g.n == 4 else k5
-        spec = build_sampler(g, kind, prof)
         with pytest.raises(ValueError, match="support violation") as want:
-            variance_loop(prof, spec.p, spec.q)
+            _exact_variance(g, prof, kind)
         with pytest.raises(ValueError, match="support violation") as got:
             variance_generic(g, prof, kind)
         assert str(got.value) == str(want.value)

@@ -345,6 +345,23 @@ def test_stream_from_stdin_with_n():
     assert report["result"]["passes_used"] == 2
 
 
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """A stdin that holds ``data``, with the byte buffer a real one has."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
+def test_piped_bytes_reach_the_reader_as_a_files_do(monkeypatch, capsys, tmp_path):
+    data = b"0 1\n1 2\n0 2\n2 \xff3\n"  # not UTF-8
+    path = tmp_path / "bad.edges"
+    path.write_bytes(data)
+    assert main(["stream", str(path), "--samples", "4"]) == 1
+    want = capsys.readouterr().err
+    assert "can't decode byte 0xff" in want
+    monkeypatch.setattr(sys, "stdin", _stdin(data))
+    assert main(["stream", "-", "--samples", "4"]) == 1
+    assert capsys.readouterr().err == want
+
+
 @pytest.mark.parametrize(
     "text, code", [("0 1\n0 2\n1 2\n", 0), ("0 1\n1 x\n", 1)], ids=["ok", "parse-error"]
 )
@@ -352,7 +369,7 @@ def test_piped_stream_removes_its_spool_file(monkeypatch, capsys, tmp_path, text
     spool_dir = tmp_path / "tmp"
     spool_dir.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(sys, "stdin", _stdin(text.encode()))
     assert main(["stream", "-", "--n", "3", "--samples", "4", "--seed", "1"]) == code
     capsys.readouterr()
     assert list(spool_dir.iterdir()) == []
@@ -362,7 +379,7 @@ def test_piped_stream_spools_into_a_file_without_a_name(monkeypatch, capsys, tmp
     spool_dir = tmp_path / "tmp"
     spool_dir.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
-    monkeypatch.setattr(sys, "stdin", io.StringIO("0 1\n0 2\n1 2\n"))
+    monkeypatch.setattr(sys, "stdin", _stdin(b"0 1\n0 2\n1 2\n"))
     copy, listings = shutil.copyfileobj, []
 
     def listed_copy(src, dst, *args):

@@ -21,7 +21,7 @@ from trisample.estimator import Moments, finalize_estimate, fold_trials
 from trisample.samplers import draw_vertices
 
 from conftest import PAW_EDGES, TWO_TRIANGLES_EDGES, gnp_graph, hub_graph, without_pairs_draws
-from trial_reference import TrialDraw, draw, exact_trial_value, trial_value
+from trial_reference import TrialDraw, draw, enumerated_expectation, exact_trial_value, neighbours, trial_value
 
 
 def test_trial_value_optimal_is_always_truth(k4):
@@ -115,24 +115,6 @@ def test_run_trials_without_trials_is_a_clear_error(paw):
         run_trials(build_sampler(paw, "edge-uniform"), 0, seed=1)
 
 
-def _enumerated_expectation(g, spec):
-    """Full-support sum of p*q*value; the unbiasedness oracle."""
-    total = 0.0
-    for i in range(g.n):
-        p_i = spec.p(i)
-        if p_i == 0.0:
-            continue
-        for j in range(g.n):
-            if j == i:
-                continue
-            q = spec.q(i, j)
-            if q == 0.0:
-                continue
-            d = TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=q)
-            total += p_i * q * trial_value(g, d)
-    return total
-
-
 def test_unbiasedness_by_support_enumeration():
     rng = np.random.default_rng(53)
     checked = 0
@@ -144,8 +126,7 @@ def test_unbiasedness_by_support_enumeration():
         for kind in SAMPLER_KINDS:
             if kind == "optimal" and prof.total == 0:
                 continue
-            spec = build_sampler(g, kind, prof if kind == "optimal" else None)
-            expectation = _enumerated_expectation(g, spec)
+            expectation = enumerated_expectation(g, prof, kind)
             assert expectation == pytest.approx(prof.total, rel=1e-9, abs=1e-9)
             checked += 1
     assert checked >= 50
@@ -235,7 +216,7 @@ _SPEC_GATHER = 1024
 def hub_spec_graph():
     g = hub_graph(300, 0.06, 250, np.random.default_rng(83))
     indptr, _ = g.forward_runs
-    loads = np.array([int(np.diff(indptr)[g.neighbors(v)].sum()) for v in range(g.n)])
+    loads = np.array([int(np.diff(indptr)[neighbours(g, v)].sum()) for v in range(g.n)])
     assert loads[0] > 2 * _SPEC_GATHER and _SPEC_GATHER >= loads[1:].max()  # the hub walks windows alone
     return g, count_exact(g)
 

@@ -17,7 +17,7 @@ from conftest import (
 )
 from trisample import Graph
 from oracle_reference import count_exact_reference
-from trial_reference import local_edge_count
+from trial_reference import local_edge_count, neighbours
 
 
 def test_k3_profile(k3):
@@ -53,25 +53,21 @@ def test_paw_profile_matches_brute_force(paw):
     assert prof.total == brute_force_triangles(4, PAW_EDGES) == 1
     assert list(prof.per_vertex) == expected_vertex == [1, 1, 1, 0]
     assert prof.per_edge == expected_edge
-    assert prof.edge_count(2, 3) == 0
-    assert prof.edge_count(3, 2) == 0
-    assert prof.edge_count(1, 0) == 1
-    assert prof.edge_count(-1, 5) == prof.edge_count(0, 6) == 0  # the keys of (0, 1) and (1, 2)
+    assert prof.edge_counts_of([2, 3, 1], [3, 2, 0]).tolist() == [0, 0, 1]
+    assert prof.edge_counts_of([-1, 0], [5, 6]).tolist() == [0, 0]  # the keys of (0, 1) and (1, 2)
 
 
 def test_edge_counts_refuse_ids_that_are_not_integers(paw):
     prof = count_exact(paw)
-    for a, b in (([0.7], [1.2]), (["0"], ["1"]), ([0], [1.0]), ([1 << 70], [0.5])):
+    for a, b in (([0.7], [1.2]), (["0"], ["1"]), ([0], [1.0]), ([0.0], [1]), ([1 << 70], [0.5])):
         with pytest.raises(ValueError, match="vertex ids must be integers"):
             prof.edge_counts_of(a, b)
-    with pytest.raises(ValueError, match="vertex ids must be integers"):
-        prof.edge_count(0.0, 1)
 
 
 def test_edge_counts_are_zero_for_integer_ids_outside_the_graph(paw):
     prof = count_exact(paw)
-    assert prof.edge_count(1 << 70, 1) == prof.edge_count(1, 1 << 70) == 0
-    assert prof.edge_count(-(1 << 70), 0) == prof.edge_count(1 << 63, 1 << 64) == 0
+    huge = [1 << 70, 1, -(1 << 70), 1 << 63], [1, 1 << 70, 0, 1 << 64]
+    assert prof.edge_counts_of(*huge).tolist() == [0] * 4
     got = prof.edge_counts_of([1 << 70, 0, -1, 4, 1], [1, 1, 0, 0, np.int64(0)])
     assert got.tolist() == [0, 1, 0, 0, 1]
     assert prof.edge_counts_of([np.int64(1), 1 << 70], [0, 1]).tolist() == [1, 0]
@@ -97,9 +93,9 @@ def test_profile_identities_on_random_graphs():
         g = gnp_graph(n, float(rng.uniform(0.2, 0.5)), rng)
         prof = count_exact(g)
         assert 3 * prof.total == int(prof.per_vertex.sum())
-        for i in range(n):
-            incident = sum(prof.edge_count(i, j) for j in g.neighbors(i))
-            assert incident == 2 * int(prof.per_vertex[i])
+        rows = np.repeat(np.arange(n), g.degrees)
+        incident = np.bincount(rows, prof.edge_counts_of(rows, g.indices), minlength=n)
+        assert incident.tolist() == (2 * prof.per_vertex).tolist()
         assert all(c >= 0 for c in prof.per_edge.values())
 
 
@@ -170,9 +166,9 @@ def test_profile_matches_the_per_edge_reference():
 
 def _forward_wedges(g):
     """C(d+(u), 2) per vertex u, edges pointing away from the lower (degree, id) end."""
-    out = [0] * g.n
+    out, deg = [0] * g.n, g.degrees.tolist()
     for i, j in g.edge_array().tolist():
-        out[min((g.degree(i), i), (g.degree(j), j))[1]] += 1
+        out[min((deg[i], i), (deg[j], j))[1]] += 1
     return [comb(d, 2) for d in out]
 
 
@@ -245,7 +241,7 @@ def test_common_neighbour_counts_match_set_intersections(monkeypatch, gather):
     rng = np.random.default_rng(53)
     for base in (gnp_graph(120, 0.1, rng), chung_lu_graph(400, 2000, rng), hub_graph(200, 0.05, 150, rng)):
         g = Graph.from_edges(base.edge_array(), n=base.n + 3)  # the last three ids isolated
-        runs = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+        runs = [set(neighbours(g, v)) for v in range(g.n)]
         rows = np.repeat(np.arange(g.n), g.degrees)
         # Every edge, then any pairs, isolated vertices at either end included.
         a = np.concatenate([rows, rng.integers(0, g.n, 500), [g.n - 1, 0, g.n - 2]])
@@ -275,7 +271,7 @@ def test_per_vertex_matches_networkx_with_a_hub():
     edges = set(gnp_edges(n, 0.02, rng))
     edges |= {(0, int(j)) for j in rng.choice(np.arange(1, n), size=n // 4, replace=False)}
     g = Graph.from_edges(sorted(edges), n=n)
-    assert g.degree(0) >= n // 4
+    assert g.degrees[0] >= n // 4
     reference = nx.Graph()
     reference.add_nodes_from(range(n))
     reference.add_edges_from(edges)
@@ -297,7 +293,7 @@ def _loads(g):
     """Entries in the neighbours' forward runs of each vertex, Σ deg⁺(j):
     what the kernel gathers for it."""
     indptr, _ = g.forward_runs
-    return np.array([int(np.diff(indptr)[g.neighbors(v)].sum()) for v in range(g.n)])
+    return np.array([int(np.diff(indptr)[neighbours(g, v)].sum()) for v in range(g.n)])
 
 
 def _parity_cases(seed):

@@ -65,7 +65,7 @@ def test_load_comments_and_header():
     g = load_edge_list(["# a comment", "% another", "# n=6", "0 1"])
     assert g.n == 6
     assert g.m == 1
-    assert g.degree(5) == 0
+    assert g.degrees[5] == 0
 
 
 def test_header_must_cover_max_id():
@@ -200,7 +200,6 @@ def test_edge_array_lists_each_edge_once_in_order(paw):
 
 def test_edge_array_holds_no_adjacency_sized_temporaries():
     g = chung_lu_graph(5_000, 50_000, np.random.default_rng(41))
-    g.edge_keys  # held by every built graph; not part of the call
     tracemalloc.start()
     try:
         edges = g.edge_array()
@@ -283,13 +282,12 @@ def test_edge_filter_marks_a_slot_shared_only_by_distinct_fingerprints():
 
 
 def test_built_graphs_keep_their_keys_and_filter():
+    # Built by from_edges, and by load_edge_list from a repeated edge and a self-loop.
     for g in _filter_cases():
-        assert "edge_keys" in vars(g) and "edge_filter" in vars(g)  # held, not recomputed
-        assert np.array_equal(g.edge_keys, Graph.edge_keys.func(g))
-        assert np.array_equal(g.edge_filter.table, Graph.edge_filter.func(g).table)
-    lazy = Graph(n=3, m=1, indptr=np.array([0, 1, 1, 2]), indices=np.array([2, 0]))
-    assert lazy.edge_keys.tolist() == [2, 6]
-    assert lazy.edge_filter.may_hold(np.array([2])).all()
+        rows = np.repeat(np.arange(g.n), g.degrees)
+        keys = rows * g.n + g.indices
+        assert np.array_equal(g.edge_keys, keys), g
+        assert np.array_equal(g.edge_filter.table, graph.EdgeFilter.of(keys[rows < g.indices], g.m).table), g
 
 
 def test_forward_runs_are_built_once_and_only_for_the_q_optimal_kinds(monkeypatch):
@@ -341,8 +339,9 @@ def test_has_edge_symmetric_on_random_graphs():
 
 def test_degree_matches_neighbor_list(paw):
     for i in range(paw.n):
-        assert paw.degree(i) == len(paw.neighbors(i))
-        assert list(paw.neighbors(i)) == sorted(paw.neighbors(i))
+        run = paw.indices[paw.indptr[i] : paw.indptr[i + 1]]
+        assert paw.degrees[i] == len(run)
+        assert (np.diff(run) > 0).all()  # strictly ascending
     assert int(paw.degrees.sum()) == 2 * paw.m
 
 

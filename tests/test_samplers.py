@@ -15,34 +15,51 @@ from trisample import (
 from trisample import samplers
 from trisample.samplers import _Q_OPTIMAL_KINDS, draw_vertices, second_stage
 
-from conftest import TWO_TRIANGLES_EDGES, gnp_graph
-from trial_reference import _first_stage_weights, draw, draw_given_i, exact_trial_value
+from conftest import PAW_EDGES, TWO_TRIANGLES_EDGES, gnp_graph
+from trial_reference import (
+    _first_stage_weights,
+    draw,
+    draw_given_i,
+    exact_trial_value,
+    local_edge_count,
+    neighbours,
+    reference_p,
+    reference_q,
+)
 from variance_reference import variance_loop
 
 
+def _spec_pq(spec):
+    """The spec's own p_i, its integer weight over their sum, and q_{j|i}, the x / y of
+    ``_q_ratio`` (0 where x is), as Fractions: a list and an n x n table."""
+    n = spec.graph.n
+    weights = [1] * n if spec._p_weights is None else spec._p_weights.tolist()
+    a, b = np.divmod(np.random.default_rng(n).permutation(n * n), n)  # pairs out of key order
+    x, y = spec._q_ratio(a, b)
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, num, den in zip(a.tolist(), b.tolist(), x.tolist(), y.tolist()):
+        q[i][j] = Fraction(num, den) if num else Fraction(0)
+    return [Fraction(w, spec._p_total) for w in weights], q
+
+
 def test_optimal_probabilities_on_k3(k3):
-    spec = build_sampler(k3, "optimal", count_exact(k3))
-    assert [spec.p(i) for i in range(3)] == pytest.approx([1 / 3] * 3)
-    for i in range(3):
-        for j in range(3):
-            expected = 0.0 if i == j else 0.5
-            assert spec.q(i, j) == pytest.approx(expected)
+    p, q = _spec_pq(build_sampler(k3, "optimal", count_exact(k3)))
+    assert p == [Fraction(1, 3)] * 3
+    assert q == [[0 if i == j else Fraction(1, 2) for j in range(3)] for i in range(3)]
 
 
 def test_qopt_uniform_probabilities_on_paw(paw):
-    spec = build_sampler(paw, "qopt-uniform")
-    assert [spec.p(i) for i in range(4)] == pytest.approx([0.25] * 4)
-    assert spec.q(2, 0) == pytest.approx(0.5)
-    assert spec.q(2, 1) == pytest.approx(0.5)
-    assert spec.q(2, 3) == 0.0
-    assert spec.q(3, 2) == 0.0  # degenerate first stage reports all-zero q
+    p, q = _spec_pq(build_sampler(paw, "qopt-uniform", count_exact(paw)))
+    assert p == [Fraction(1, 4)] * 4
+    assert q[2] == [Fraction(1, 2), Fraction(1, 2), 0, 0]
+    assert q[3] == [0] * 4  # degenerate first stage reports all-zero q
 
 
 def test_edge_degree_probabilities_on_paw(paw):
-    spec = build_sampler(paw, "edge-degree")
-    assert [spec.p(i) for i in range(4)] == pytest.approx([2 / 8, 2 / 8, 3 / 8, 1 / 8])
-    assert spec.q(2, 0) == pytest.approx(1 / 3)
-    assert spec.q(0, 3) == 0.0
+    p, q = _spec_pq(build_sampler(paw, "edge-degree"))
+    assert p == [Fraction(2, 8), Fraction(2, 8), Fraction(3, 8), Fraction(1, 8)]
+    assert q[2] == [Fraction(1, 3), Fraction(1, 3), 0, Fraction(1, 3)]
+    assert q[0][3] == 0
 
 
 def test_build_errors(path3):
@@ -74,10 +91,6 @@ def test_a_graph_without_vertices_is_refused(kind):
         estimate(empty, kind, 3)
 
 
-def _reachable(spec, i):
-    return spec.p(i) > 0.0
-
-
 def test_probabilities_sum_to_one():
     rng = np.random.default_rng(31)
     for _ in range(15):
@@ -89,16 +102,10 @@ def test_probabilities_sum_to_one():
         for kind in SAMPLER_KINDS:
             if kind == "optimal" and prof.total == 0:
                 continue
-            spec = build_sampler(g, kind, prof if kind == "optimal" else None)
-            assert math.isclose(sum(spec.p(i) for i in range(n)), 1.0, abs_tol=1e-12)
+            p, q = _spec_pq(build_sampler(g, kind, prof))
+            assert sum(p) == 1
             for i in range(n):
-                if not _reachable(spec, i):
-                    continue
-                total_q = sum(spec.q(i, j) for j in range(n) if j != i)
-                degenerate = all(spec.q(i, j) == 0.0 for j in range(n))
-                if degenerate:
-                    continue
-                assert math.isclose(total_q, 1.0, abs_tol=1e-12), (kind, i)
+                assert sum(q[i]) in (0, 1), (kind, i)  # 0 for a degenerate i
 
 
 def test_support_covers_all_triangle_pairs():
@@ -111,124 +118,39 @@ def test_support_covers_all_triangle_pairs():
         for kind in SAMPLER_KINDS:
             if kind == "optimal" and prof.total == 0:
                 continue
-            spec = build_sampler(g, kind, prof if kind == "optimal" else None)
+            p, q = _spec_pq(build_sampler(g, kind, prof))
             for (i, j), c in prof.per_edge.items():
                 if c == 0:
                     continue
-                assert spec.p(i) * spec.q(i, j) > 0.0
-                assert spec.p(j) * spec.q(j, i) > 0.0
+                assert p[i] * q[i][j] > 0
+                assert p[j] * q[j][i] > 0
 
 
-def test_array_accessors_match_the_scalar_ones():
+def test_q_ratio_equals_the_reference_q(paw, k4):
+    # Every ordered pair: edges, non-edges, i = j, and first stages that are
+    # degenerate (vertex 3 of the paw for qopt, the isolated vertices for all).
     rng = np.random.default_rng(43)
-    for _ in range(6):
-        n = int(rng.integers(3, 16))
-        g = gnp_graph(n, 0.4, rng)
+    graphs = [paw, k4, Graph.from_edges(PAW_EDGES, n=6)]
+    graphs += [gnp_graph(int(rng.integers(3, 16)), 0.4, rng) for _ in range(6)]
+    for g in graphs:
         prof = count_exact(g)
-        a, b = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
-        shuffle = rng.permutation(len(a))  # pairs out of key order
-        a, b = a[shuffle], b[shuffle]
         for kind in SAMPLER_KINDS:
-            for oracle in (prof, None):
-                if kind == "optimal" and (oracle is None or prof.total == 0):
-                    continue
-                spec = build_sampler(g, kind, oracle)
-                assert spec.q_of(a, b).tolist() == [spec.q(i, j) for i, j in zip(a.tolist(), b.tolist())]
-                for bad in ([0], [n]), ([-1], [0]):
-                    with pytest.raises(IndexError):
-                        spec.q_of(*map(np.array, bad))
-                p = spec.p_of(a)
-                assert np.broadcast_to(p, a.shape).tolist() == [spec.p(i) for i in a.tolist()]
-
-
-@pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_accessors_refuse_ids_outside_the_graph(paw, kind):
-    spec = build_sampler(paw, kind, count_exact(paw))
-    for bad in (-1, paw.n):
-        with pytest.raises(IndexError, match=r"^vertex ids out of range \[0,4\)$"):
-            spec.p_of(np.array([0, bad]))
-        with pytest.raises(IndexError, match=r"^vertex ids out of range \[0,4\)$"):
-            spec.p(bad)
-
-
-@pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_accessors_refuse_ids_beyond_int64(paw, kind):
-    # numpy holds such ids as Python ints in an object array; they are
-    # integers outside [0, n) like any other.
-    spec = build_sampler(paw, kind, count_exact(paw))
-    calls = (
-        lambda: spec.p(1 << 70),
-        lambda: spec.p(-(1 << 70)),
-        lambda: spec.q(0, 1 << 70),
-        lambda: spec.p_of(np.array([0, 1 << 64])),
-        lambda: spec.p_of(np.array([(1 << 64) - 1])),  # a uint64 array
-    )
-    for call in calls:
-        with pytest.raises(IndexError, match=r"^vertex ids out of range \[0,4\)$"):
-            call()
-    assert spec.p_of(np.array([1, 2], dtype=object)).tolist() == spec.p_of(np.array([1, 2])).tolist()
-
-
-@pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_accessors_refuse_ids_that_are_not_integers(paw, kind):
-    for oracle in (count_exact(paw), None):
-        if kind == "optimal" and oracle is None:
-            continue
-        spec = build_sampler(paw, kind, oracle)
-        calls = (
-            lambda: spec.p(1.7),
-            lambda: spec.q(1.9, 2.2),
-            lambda: spec.q(1, 2.0),
-            lambda: spec.p_of(np.array([0.0, 1.5])),
-            lambda: spec.q_of(np.array([1]), np.array([2.5])),
-            lambda: spec.q_of(np.array(["1"]), np.array([2])),
-        )
-        for call in calls:
-            with pytest.raises(ValueError, match="^vertex ids must be integers$"):
-                call()
-        assert spec.p(1) == spec.p_of(np.array([1], dtype=np.uint8))[0]
-        assert spec.p_of(np.array([])).shape == (0,)
-        assert spec.q_of(np.array([]), np.array([])).shape == (0,)
+            if kind == "optimal" and prof.total == 0:
+                continue
+            p, q = _spec_pq(build_sampler(g, kind, prof))
+            want = reference_q(g, prof, kind)
+            assert q == [[want(i, j) for j in range(g.n)] for i in range(g.n)], kind
+            assert p == reference_p(g, prof, kind), kind
 
 
 def test_qopt_q_matches_oracle_exactly():
-    rng = np.random.default_rng(41)
-    g = gnp_graph(18, 0.35, rng)
-    prof = count_exact(g)
-    spec = build_sampler(g, "qopt-uniform")  # on-the-fly second stage
-    for i in range(g.n):
-        d_i = int(prof.per_vertex[i])
-        if d_i == 0:
-            continue
-        for j in g.neighbors(i):
-            assert spec.q(i, int(j)) == prof.edge_count(i, int(j)) / (2 * d_i)
-
-
-@pytest.mark.parametrize("kind", ["qopt-uniform", "qopt-degree"])
-def test_qopt_q_counts_the_profile_once(monkeypatch, kind):
-    calls = []
-
-    def counting(g):
-        calls.append(g)
-        return count_exact(g)
-
-    monkeypatch.setattr(samplers, "count_exact", counting)
-    g = gnp_graph(18, 0.35, np.random.default_rng(47))
+    # x / y of the oracle's lookups against T_ij counted by set intersection, on every edge.
+    g = gnp_graph(18, 0.35, np.random.default_rng(41))
     prof = count_exact(g)
     rows = np.repeat(np.arange(g.n), g.degrees)
-    want = [
-        prof.edge_count(i, j) / (2 * prof.per_vertex[i]) if prof.per_vertex[i] else 0.0
-        for i, j in zip(rows.tolist(), g.indices.tolist())
-    ]
-    spec = build_sampler(g, kind)
-    assert calls == []  # nothing is counted until q is asked for
-    for _ in range(3):
-        assert spec.q_of(rows, g.indices).tolist() == want
-        assert [spec.q(i, j) for i, j in zip(rows.tolist(), g.indices.tolist())] == want
-    assert calls == [g]
-    given = build_sampler(g, kind, prof)  # the oracle passed in is read as it is
-    assert given.q_of(rows, g.indices).tolist() == want
-    assert calls == [g]
+    x, y = build_sampler(g, "qopt-uniform", prof)._q_ratio(rows, g.indices)
+    assert x.tolist() == [local_edge_count(g, i, j) for i, j in zip(rows.tolist(), g.indices.tolist())]
+    assert y.tolist() == (2 * prof.per_vertex[rows]).tolist()
 
 
 def test_draw_examples(paw, k4):
@@ -246,7 +168,7 @@ def test_draw_examples(paw, k4):
     streams = seed_streams(9)
     for _ in range(20):
         d = draw(opt_spec, streams)
-        assert d.j in [int(x) for x in k4.neighbors(d.i)]
+        assert d.j in neighbours(k4, d.i)
         assert d.p_i == pytest.approx(1 / 4)
         assert d.q_j_given_i == pytest.approx(1 / 3)
 
@@ -302,7 +224,7 @@ def test_second_stage_draws_the_reference_pairs(monkeypatch, kind):
             if kind in ("edge-uniform", "edge-degree"):
                 j = np.concatenate(partners)
                 assert j.tolist() == [d.j for d in kept]
-                local = [prof.edge_count(d.i, d.j) for d in kept]
+                local = [local_edge_count(g, d.i, d.j) for d in kept]
                 if kind == "edge-uniform":
                     assert num.tolist() == [t * d.q_total for t, d in zip(local, kept)]
                 else:
@@ -313,11 +235,13 @@ def test_second_stage_draws_the_reference_pairs(monkeypatch, kind):
                 assert got == [Fraction(d.q_total, weights[d.i]) for d in kept]
 
 
-def _frequency_check(spec, g, draws, seed, partners):
+def _frequency_check(spec, prof, draws, seed, partners):
     # One batch of the engine's draws; a degenerate trial counts as (i, None).
     # The q-optimal kinds draw no j, so only their first stage and their
     # degenerate trials are counted; their q is pinned exactly by
-    # test_qopt_q_matches_oracle_exactly and the variance tests.
+    # test_q_ratio_equals_the_reference_q and the variance tests.
+    g = spec.graph
+    p, q = reference_p(g, prof, spec.kind), reference_q(g, prof, spec.kind)
     streams = seed_streams(seed)
     vertices = draw_vertices(spec, streams.vertices, draws)
     partners.clear()
@@ -333,13 +257,12 @@ def _frequency_check(spec, g, draws, seed, partners):
         for i, j, c in zip(firsts.tolist(), seconds.tolist(), counts.tolist())
     }
     for i in range(g.n):
-        p_i = spec.p(i)
-        q = [spec.q(i, j) for j in range(g.n)]
-        degenerate = not any(q)
+        q_i = [float(q(i, j)) for j in range(g.n)]
+        degenerate = not any(q_i)
         assert (live[vertices == i] != degenerate).all(), i
-        outcomes = list(enumerate(q)) + [(None, float(degenerate))] if pairs_drawn else [(None, 1.0)]
+        outcomes = list(enumerate(q_i)) + [(None, float(degenerate))] if pairs_drawn else [(None, 1.0)]
         for j, q_j in outcomes:
-            prob = p_i * q_j
+            prob = float(p[i]) * q_j
             observed = pair_counts.get((i, j), 0)
             sigma = math.sqrt(draws * prob * (1.0 - prob))
             assert abs(observed - draws * prob) <= 4.0 * sigma + 1e-9, (i, j)
@@ -351,19 +274,15 @@ def test_empirical_frequencies_match_accessors(monkeypatch, paw):
     sizes = {"qopt-degree": 1_000_000, "edge-uniform": 1_000_000}
     for seed, kind in enumerate(SAMPLER_KINDS):
         spec = build_sampler(paw, kind, prof if kind == "optimal" else None)
-        _frequency_check(spec, paw, sizes.get(kind, 200_000), seed, partners)
+        _frequency_check(spec, prof, sizes.get(kind, 200_000), seed, partners)
 
 
 def test_qopt_second_stage_beats_perturbed_alternatives(paw):
     prof = count_exact(paw)
-    spec = build_sampler(paw, "qopt-uniform")
-    best = variance_loop(prof, spec.p, spec.q)
+    p, q = reference_p(paw, prof, "qopt-uniform"), reference_q(paw, prof, "qopt-uniform")
+    best = variance_loop(prof, p, q)
     rng = np.random.default_rng(13)
-    support = {
-        i: [j for j in range(paw.n) if prof.edge_count(i, j) > 0]
-        for i in range(paw.n)
-        if prof.per_vertex[i] > 0
-    }
+    support = {i: [j for j in range(paw.n) if q(i, j)] for i in range(paw.n) if prof.per_vertex[i] > 0}
     for _ in range(50):
         table = np.zeros((paw.n, paw.n))
         for i, js in support.items():
@@ -372,5 +291,5 @@ def test_qopt_second_stage_beats_perturbed_alternatives(paw):
         def q_alt(i, j, table=table):
             return float(table[i, j])
 
-        alt = variance_loop(prof, spec.p, q_alt)
+        alt = variance_loop(prof, p, q_alt)
         assert best <= alt + 1e-12

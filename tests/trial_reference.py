@@ -6,8 +6,13 @@ for every kind.  ``run_trials`` must make the first-stage draws of a
 loop over ``draw(spec, streams)``, and the edge kinds' j, and report the
 sums of :func:`exact_trial_value` over them, as Fractions, each rounded
 once.  A q-optimal draw is worth the same whatever its j, which
-``run_trials`` and the stream finalize do not draw.  Nothing here is
-used by the library.
+``run_trials`` and the stream finalize do not draw.
+
+:func:`reference_p` and :func:`reference_q` give every strategy's p and
+q as Fractions, written out from the kind table of
+:mod:`trisample.samplers`; :func:`enumerated_expectation` sums a trial's
+value over their whole support.  Neighbours are read from the CSR
+arrays.  Nothing here is used by the library.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
-from trisample import Graph, SampleStreams
+from trisample import Graph, SampleStreams, TriangleProfile
 from trisample.samplers import EDGE_DEGREE, OPTIMAL, QOPT_DEGREE, _Q_OPTIMAL_KINDS, SamplerSpec
 
 
@@ -81,12 +87,17 @@ def _intersection_size(a: list[int], b: list[int]) -> int:
     return count
 
 
+def neighbours(g: Graph, i: int) -> list[int]:
+    """The ascending neighbour run of ``i`` in the CSR arrays; IndexError unless ``i`` is a vertex."""
+    if not 0 <= i < g.n:
+        raise IndexError(f"vertex id {i} out of range [0,{g.n})")
+    return g.indices[g.indptr[i] : g.indptr[i + 1]].tolist()
+
+
 def has_edge(g: Graph, i: int, j: int) -> bool:
-    """True iff {i, j} is an edge, by binary search in the neighbor list."""
-    nb = g.neighbors(i)
-    g._check_id(j)
-    k = int(nb.searchsorted(j))
-    return k < len(nb) and int(nb[k]) == j
+    """True iff {i, j} is an edge; IndexError unless both are vertices."""
+    neighbours(g, j)
+    return j in neighbours(g, i)
 
 
 def local_edge_count(g: Graph, i: int, j: int) -> int:
@@ -95,7 +106,28 @@ def local_edge_count(g: Graph, i: int, j: int) -> int:
         raise ValueError("local_edge_count requires two distinct vertices")
     if not has_edge(g, i, j):
         return 0
-    return _intersection_size(g.neighbors(i).tolist(), g.neighbors(j).tolist())
+    return _intersection_size(neighbours(g, i), neighbours(g, j))
+
+
+def reference_p(g: Graph, profile: TriangleProfile, kind: str) -> list[Fraction]:
+    """p_i of every vertex: T_i / 3T, deg(i) / 2m or 1 / n, with T and T_i from ``profile``."""
+    if kind == OPTIMAL:
+        return [Fraction(t, 3 * profile.total) for t in profile.per_vertex.tolist()]
+    if kind in (QOPT_DEGREE, EDGE_DEGREE):
+        return [Fraction(d, 2 * g.m) for d in g.degrees.tolist()]
+    return [Fraction(1, g.n)] * g.n
+
+
+def reference_q(g: Graph, profile: TriangleProfile, kind: str) -> Callable[[int, int], Fraction]:
+    """q_{j|i}: T_ij / 2T_i for the q-optimal kinds, with T_ij and T_i from ``profile``,
+    or 1 / deg(i) on the neighbours of i; 0 off support, and for every j of a
+    degenerate i."""
+    if kind in _Q_OPTIMAL_KINDS:
+        local, twice = profile.per_edge, (2 * profile.per_vertex).tolist()
+        # where T_i = 0 every T_ij is too, and the denominator 1 keeps q at 0
+        return lambda i, j: Fraction(local.get((min(i, j), max(i, j)), 0), twice[i] or 1)
+    runs = [set(neighbours(g, i)) for i in range(g.n)]
+    return lambda i, j: Fraction(int(j in runs[i]), len(runs[i]) or 1)
 
 
 def draw_vertex(spec: SamplerSpec, rng: np.random.Generator) -> int:
@@ -119,20 +151,26 @@ def _first_stage_weights(spec: SamplerSpec) -> list[int] | None:
     return None
 
 
+def _first_stage_p(spec: SamplerSpec, i: int) -> Fraction:
+    """p_i: w_i / sum(w) for the weights of :func:`_first_stage_weights`, else 1 / n."""
+    weights = _first_stage_weights(spec)
+    return Fraction(1, spec.graph.n) if weights is None else Fraction(weights[i], sum(weights))
+
+
 def _second_stage_weights(spec: SamplerSpec, i: int) -> list[int]:
     """The qopt kinds' second-stage weights T_ij, over the neighbours of ``i``."""
     g = spec.graph
-    nb = g.neighbors(i).tolist()
+    nb = neighbours(g, i)
     if spec.kind == OPTIMAL:
         return spec.profile.edge_counts_of(np.full(len(nb), i), nb).tolist()
-    return [_intersection_size(nb, g.neighbors(j).tolist()) for j in nb]
+    return [_intersection_size(nb, neighbours(g, j)) for j in nb]
 
 
 def draw_given_i(spec: SamplerSpec, i: int, rng: np.random.Generator) -> TrialDraw:
     """Second-stage draw for a fixed first-stage vertex ``i``."""
     g = spec.graph
-    p_i = spec.p(i)
-    nb = g.neighbors(i).tolist()
+    p_i = float(_first_stage_p(spec, i))
+    nb = neighbours(g, i)
     if spec.kind in _Q_OPTIMAL_KINDS:
         weights = _second_stage_weights(spec, i)
         if not any(weights):
@@ -178,11 +216,23 @@ def exact_trial_value(spec: SamplerSpec, d: TrialDraw) -> Fraction:
     if d.degenerate:
         return Fraction(0)
     g = spec.graph
-    weights = _first_stage_weights(spec)
-    p = Fraction(1, g.n) if weights is None else Fraction(weights[d.i], sum(weights))
+    p = _first_stage_p(spec, d.i)
     local = local_edge_count(g, d.i, d.j)
     if spec.kind in _Q_OPTIMAL_KINDS:
-        q = Fraction(_second_stage_weights(spec, d.i)[g.neighbors(d.i).tolist().index(d.j)], d.q_total)
+        q = Fraction(_second_stage_weights(spec, d.i)[neighbours(g, d.i).index(d.j)], d.q_total)
     else:
         q = Fraction(1, d.q_total)
     return local / (6 * p * q)
+
+
+def enumerated_expectation(g: Graph, profile: TriangleProfile, kind: str) -> float:
+    """The sum over every pair (i, j) of p_i q_{j|i} times the trial's value, in
+    floats, with the reference p and q: the unbiasedness oracle."""
+    p, q = reference_p(g, profile, kind), reference_q(g, profile, kind)
+    total = 0.0
+    for i in range(g.n):
+        for j in range(g.n):
+            p_i, q_j = float(p[i]), float(q(i, j))
+            if p_i * q_j > 0.0:
+                total += p_i * q_j * trial_value(g, TrialDraw(i=i, j=j, p_i=p_i, q_j_given_i=q_j))
+    return total
