@@ -254,10 +254,9 @@ def _from_keys(keys: np.ndarray, canonical: np.ndarray, n: int) -> Graph:
     """
     m = len(keys) // 2
     edge_filter = EdgeFilter.of(canonical, m)
-    rows, indices = np.divmod(keys, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return Graph(n=n, m=m, indptr=indptr, indices=indices, edge_keys=keys, edge_filter=edge_filter)
+    # row i's keys start at i * n: no 2m-long array of rows, and one search per row
+    indptr = keys.searchsorted(np.arange(n + 1, dtype=np.int64) * n)
+    return Graph(n=n, m=m, indptr=indptr, indices=keys % n, edge_keys=keys, edge_filter=edge_filter)
 
 
 def _edge_pairs(edges) -> np.ndarray:

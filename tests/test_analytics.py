@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -53,11 +55,15 @@ def test_optimal_variance_is_zero(k3, k4, paw):
         assert variance_closed_form(g, prof, "optimal", 1) == 0.0
 
 
-def test_closed_form_agrees_with_generic_on_random_graphs():
+def _random_graphs():
     rng = np.random.default_rng(61)
-    checked = 0
     for _ in range(25):
-        g = gnp_graph(int(rng.integers(3, 25)), float(rng.uniform(0.2, 0.5)), rng)
+        yield gnp_graph(int(rng.integers(3, 25)), float(rng.uniform(0.2, 0.5)), rng)
+
+
+def test_closed_form_agrees_with_generic_on_random_graphs():
+    checked = 0
+    for g in _random_graphs():
         if g.m == 0:
             continue
         prof = count_exact(g)
@@ -112,28 +118,91 @@ def test_array_generic_matches_the_per_pair_loop():
     assert checked >= 60
 
 
-def test_a_zero_probability_on_a_counted_pair_names_the_reference_pair():
+def _support_violations():
+    """``(g, profile, kind, pair)``: a profile of K4 or K5 on a graph of fewer edges, and
+    the ordered pair that the first zero draw probability, edges in order, is named by."""
     k4 = count_exact(Graph.from_edges(combinations(range(4), 2)))  # every T_ij is 2
-    cases = [
-        # the path 0-1-2-3 lacks the counted edge {0,2}, both ways
-        (Graph.from_edges([(0, 1), (1, 2), (2, 3)]), "edge-uniform", "(0,2)"),
-        (Graph.from_edges([(0, 1), (1, 2), (2, 3)]), "edge-degree", "(0,2)"),
-        # vertex 3 is isolated, so p_3 = 0 while p_0 > 0: (0,3) is fine, (3,0) is not
-        (Graph.from_edges([(0, 1), (0, 2), (1, 2)], n=4), "qopt-degree", "(3,0)"),
-        (Graph.from_edges([(0, 1), (0, 2), (1, 2)], n=4), "edge-degree", "(0,3)"),
-    ]
+    path = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
+    triangle = Graph.from_edges([(0, 1), (0, 2), (1, 2)], n=4)
+    # the path 0-1-2-3 lacks the counted edge {0,2}, both ways
+    yield path, k4, "edge-uniform", "(0,2)"
+    yield path, k4, "edge-degree", "(0,2)"
+    # vertex 3 is isolated, so p_3 = 0 while p_0 > 0: (0,3) is fine, (3,0) is not
+    yield triangle, k4, "qopt-degree", "(3,0)"
+    yield triangle, k4, "edge-degree", "(0,3)"
     k5 = count_exact(Graph.from_edges(combinations(range(5), 2)))  # every T_ij is 3
     # vertex 1 is isolated: edge {0,1} fails only as (1,0), the later {1,2} as (1,2);
     # the first failing edge is named, not the first failing (i, j) of any edge
-    cases.append((Graph.from_edges(combinations([0, 2, 3, 4], 2), n=5), "qopt-degree", "(1,0)"))
-    for g, kind, pair in cases:
-        prof = k4 if g.n == 4 else k5
-        with pytest.raises(ValueError, match="support violation") as want:
-            _exact_variance(g, prof, kind)
-        with pytest.raises(ValueError, match="support violation") as got:
-            variance_generic(g, prof, kind)
-        assert str(got.value) == str(want.value)
-        assert f"pair {pair} has local count {prof.edge_counts[0]}" in str(got.value), kind
+    yield Graph.from_edges(combinations([0, 2, 3, 4], 2), n=5), k5, "qopt-degree", "(1,0)"
+    # vertex 4 is isolated: the fourth edge {0,4} is the first to fail, for edge-degree
+    # both ways and for qopt-degree as (4,0) only
+    k4_and_a_vertex = Graph.from_edges(combinations(range(4), 2), n=5)
+    yield k4_and_a_vertex, k5, "edge-degree", "(0,4)"
+    yield k4_and_a_vertex, k5, "qopt-degree", "(4,0)"
+
+
+def _check_the_violation_is_named(g, prof, kind, pair):
+    with pytest.raises(ValueError, match="support violation") as want:
+        _exact_variance(g, prof, kind)
+    with pytest.raises(ValueError, match="support violation") as got:
+        variance_generic(g, prof, kind)
+    assert str(got.value) == str(want.value)
+    assert f"pair {pair} has local count {prof.edge_counts[0]}" in str(got.value), kind
+
+
+def test_a_zero_probability_on_a_counted_pair_names_the_reference_pair():
+    for case in _support_violations():
+        _check_the_violation_is_named(*case)
+
+
+@pytest.mark.parametrize("window", [1, 3, 7])
+def test_generic_variance_is_the_same_in_any_window(monkeypatch, window):
+    monkeypatch.setattr(analytics, "_WINDOW", window)
+    checked = 0
+    complete = [Graph.from_edges(combinations(range(n), 2), n=n) for n in range(4, 12)]
+    for g in [*_random_graphs(), *complete]:
+        if g.m == 0:
+            continue
+        prof = count_exact(g)
+        for kind in SAMPLER_KINDS:
+            if kind == "optimal" and prof.total == 0:
+                continue
+            want = float(_exact_variance(g, prof, kind))
+            assert variance_generic(g, prof, kind, 1) == variance_closed_form(g, prof, kind, 1) == want
+            checked += 1
+    assert checked >= 90
+
+
+@pytest.mark.parametrize("kind", ["qopt-uniform", "qopt-degree", "edge-uniform", "edge-degree"])
+def test_generic_variance_holds_temporaries_of_one_window(monkeypatch, kind):
+    window = 1 << 10
+    monkeypatch.setattr(analytics, "_WINDOW", window)
+    g = chung_lu_graph(2_000, 20_000, np.random.default_rng(41))
+    prof = count_exact(g)
+    assert np.count_nonzero(prof.edge_counts) >= 4 * window
+    g.degrees, prof._upper_keys  # cached on first read: not the sum's temporaries
+    gc.collect()
+    tracemalloc.start()
+    try:
+        variance_generic(g, prof, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 15 to 19 words per edge of a window; all 13 000 counted edges at once peak near 1.5 MB.
+    assert peak < 32 * 8 * window
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_every_window_names_the_first_support_violation(monkeypatch, window):
+    # Windows smaller than the profile's edges put some first failing edges past the first
+    # window; the edge kinds' cases fail both ways at their first failing edge, in one window.
+    monkeypatch.setattr(analytics, "_WINDOW", window)
+    beyond = 0  # cases whose first failing edge lies past the first window
+    for g, prof, kind, pair in _support_violations():
+        _check_the_violation_is_named(g, prof, kind, pair)
+        edge = sorted(int(v) for v in pair.strip("()").split(","))
+        beyond += prof.edges.tolist().index(edge) >= window
+    assert beyond >= 2
 
 
 @pytest.mark.parametrize("kind", ["qopt-uniform", "qopt-degree", "edge-uniform", "edge-degree"])
