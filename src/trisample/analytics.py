@@ -70,25 +70,24 @@ class ChernoffPlan:
     s: int
 
 
-# Edges of the profile whose counted pairs variance_generic folds at a time, so that its
-# temporaries are O(window), not O(counted edges).  Measured with tracemalloc on edge-degree:
-# on the seed-41 powerlaw graph the sum peaks at 1.16 MiB against 3.21 MiB unwindowed, under
-# the 5.30 MiB of `trisample exact`, for 4.6 against 4.3 ms; on Chung-Lu at m = 2e6 at 1.2
-# against 58 MiB, for 0.17 against 0.12 s, as the (j, i) halves' key searches lose their
-# order across windows.  Windows of 2**12 take 5.6 ms on powerlaw and 0.25 s at m = 2e6;
-# windows of 2**15 peak at 2.08 MiB on powerlaw, which lifts `trisample variance` to 5.79.
-_WINDOW = 1 << 14
+# Edges of the profile whose counted pairs variance_generic folds at a time, both ways in one
+# array of at most 2**14 pairs, so that its temporaries are O(window), not O(counted edges).
+# Measured with tracemalloc on edge-degree: on the seed-41 powerlaw graph the sum peaks at
+# 0.81 MiB (3.21 unwindowed), under the 5.30 MiB of `trisample exact`, in 4.0-4.3 ms; on
+# Chung-Lu at m = 2e6 at 0.93 MiB (58 unwindowed) in 0.11-0.14 s, and every kind below 1.8.
+# Windows of 2**12 take no less time; windows of 2**14 peak at 1.61 MiB on powerlaw, and at
+# 2.55 at m = 2e6 for edge-uniform, whose per-denominator sums run in Python ints there.
+_WINDOW = 1 << 13
 
 
 def _counted_edges(
     profile: TriangleProfile, start: int = 0, stop: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(c, i, j)``: each T_ij > 0 of the edges ``start:stop`` and its edge, i < j; a mask
-    and ``take`` beat fancy indexing ×4."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(c, e)``: each T_ij > 0 of the edges ``start:stop`` and its edge, a row (i, j) of
+    ``e``, i < j; a mask and ``take`` beat fancy indexing ×4."""
     counts = profile.edge_counts[start:stop]
     live = np.flatnonzero(counts > 0)
-    i, j = profile.edges[start:stop].take(live, axis=0).T
-    return counts[live], i, j
+    return counts[live], profile.edges[start:stop].take(live, axis=0)
 
 
 def variance_generic(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) -> float:
@@ -98,8 +97,9 @@ def variance_generic(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) 
     q_{j|i} = x / y (:meth:`~trisample.samplers.SamplerSpec._q_ratio`).  The terms, in
     Python ints where int64 could overflow and reduced by their gcd, are folded per
     denominator and divided once: the result equals :func:`variance_closed_form`'s.  The
-    profile's edges are taken in windows of ``_WINDOW``, in order, and each window's pairs
-    (i, j) with i < j are folded, then its (j, i).  The fold is exact, so the result does
+    profile's edges are taken in windows of ``_WINDOW``, in order.  A window looks each
+    counted edge's x up once, for both its pairs, and folds one array of their terms, laid
+    out edge by edge: (i, j) with i < j, then (j, i).  The fold is exact, so the result does
     not depend on the window, and the temporaries are O(window) whatever m is.  A counted
     pair of zero draw probability raises a ValueError naming the first, edges in order,
     (i, j) before (j, i) in an edge.
@@ -109,29 +109,27 @@ def variance_generic(g: Graph, profile: TriangleProfile, kind: str, s: int = 1) 
     spec = build_sampler(g, kind, profile)
     moments = Moments(spec._p_total)
     for start in range(0, len(profile.edge_counts), _WINDOW):
-        c, i, j = _counted_edges(profile, start, start + _WINDOW)
-        firsts = []  # each half's first pair of zero probability
-        for a, b in ((i, j), (j, i)):  # one half at a time: half the temporaries
-            x, y = spec._q_ratio(a, b)
-            w = 1 if spec._p_weights is None else spec._p_weights[a]
-            c_max, y_max, x_max, w_max = (int(np.max(v, initial=0)) for v in (c, y, x, w))
-            big = c_max * c_max * y_max > _INT64_MAX or w_max * x_max > _INT64_MAX
-            cc, y, w, x = (np.asarray(v, dtype=object if big else np.int64) for v in (c, y, w, x))
-            num, den = cc * cc, x  # in place from here: fresh pages cost as much as the ops
-            num *= y
-            den *= w  # x is _q_ratio's own new array
-            firsts.append(int(np.append(den == 0, True).argmax()))  # the first zero, else len(c)
-            if firsts[-1] < len(c):
-                continue
-            common = np.gcd(den, num)  # the smaller first: numpy's Euclid then takes a step less
-            num //= common
-            den //= common
-            fold_trials(moments, 0, num, den.astype(np.int64, copy=False))
-        if (k := min(firsts)) < len(c):  # earlier windows had none: the first in edge order
-            pair = f"({i[k]},{j[k]})" if firsts[0] == k else f"({j[k]},{i[k]})"
+        c, e = _counted_edges(profile, start, start + _WINDOW)
+        x, *y = spec._q_ratio(*e.T)
+        a = e.ravel()  # edge by edge, the pair (i, j) then (j, i)
+        c, x, y = c.repeat(2), x.repeat(2), np.stack(y, axis=1).ravel()
+        w = 1 if spec._p_weights is None else spec._p_weights[a]
+        c_max, y_max, x_max, w_max = (int(np.max(v, initial=0)) for v in (c, y, x, w))
+        big = c_max * c_max * y_max > _INT64_MAX or w_max * x_max > _INT64_MAX
+        c, y, w, x = (np.asarray(v, dtype=object if big else np.int64) for v in (c, y, w, x))
+        num, den = c, x  # in place from here: fresh pages cost as much as the ops
+        den *= w
+        if (k := int(np.append(den == 0, True).argmax())) < len(den):  # earlier windows had none
             raise ValueError(
-                f"support violation: pair {pair} has local count {c[k]} but zero draw probability"
+                f"support violation: pair ({a[k]},{a[k ^ 1]}) has local count {c[k]} "
+                "but zero draw probability"
             )
+        num *= num
+        num *= y
+        common = np.gcd(den, num)  # the smaller first: numpy's Euclid then takes a step less
+        num //= common
+        den //= common
+        fold_trials(moments, 0, num, den.astype(np.int64, copy=False))
     acc, _, lcm = moments.exact()  # acc / lcm is the sum of the reduced terms
     return float(Fraction(moments.scale * acc, 36 * lcm) - profile.total**2) / s
 
@@ -165,8 +163,8 @@ def variance_closed_form(g: Graph, profile: TriangleProfile, kind: str, s: int =
         lcm = math.lcm(*dens)  # acc / lcm is the sum of T_i^2 / deg(i)
         scale, k, acc = 2 * g.m, 9 * lcm, sum(b * (lcm // d) for d, b in zip(dens, squares))
     elif kind == EDGE_UNIFORM:
-        c, i, j = _counted_edges(profile)
-        dens, _, squares = _sums_by_den(c, g.degrees[i] + g.degrees[j])
+        c, e = _counted_edges(profile)
+        dens, _, squares = _sums_by_den(c, g.degrees[e].sum(axis=1))
         scale, k, acc = g.n, 36, sum(d * b for d, b in zip(dens, squares))
     else:
         scale, k, acc = g.m, 9, sum(_sums_by_den(counts)[2])

@@ -76,18 +76,20 @@ class SamplerSpec:
     _p_weights: np.ndarray | None = None  # first-stage integer weights (int64)
     _p_total: int = 0  # W, their sum: n for the uniform kinds, whose weights are all 1
 
-    def _q_ratio(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(x, y)``, int64 arrays with q_{b_t|a_t} = x / y and x = 0 off support, for
-        ids in range: (T_ab, 2 T_a) for the q-optimal kinds, read from the spec's profile,
-        which they need here; ([ab is an edge], deg(a)) for the edge kinds.
+    def _q_ratio(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(x, y_a, y_b)``, int64 arrays with q_{b_t|a_t} = x / y_a and q_{a_t|b_t} =
+        x / y_b, and x = 0 off support, for ids in range; x, the same both ways, is looked
+        up once: (T_ab, 2 T_a, 2 T_b) for the q-optimal kinds, read from the spec's profile,
+        which they need here; ([ab is an edge], deg(a), deg(b)) for the edge kinds.
         ``analytics.variance_generic`` sums them."""
         g = self.graph
         if self.kind not in _Q_OPTIMAL_KINDS:  # search the sorted keys a * n + b in order
             keys, order = _sort_indexed(a * g.n + b, g.n * g.n)
             x = np.empty(len(a), dtype=np.int64)
             x[order] = _lookup(g.edge_keys, keys)[1]
-            return x, g.degrees[a]
-        return self.profile.edge_counts_of(a, b), 2 * self.profile.per_vertex[a]
+            return x, g.degrees[a], g.degrees[b]
+        t = self.profile.per_vertex
+        return self.profile.edge_counts_of(a, b), 2 * t[a], 2 * t[b]
 
 
 def build_sampler(g: Graph, kind: str, oracle: TriangleProfile | None = None) -> SamplerSpec:

@@ -18,6 +18,7 @@ from trisample import (
     estimator,
     make_plan,
     plan_from_profile,
+    samplers,
     variance_closed_form,
     variance_generic,
     variance_report,
@@ -188,8 +189,34 @@ def test_generic_variance_holds_temporaries_of_one_window(monkeypatch, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 15 to 19 words per edge of a window; all 13 000 counted edges at once peak near 1.5 MB.
+    # 20 to 24 words per edge of a window, which holds both of its ordered pairs; all 13 000
+    # counted edges at once peak near 1.5 MB.
     assert peak < 32 * 8 * window
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_generic_variance_looks_each_counted_edge_up_once(monkeypatch, kind):
+    # x is the same for (i, j) and (j, i): one probe per counted edge, in one call per window.
+    window = 100
+    monkeypatch.setattr(analytics, "_WINDOW", window)
+    g = chung_lu_graph(300, 1500, np.random.default_rng(5))
+    prof = count_exact(g)
+    probes = []  # the length of each lookup's probe
+    lookup, edge_counts_of = samplers._lookup, TriangleProfile.edge_counts_of
+
+    def spy_lookup(keys, probe):  # the edge kinds' search of the graph's keys
+        probes.append(len(probe))
+        return lookup(keys, probe)
+
+    def spy_edge_counts_of(self, a, b):  # the q-optimal kinds' search of the profile's
+        probes.append(len(a))
+        return edge_counts_of(self, a, b)
+
+    monkeypatch.setattr(samplers, "_lookup", spy_lookup)
+    monkeypatch.setattr(TriangleProfile, "edge_counts_of", spy_edge_counts_of)
+    variance_generic(g, prof, kind)
+    assert len(probes) == -(-len(prof.edge_counts) // window) > 1
+    assert sum(probes) == np.count_nonzero(prof.edge_counts)
 
 
 @pytest.mark.parametrize("window", [1, 3])
@@ -273,6 +300,27 @@ def test_closed_forms_sum_the_same_in_python_ints_as_in_int64(monkeypatch):
         assert var > 0
         assert variance_closed_form(g, prof, k, s) == var, (k, s)
     assert len(fits) == len(in_int64) and not any(fits)
+
+
+def test_generic_variance_sums_the_same_in_python_ints_across_windows(monkeypatch):
+    g = chung_lu_graph(300, 1500, np.random.default_rng(5))
+    prof = count_exact(g)
+    in_int64 = {(k, s): variance_generic(g, prof, k, s) for k in SAMPLER_KINDS for s in (1, 7)}
+    dtypes = []  # of the folded terms of each window with counted edges
+    fold = analytics.fold_trials
+
+    def spy(moments, trials, num, den):
+        if len(num):
+            dtypes.append(num.dtype)
+        fold(moments, trials, num, den)
+
+    monkeypatch.setattr(analytics, "fold_trials", spy)
+    monkeypatch.setattr(analytics, "_INT64_MAX", 0)  # every window's terms could overflow
+    monkeypatch.setattr(analytics, "_WINDOW", 3)
+    for (k, s), var in in_int64.items():
+        assert variance_generic(g, prof, k, s) == var, (k, s)
+    assert len(dtypes) > 2 * len(in_int64)
+    assert set(dtypes) == {np.dtype(object)}
 
 
 def test_variance_scales_inversely_with_s(paw):

@@ -30,15 +30,19 @@ from variance_reference import variance_loop
 
 
 def _spec_pq(spec):
-    """The spec's own p_i, its integer weight over their sum, and q_{j|i}, the x / y of
-    ``_q_ratio`` (0 where x is), as Fractions: a list and an n x n table."""
+    """The spec's own p_i, its integer weight over their sum, and q_{j|i}, the x / y_a of
+    ``_q_ratio`` (0 where x is), as Fractions: a list and an n x n table.  The same call's
+    x / y_b, q_{a|b}, must give the same table."""
     n = spec.graph.n
     weights = [1] * n if spec._p_weights is None else spec._p_weights.tolist()
     a, b = np.divmod(np.random.default_rng(n).permutation(n * n), n)  # pairs out of key order
-    x, y = spec._q_ratio(a, b)
+    x, y_a, y_b = spec._q_ratio(a, b)
     q = [[Fraction(0)] * n for _ in range(n)]
-    for i, j, num, den in zip(a.tolist(), b.tolist(), x.tolist(), y.tolist()):
-        q[i][j] = Fraction(num, den) if num else Fraction(0)
+    back = [[Fraction(0)] * n for _ in range(n)]  # q_{a|b}, from the x of (a, b)
+    for i, j, num, y_i, y_j in zip(a.tolist(), b.tolist(), x.tolist(), y_a.tolist(), y_b.tolist()):
+        if num:
+            q[i][j], back[j][i] = Fraction(num, y_i), Fraction(num, y_j)
+    assert back == q
     return [Fraction(w, spec._p_total) for w in weights], q
 
 
@@ -144,13 +148,15 @@ def test_q_ratio_equals_the_reference_q(paw, k4):
 
 
 def test_qopt_q_matches_oracle_exactly():
-    # x / y of the oracle's lookups against T_ij counted by set intersection, on every edge.
+    # x / y_a and x / y_b of the oracle's lookups against T_ij counted by set intersection and
+    # 2 T_i, on every edge, both ways.
     g = gnp_graph(18, 0.35, np.random.default_rng(41))
     prof = count_exact(g)
     rows = np.repeat(np.arange(g.n), g.degrees)
-    x, y = build_sampler(g, "qopt-uniform", prof)._q_ratio(rows, g.indices)
+    x, y_a, y_b = build_sampler(g, "qopt-uniform", prof)._q_ratio(rows, g.indices)
     assert x.tolist() == [local_edge_count(g, i, j) for i, j in zip(rows.tolist(), g.indices.tolist())]
-    assert y.tolist() == (2 * prof.per_vertex[rows]).tolist()
+    assert y_a.tolist() == (2 * prof.per_vertex[rows]).tolist()
+    assert y_b.tolist() == (2 * prof.per_vertex[g.indices]).tolist()
 
 
 def test_draw_examples(paw, k4):
