@@ -11,7 +11,6 @@ from .analytics import (
     ChernoffPlan,
     VarianceReport,
     chernoff_sample_size,
-    make_plan,
     plan_from_profile,
     variance_closed_form,
     variance_generic,
@@ -81,7 +80,6 @@ __all__ = [
     "estimate",
     "finalize_stream_estimate",
     "load_edge_list",
-    "make_plan",
     "pass1_neighborhoods",
     "pass2_local_counts",
     "pass_count_n",

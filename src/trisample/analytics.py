@@ -210,27 +210,6 @@ def chernoff_sample_size(
     return max(math.ceil(s), 1)
 
 
-def make_plan(
-    epsilon: float,
-    c: float,
-    universe: int,
-    upper_bound: float,
-    average: float,
-    bound_kind: str,
-) -> ChernoffPlan:
-    if bound_kind not in (VERTEX_BOUND, EDGE_BOUND):
-        raise ValueError(f"bound_kind must be {VERTEX_BOUND!r} or {EDGE_BOUND!r}")
-    s = chernoff_sample_size(epsilon, c, universe, upper_bound, average)
-    return ChernoffPlan(
-        epsilon=epsilon,
-        c=c,
-        bound_kind=bound_kind,
-        upper_bound=upper_bound,
-        average=average,
-        s=s,
-    )
-
-
 def plan_from_profile(
     g: Graph,
     profile: TriangleProfile,
@@ -254,5 +233,6 @@ def plan_from_profile(
     ub = float(largest if upper_bound is None else upper_bound)
     if ub < largest:
         raise ValueError(f"upper bound {upper_bound} is below the oracle's {name} {largest}")
-    return make_plan(epsilon, c, g.n, ub, average, bound_kind)
+    s = chernoff_sample_size(epsilon, c, g.n, ub, average)
+    return ChernoffPlan(epsilon, c, bound_kind, ub, average, s)
 

@@ -28,16 +28,16 @@ import numpy as np
 from .analytics import (
     EDGE_BOUND,
     VERTEX_BOUND,
-    make_plan,
+    chernoff_sample_size,
     plan_from_profile,
     variance_closed_form,
     variance_report,
 )
 from .estimator import Estimate, estimate
 from .exact import count_exact
-from .graph import FileEdgeStream, Graph, ParseError, load_edge_list
+from .graph import FileEdgeStream, Graph, load_edge_list
 from .samplers import OPTIMAL, SAMPLER_KINDS
-from .streaming import StreamFormatError, stream_estimate
+from .streaming import stream_estimate
 
 
 def _positive_int(text: str) -> int:
@@ -171,6 +171,7 @@ def cmd_plan(args) -> tuple[dict, dict, int | None]:
         g = load_edge_list(args.file)
         profile = count_exact(g)
         plan = plan_from_profile(g, profile, args.epsilon, args.c, args.bound, args.upper_bound)
+        upper, average, s = plan.upper_bound, plan.average, plan.s
         upper_source = "user-supplied" if args.upper_bound is not None else "oracle-derived"
         average_source = "oracle-derived"
         digest = _digest(args.file, g)
@@ -179,20 +180,21 @@ def cmd_plan(args) -> tuple[dict, dict, int | None]:
             raise ValueError("plan needs an edge-list file or an explicit --n")
         if args.upper_bound is None or args.upper_bound < 1.0:
             raise ValueError("plan without a file needs --upper-bound >= 1, the bound/average ratio")
-        plan = make_plan(args.epsilon, args.c, args.n, args.upper_bound, 1.0, args.bound)
+        upper, average = args.upper_bound, 1.0
+        s = chernoff_sample_size(args.epsilon, args.c, args.n, upper, average)
         upper_source = "user-supplied"
         average_source = "assumed-1"
         digest = {"path": None, "n": args.n, "m": None}
     result = {
-        "epsilon": plan.epsilon,
-        "c": plan.c,
-        "bound": plan.bound_kind,
+        "epsilon": args.epsilon,
+        "c": args.c,
+        "bound": args.bound,
         "n": digest["n"],
-        "upper_bound": plan.upper_bound,
-        "average": plan.average,
+        "upper_bound": upper,
+        "average": average,
         "upper_bound_source": upper_source,
         "average_source": average_source,
-        "s": plan.s,
+        "s": s,
     }
     return digest, result, None
 
@@ -329,7 +331,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         digest, result, seed = args.handler(args)
-    except (ParseError, StreamFormatError, ValueError, OSError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed_ms = (time.perf_counter() - t0) * 1000.0

@@ -200,16 +200,10 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """Each undirected edge once, as the rows (i, j) with i < j of an
-        ``(m, 2)`` int64 array, in lexicographic order."""
-        ids = np.arange(self.n, dtype=np.int64)
-        first = self.edge_keys.searchsorted(ids * (self.n + 1))  # each run's first j > i
-        upper = self.indptr[1:] - first
-        positions = (first - np.cumsum(upper) + upper).repeat(upper)
-        positions += np.arange(len(positions))
-        edges = np.empty((len(positions), 2), dtype=np.int64)
-        edges[:, 0] = ids.repeat(upper)
-        edges[:, 1] = self.indices[positions]
-        return edges
+        ``(m, 2)`` int64 array, in lexicographic order: the ascending keys
+        of :attr:`edge_keys` with i < j, split by ``divmod``."""
+        keys = self.edge_keys
+        return np.stack(np.divmod(keys[keys // self.n < self.indices], self.n), axis=1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -220,9 +214,6 @@ class Graph:
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
         )
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.m})"
 
 
 def _check_universe(n: int) -> None:

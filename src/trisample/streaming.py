@@ -50,7 +50,7 @@ import numpy as np
 
 from .estimator import Estimate, Moments, finalize_estimate, fold_trials
 from .exact import _id_array
-from .graph import EdgeStreamSource
+from .graph import EdgeStreamSource, _check_universe
 from .rng import seed_streams
 from .samplers import QOPT_UNIFORM
 
@@ -176,9 +176,13 @@ def pass1_neighborhoods(
     """First pass: set the neighbour bit rows of the sampled vertices.
 
     A bit that is already set means the same undirected edge appeared
-    twice, which the counting pass would double-count; this catches
-    duplicates touching a sampled vertex.  ``strict`` keeps every edge's key
-    in a set and catches all duplicates, at O(m) memory and about twice the time.
+    twice: a duplicate touching a sampled vertex is refused as input that
+    is not a simple graph.  The counts do not need this check: {r, w}
+    never fires in r's own column, and a repeat that would add to another
+    sampled vertex's tally closes a triangle there, which pass 2 refuses.
+    ``strict`` keeps every edge's key in a set and catches all duplicates,
+    at O(m) memory and about twice the time.  An ``n`` above the cap of
+    :meth:`~trisample.graph.Graph.from_edges` is refused first.
 
     Each block of edges is handled with array operations: its
     incidences at sampled vertices are listed in stream order (edge,
@@ -188,6 +192,7 @@ def pass1_neighborhoods(
     a sampled vertex tests and sets one bit in its neighbour's row, that
     of the vertex's column, however many times the vertex was drawn.
     """
+    _check_universe(n)  # before anything of size n
     drawn = _id_array(sampled, n)  # ValueError unless the ids are integers
     if (drawn < 0).any():
         raise ValueError(f"sampled vertex {sampled[int(drawn.argmin())]} outside universe [0,{n})")

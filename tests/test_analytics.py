@@ -16,7 +16,6 @@ from trisample import (
     chernoff_sample_size,
     count_exact,
     estimator,
-    make_plan,
     plan_from_profile,
     samplers,
     variance_closed_form,
@@ -363,6 +362,13 @@ def test_variance_rejects_unknown_kind(paw):
         variance_closed_form(paw, prof, "colorful", 1)
 
 
+def test_variance_refuses_a_trial_count_below_1(paw):
+    prof = count_exact(paw)
+    for variance in (variance_closed_form, variance_generic):
+        with pytest.raises(ValueError, match="trial count must be at least 1"):
+            variance(paw, prof, "edge-degree", 0)
+
+
 def test_chernoff_sample_size_examples():
     assert chernoff_sample_size(0.1, 1, 1000, 2.0, 1.0) == 2764
     assert chernoff_sample_size(0.1, 1, 1000, 1.0, 1.0) == 1382
@@ -390,6 +396,8 @@ def test_chernoff_domain_errors():
         chernoff_sample_size(0.1, 1, 100, 0.5, 1.0)
     with pytest.raises(ValueError, match="exponent"):
         chernoff_sample_size(0.1, 0, 100, 2.0, 1.0)
+    with pytest.raises(ValueError, match="universe size must be at least 2"):
+        chernoff_sample_size(0.1, 1, 1, 2.0, 1.0)
 
 
 def test_chernoff_refuses_an_underflowing_epsilon_and_a_non_finite_trial_count():
@@ -456,8 +464,11 @@ def test_plan_rejects_triangle_free(path3):
     prof = count_exact(path3)
     with pytest.raises(ValueError, match="triangle-free"):
         plan_from_profile(path3, prof, 0.1, 1.0, "vertex")
+    edgeless = Graph.from_edges([], n=3)
+    with pytest.raises(ValueError, match="edge-bound plan needs at least one edge"):
+        plan_from_profile(edgeless, count_exact(edgeless), 0.1, 1.0, "edge")
 
 
-def test_make_plan_validates_bound_kind():
-    with pytest.raises(ValueError, match="bound_kind"):
-        make_plan(0.1, 1.0, 100, 2.0, 1.0, "wedge")
+def test_plan_from_profile_validates_bound_kind(paw):
+    with pytest.raises(ValueError, match="bound_kind must be 'vertex' or 'edge'"):
+        plan_from_profile(paw, count_exact(paw), 0.1, 1.0, "wedge")

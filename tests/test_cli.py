@@ -118,6 +118,19 @@ def test_exact_refuses_a_universe_whose_edge_keys_overflow(capsys, tmp_path):
     assert err.startswith("error: n=3037000500 vertices exceed the limit of 3037000499")
 
 
+def test_stream_refuses_a_declared_universe_as_exact_does(capsys, tmp_path):
+    # The stream checks the cap before its n-row state is allocated.
+    path = tmp_path / "wide.edges"
+    path.write_text("# n=3037000500\n0 1\n")
+    errors = []
+    for argv in (["exact", str(path)], ["stream", str(path), "--samples", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        errors.append(err)
+    limit = "error: n=3037000500 vertices exceed the limit of 3037000499 (edge keys would overflow int64)\n"
+    assert errors == [limit, limit]
+
+
 def test_exact_reports_an_allocation_failure(capsys, monkeypatch, paw_file):
     # A parsed id can still size arrays beyond memory; stand in for that
     # failure rather than allocating for real.
@@ -236,6 +249,12 @@ def test_plan_without_a_file_needs_a_ratio_of_at_least_1(capsys):
     assert err == "error: plan without a file needs --upper-bound >= 1, the bound/average ratio\n"
     report = run_json(capsys, "plan", "--epsilon", "0.1", "--n", "100", "--upper-bound", "1")
     assert report["result"]["s"] == math.ceil(2 * math.log(100) / 0.01)
+
+
+def test_plan_needs_a_file_or_n(capsys):
+    code, out, err = run_cli(capsys, "plan", "--epsilon", "0.1")
+    assert (code, out) == (1, "")
+    assert err == "error: plan needs an edge-list file or an explicit --n\n"
 
 
 def test_plan_from_a_file_refuses_n(capsys, paw_file):
@@ -437,6 +456,33 @@ def test_bench_defaults_leave_out_optimal_on_a_triangle_free_graph(capsys, path3
     assert code == 1
     assert out == ""
     assert "triangle-free" in err
+
+
+USAGE_ERRORS = {
+    "estimate-samples-0": (
+        ["estimate", "--sampler", "edge-degree", "--samples", "0"],
+        "argument --samples: expected a positive integer, got 0",
+    ),
+    "plan-c-nan": (
+        ["plan", "--epsilon", "0.1", "--n", "100", "--upper-bound", "2", "--c", "nan"],
+        "argument --c: expected a finite positive number, got nan",
+    ),
+    "bench-unknown-sampler": (
+        ["bench", "--samplers", "edge-degree,wedge"],
+        "argument --samplers: unknown sampler 'wedge'",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_argument_types_refuse_bad_values_as_usage_errors(capsys, paw_file, argv, message):
+    command, *options = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, *([] if command == "plan" else [paw_file]), *options])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"trisample {command}: error: {message}"
 
 
 @pytest.mark.parametrize("flag", ["--samplers", "--samples"])

@@ -23,7 +23,7 @@ from trisample import (
     write_edge_list,
 )
 
-from conftest import chung_lu_graph, gnp_graph, stream_pairs
+from conftest import PAW_EDGES, chung_lu_graph, gnp_graph, stream_pairs
 from trisample.graph import _plain_pairs
 from reader_reference import edge_records
 from trial_reference import has_edge
@@ -149,6 +149,7 @@ NON_INTEGER_IDS = {
     "uint64-beyond-int64": (np.array([[0, 2**63 + 5]], dtype=np.uint64), "must fit in 64 bits"),
     "python-int-beyond-int64": ([(0, 2**63 + 5)], "must fit in 64 bits"),
     "ragged": ([(0, 1), (1, 2, 3)], r"must be \(u, v\) pairs"),
+    "triples": ([(1, 2, 3)], r"must be \(u, v\) pairs"),
 }
 
 
@@ -195,7 +196,13 @@ def test_edge_array_lists_each_edge_once_in_order(paw):
     edges = paw.edge_array()
     assert edges.dtype == np.int64
     assert edges.tolist() == [[0, 1], [0, 2], [1, 2], [2, 3]]
-    assert Graph.from_edges([], n=3).edge_array().shape == (0, 2)
+    for n in (0, 3):
+        empty = Graph.from_edges([], n=n).edge_array()
+        assert (empty.shape, empty.dtype) == ((0, 2), np.int64)
+
+
+def test_repr_names_only_n_and_m():
+    assert repr(Graph.from_edges(PAW_EDGES)) == "Graph(n=4, m=4)"
 
 
 def test_edge_array_holds_no_adjacency_sized_temporaries():

@@ -87,6 +87,20 @@ def test_pass1_rejects_out_of_universe_and_self_loops():
         pass1_neighborhoods(MemoryEdgeStream(PAW_EDGES), [4], 4)
 
 
+def test_pass1_refuses_a_universe_above_the_cap_before_allocating():
+    # As Graph.from_edges does: n * n must fit an int64, and the n-row state is never built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^n=3037000500 vertices exceed the limit of 3037000499"):
+            pass1_neighborhoods(MemoryEdgeStream([(0, 1)]), [0], 3_037_000_500)
+        with pytest.raises(ValueError, match=f"^n={1 << 62} vertices exceed the limit of 3037000499"):
+            stream_estimate(MemoryEdgeStream([(0, 1)]), 4, n=1 << 62)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_pass1_refuses_sampled_ids_that_are_not_integers():
     for sampled in ([2.7], ["3"], [0, 1.0], [np.float64(2)]):
         with pytest.raises(ValueError, match="vertex ids must be integers"):
